@@ -1,7 +1,8 @@
 """Synthetic experience replay for pre-training a CartPole policy-gradient agent.
 
 A generator/discriminator pair learns the joint distribution of encoded
-(state, action, next state, reward) transitions collected by a random policy;
+(state, action, next state, reward) transitions collected by a random policy
+and passed between layers as one struct-of-arrays, ``Transitions``;
 an optional transition-consistency network refines the generator with a
 moment-matching KL penalty; the resulting samples pre-train a REINFORCE agent
 before it touches the real environment.
@@ -19,11 +20,10 @@ from .enhancer import (
     train_enhancer,
 )
 from .experience import (
-    ExperienceQuadruplet,
-    ReplayBuffer,
+    Transitions,
     collect_random,
-    decode,
-    encode,
+    decode_batch,
+    encode_batch,
     load_csv,
     run_episode,
     save_csv,

@@ -7,6 +7,7 @@ and whatever policy drives the episode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import math
 
@@ -15,19 +16,13 @@ import numpy as np
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class CartPoleState:
+class CartPoleState(NamedTuple):
+    """One scalar state; np.array(states) stacks a list of them into (n, 4)."""
+
     x: float
     x_dot: float
     theta: float
     theta_dot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.x_dot, self.theta, self.theta_dot])
-
-    @staticmethod
-    def from_array(arr) -> "CartPoleState":
-        return CartPoleState(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
 
 
 @dataclass(frozen=True)
@@ -48,8 +43,7 @@ DEFAULT_PARAMS = EnvParams()
 
 def reset(rng: np.random.Generator, params: EnvParams = DEFAULT_PARAMS) -> CartPoleState:
     """All four components drawn U(-0.05, 0.05)."""
-    vals = rng.uniform(-0.05, 0.05, size=4)
-    return CartPoleState.from_array(vals)
+    return CartPoleState(*rng.uniform(-0.05, 0.05, size=4).tolist())
 
 
 def is_terminal(state: CartPoleState, params: EnvParams = DEFAULT_PARAMS) -> bool:

@@ -48,7 +48,9 @@ class ExperimentConfig:
     pg_learning_rate: float = 1e-3
     pg_discount: float = 0.99
     pg_update_frequency: int = 5
-    pg_optimizer: str = "adam"  # sgd at lr 1e-3 never lifts off; see README
+    # sgd at lr 1e-3 never lifts off: on mode none, seed 0, its rolling reward
+    # after 2000 episodes is 14.3, against 183.9 for adam at the same rate
+    pg_optimizer: str = "adam"
 
     # environment
     env_max_steps: int = 200

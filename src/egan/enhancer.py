@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import experience
 from . import gan as gan_mod
 from . import nn
+from .cartpole import DEFAULT_PARAMS
 from .errors import ShapeError, UsageError
 from .experience import HALF_DIM
 
@@ -79,7 +81,7 @@ def train_enhancer(
     data = np.atleast_2d(np.asarray(encoded, dtype=np.float64))
     if data.shape[0] == 0:
         raise UsageError("cannot train the enhancer on an empty dataset")
-    batches = gan_mod._Minibatcher(data, batch_size, rng)
+    batches = nn.Minibatcher(data, batch_size, rng)
     losses = []
     for _ in range(n_steps):
         batch = batches.next()
@@ -172,16 +174,14 @@ def egan_refine(
     if k < 1:
         return []
     opt = nn.make_optimizer(gan.g, "adam", learning_rate)
+    penalty = kl_penalty(model)
     history = []
     for _ in range(k):
         z = gan_mod.sample_noise(rng, n_samples, gan.noise_dim)
         g_out, cache = nn.forward(gan.g, z)
-        target = predict(model, g_out[:, :HALF_DIM])
-        kl, d_p = kl_regularizer_with_grad(g_out[:, HALF_DIM:], target)
+        kl, grad = penalty(g_out)
         history.append(kl)
-        grad = np.zeros_like(g_out)
-        grad[:, HALF_DIM:] = kl_weight * d_p
-        grads, _ = nn.backward(gan.g, cache, grad)
+        grads, _ = nn.backward(gan.g, cache, kl_weight * grad)
         nn.optimizer_step(gan.g, grads, opt)
     return history
 
@@ -198,8 +198,8 @@ def save_kl_history(history, path) -> None:
 class PretrainResult:
     gan: gan_mod.GanPair
     enhancer: EnhancerModel | None
-    stats: object  # NormalizationStats of the collected buffer
-    buffer: object  # the collected ReplayBuffer
+    stats: experience.NormalizationStats  # of the collected buffer
+    buffer: experience.Transitions  # the collected random-policy transitions
     real_samples: int  # environment transitions consumed, charged to the curve
     gan_history: list = field(default_factory=list)
     enhancer_history: list = field(default_factory=list)
@@ -210,15 +210,12 @@ def pretrain_pipeline(config, rng: np.random.Generator, params=None) -> Pretrain
     """Collect random experience, train the GAN (and, for egan, the enhancer
     plus the refinement loop); returns a generator ready for sampling and the
     real-sample count the curve must be offset by."""
-    from . import experience
-    from .cartpole import DEFAULT_PARAMS
-
     if config.mode not in ("gan", "egan"):
         raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
     params = params or DEFAULT_PARAMS
     buffer = experience.collect_random(params, config.pretrain_episodes, rng)
-    stats = buffer.stats()
-    encoded = experience.encode_batch(buffer.items, stats)
+    stats = experience.compute_stats(buffer)
+    encoded = experience.encode_batch(buffer, stats)
 
     pair = gan_mod.make_gan(
         rng,
@@ -277,7 +274,7 @@ def pretrain_pipeline(config, rng: np.random.Generator, params=None) -> Pretrain
         enhancer=model,
         stats=stats,
         buffer=buffer,
-        real_samples=buffer.samples_consumed,
+        real_samples=len(buffer),
         gan_history=gan_history,
         enhancer_history=enhancer_history,
         kl_history=kl_history,

@@ -1,20 +1,21 @@
 """Experience collection, the 10-dim encoded representation, and CSV persistence.
 
-A transition is a quadruplet (s_t, a, s_{t+1}, r).  For the GAN it is encoded
+Every layer passes transitions as one struct-of-arrays, `Transitions`: row i
+is the transition (s_t, a, s_{t+1}, r, done).  For the GAN a row is encoded
 as a vector x = x1 || x2 with x1 = (normalized s_t, action code) and
 x2 = (normalized s_{t+1}, reward code), every channel mapped into [-1, 1]:
 
-* states: per-dimension min-max scaling from the collected buffer,
+* states: per-dimension min-max scaling from the collected transitions,
 * action: 0 -> -1, 1 -> +1,
 * reward: r -> (r - 0.5) * 2.
 
-The episode-done flag is not part of x; decode reconstructs it geometrically
-from the successor state.
+The done flag is not part of x; decoding reconstructs it geometrically from
+the successor state.  Encoding and decoding are column operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,13 +29,25 @@ HALF_DIM = 5
 CSV_HEADER = "x,x_dot,theta,theta_dot,a,nx,nx_dot,ntheta,ntheta_dot,r,done"
 
 
-@dataclass(frozen=True)
-class ExperienceQuadruplet:
-    s_t: CartPoleState
-    a: int
-    s_next: CartPoleState
-    r: float
-    done: bool
+@dataclass(frozen=True, eq=False)
+class Transitions:
+    """n transitions as columns; len() is the row count."""
+
+    states: np.ndarray  # (n, 4)
+    actions: np.ndarray  # (n,) intp
+    next_states: np.ndarray  # (n, 4)
+    rewards: np.ndarray  # (n,)
+    dones: np.ndarray  # (n,) bool
+
+    def __len__(self) -> int:
+        return self.actions.shape[0]
+
+    @staticmethod
+    def concatenate(parts) -> "Transitions":
+        parts = list(parts)
+        return Transitions(
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Transitions))
+        )
 
 
 @dataclass(frozen=True)
@@ -45,51 +58,37 @@ class NormalizationStats:
     state_max: np.ndarray
 
 
-class ReplayBuffer:
-    """Ordered transition store with honest real-sample accounting."""
-
-    def __init__(self, capacity: int | None = None):
-        self.capacity = capacity
-        self.items: list[ExperienceQuadruplet] = []
-        self.samples_consumed = 0  # environment steps charged to this buffer
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def add(self, quad: ExperienceQuadruplet, real: bool = True) -> None:
-        self.items.append(quad)
-        if real:
-            self.samples_consumed += 1
-        if self.capacity is not None and len(self.items) > self.capacity:
-            del self.items[0]
-
-    def extend(self, quads, real: bool = True) -> None:
-        for q in quads:
-            self.add(q, real=real)
-
-    def stats(self) -> NormalizationStats:
-        return compute_stats(self.items)
-
-
 def run_episode(
     policy_fn,
     rng: np.random.Generator,
     params: EnvParams = DEFAULT_PARAMS,
     max_steps: int | None = None,
-) -> tuple[list[ExperienceQuadruplet], int]:
+) -> Transitions:
     """Roll out one episode; policy_fn(state, rng) -> action in {0, 1}."""
     cap = params.max_steps if max_steps is None else max_steps
     state = cartpole.reset(rng, params)
-    quads: list[ExperienceQuadruplet] = []
+    visited = [state]
+    actions: list[int] = []
+    rewards: list[float] = []
     for t in range(cap):
         action = int(policy_fn(state, rng))
-        nxt, reward, done = cartpole.step(state, action, params)
-        done = done or (t + 1 == cap)
-        quads.append(ExperienceQuadruplet(state, action, nxt, reward, done))
-        state = nxt
-        if done:
+        state, reward, done = cartpole.step(state, action, params)
+        visited.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        if done or t + 1 == cap:
             break
-    return quads, len(quads)
+    path = np.array(visited)
+    path.flags.writeable = False  # states and next_states are views of it
+    dones = np.zeros(len(actions), dtype=bool)
+    dones[-1:] = True  # the loop stops only on a terminal state or at the cap
+    return Transitions(
+        states=path[:-1],
+        actions=np.array(actions, dtype=np.intp),
+        next_states=path[1:],
+        rewards=np.array(rewards),
+        dones=dones,
+    )
 
 
 def random_policy(state: CartPoleState, rng: np.random.Generator) -> int:
@@ -97,27 +96,20 @@ def random_policy(state: CartPoleState, rng: np.random.Generator) -> int:
 
 
 def collect_random(
-    params: EnvParams,
-    n_episodes: int,
-    rng: np.random.Generator,
-    capacity: int | None = None,
-) -> ReplayBuffer:
+    params: EnvParams, n_episodes: int, rng: np.random.Generator
+) -> Transitions:
     """Every transition of n_episodes uniform-random-action episodes."""
     if n_episodes < 1:
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
-    buffer = ReplayBuffer(capacity=capacity)
-    for _ in range(n_episodes):
-        quads, _ = run_episode(random_policy, rng, params)
-        buffer.extend(quads)
-    return buffer
-
-
-def compute_stats(quads) -> NormalizationStats:
-    if not quads:
-        raise UsageError("cannot compute normalization stats of an empty buffer")
-    states = np.array(
-        [q.s_t.as_array() for q in quads] + [q.s_next.as_array() for q in quads]
+    return Transitions.concatenate(
+        run_episode(random_policy, rng, params) for _ in range(n_episodes)
     )
+
+
+def compute_stats(transitions: Transitions) -> NormalizationStats:
+    if not len(transitions):
+        raise UsageError("cannot compute normalization stats of an empty buffer")
+    states = np.concatenate([transitions.states, transitions.next_states])
     return NormalizationStats(states.min(axis=0), states.max(axis=0))
 
 
@@ -136,46 +128,37 @@ def _unscale(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return np.where(ok, (values + 1.0) / 2.0 * span + lo, values)
 
 
-def encode(q: ExperienceQuadruplet, stats: NormalizationStats) -> np.ndarray:
-    """Quadruplet -> 10-vector; zero-range state dims pass through unscaled."""
-    x = np.empty(ENCODED_DIM)
-    x[0:4] = _scale(q.s_t.as_array(), stats)
-    x[4] = 1.0 if q.a == 1 else -1.0
-    x[5:9] = _scale(q.s_next.as_array(), stats)
-    x[9] = (q.r - 0.5) * 2.0
-    return x
-
-
-def encode_batch(quads, stats: NormalizationStats) -> np.ndarray:
-    out = np.empty((len(quads), ENCODED_DIM))
-    for i, q in enumerate(quads):
-        out[i] = encode(q, stats)
+def encode_batch(transitions: Transitions, stats: NormalizationStats) -> np.ndarray:
+    """Transitions -> (n, 10); zero-range state dims pass through unscaled."""
+    out = np.empty((len(transitions), ENCODED_DIM))
+    out[:, 0:4] = _scale(transitions.states, stats)
+    out[:, 4] = np.where(transitions.actions == 1, 1.0, -1.0)
+    out[:, 5:9] = _scale(transitions.next_states, stats)
+    out[:, 9] = (transitions.rewards - 0.5) * 2.0
     return out
 
 
-def decode(
-    x: np.ndarray,
+def decode_batch(
+    xs: np.ndarray,
     stats: NormalizationStats,
     params: EnvParams = DEFAULT_PARAMS,
-) -> ExperienceQuadruplet:
-    """Total inverse of encode: any 10-vector becomes a quadruplet.
+) -> Transitions:
+    """Total inverse of encode_batch: any (n, 10) array becomes n transitions.
 
-    Action thresholds at 0 (ties go to action 1), reward is clamped to [0, 1]
-    and rounded, done is inferred from the successor state leaving the bounds.
+    Action thresholds at 0 (ties go to action 1), the reward code rounds to
+    0 or 1 (ties go to 1), done is inferred from the successor state leaving
+    the bounds.
     """
-    x = np.asarray(x, dtype=np.float64)
-    s_t = CartPoleState.from_array(_unscale(x[0:4], stats))
-    a = 1 if x[4] >= 0.0 else 0
-    s_next = CartPoleState.from_array(_unscale(x[5:9], stats))
-    raw_r = min(max(x[9] / 2.0 + 0.5, 0.0), 1.0)
-    r = 1.0 if raw_r >= 0.5 else 0.0
-    done = cartpole.is_terminal(s_next, params)
-    return ExperienceQuadruplet(s_t, a, s_next, r, done)
-
-
-def decode_batch(xs: np.ndarray, stats: NormalizationStats,
-                 params: EnvParams = DEFAULT_PARAMS) -> list[ExperienceQuadruplet]:
-    return [decode(row, stats, params) for row in np.atleast_2d(xs)]
+    x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    next_states = _unscale(x[:, 5:9], stats)
+    return Transitions(
+        states=_unscale(x[:, 0:4], stats),
+        actions=(x[:, 4] >= 0.0).astype(np.intp),
+        next_states=next_states,
+        rewards=(x[:, 9] / 2.0 + 0.5 >= 0.5).astype(np.float64),
+        dones=(np.abs(next_states[:, 0]) > params.x_limit)
+        | (np.abs(next_states[:, 2]) > params.theta_limit),
+    )
 
 
 def _stats_path(path) -> str:
@@ -183,21 +166,22 @@ def _stats_path(path) -> str:
     return (text[: -len(".csv")] if text.endswith(".csv") else text) + ".stats.csv"
 
 
-def save_csv(buffer: ReplayBuffer, path) -> None:
+def save_csv(transitions: Transitions, path) -> None:
     """Write the dataset plus a `<name>.stats.csv` sidecar of per-dim min/max."""
     lines = [CSV_HEADER]
-    for q in buffer.items:
-        fields = (
-            [repr(float(v)) for v in q.s_t.as_array().tolist()]
-            + [str(q.a)]
-            + [repr(float(v)) for v in q.s_next.as_array().tolist()]
-            + [repr(float(q.r)), str(int(q.done))]
-        )
-        lines.append(",".join(fields))
+    for s, a, s_next, r, done in zip(
+        transitions.states.tolist(),
+        transitions.actions.tolist(),
+        transitions.next_states.tolist(),
+        transitions.rewards.tolist(),
+        transitions.dones.tolist(),
+    ):
+        row = [*map(repr, s), str(a), *map(repr, s_next), repr(r), str(int(done))]
+        lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    if buffer.items:
-        stats = buffer.stats()
+    if len(transitions):
+        stats = compute_stats(transitions)
         dims = ["x", "x_dot", "theta", "theta_dot"]
         side = ["dim,min,max"]
         for name, lo, hi in zip(
@@ -208,8 +192,8 @@ def save_csv(buffer: ReplayBuffer, path) -> None:
             fh.write("\n".join(side) + "\n")
 
 
-def load_csv(path) -> ReplayBuffer:
-    buffer = ReplayBuffer()
+def load_csv(path) -> Transitions:
+    rows = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
@@ -224,15 +208,14 @@ def load_csv(path) -> ReplayBuffer:
                     str(path), line_no, f"expected 11 fields, found {len(parts)}"
                 )
             try:
-                vals = [float(p) for p in parts]
+                rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise CsvParseError(str(path), line_no, str(exc)) from exc
-            quad = ExperienceQuadruplet(
-                s_t=CartPoleState(*vals[0:4]),
-                a=int(vals[4]),
-                s_next=CartPoleState(*vals[5:9]),
-                r=vals[9],
-                done=bool(int(vals[10])),
-            )
-            buffer.add(quad, real=False)
-    return buffer
+    table = np.array(rows, dtype=np.float64).reshape(-1, 11)
+    return Transitions(
+        states=table[:, 0:4],
+        actions=table[:, 4].astype(np.intp),
+        next_states=table[:, 5:9],
+        rewards=table[:, 9],
+        dones=table[:, 10].astype(np.intp).astype(bool),
+    )

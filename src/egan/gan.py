@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .cartpole import DEFAULT_PARAMS
 from .errors import UsageError
-from .experience import ENCODED_DIM, decode_batch
+from .experience import ENCODED_DIM, Transitions, decode_batch
 
 GENERATOR_MODES = ("paper_minimax", "non_saturating")
 
@@ -134,25 +135,6 @@ def generator_step(
     return loss
 
 
-class _Minibatcher:
-    """Cycles shuffled fixed-size minibatches; drops ragged tails."""
-
-    def __init__(self, data: np.ndarray, batch_size: int, rng: np.random.Generator):
-        self.data = data
-        self.batch_size = min(batch_size, data.shape[0])
-        self.rng = rng
-        self._order = np.empty(0, dtype=np.intp)
-        self._pos = 0
-
-    def next(self) -> np.ndarray:
-        if self._pos + self.batch_size > self._order.size:
-            self._order = self.rng.permutation(self.data.shape[0])
-            self._pos = 0
-        idx = self._order[self._pos : self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return self.data[idx]
-
-
 def train_gan(
     gan: GanPair,
     encoded_real: np.ndarray,
@@ -166,7 +148,7 @@ def train_gan(
     data = np.atleast_2d(np.asarray(encoded_real, dtype=np.float64))
     if data.shape[0] == 0:
         raise UsageError("cannot train a GAN on an empty dataset")
-    batches = _Minibatcher(data, gan.batch_size, rng)
+    batches = nn.Minibatcher(data, gan.batch_size, rng)
     history = []
     for _ in range(n_steps):
         d_loss = discriminator_step(gan, batches.next(), rng)
@@ -189,12 +171,9 @@ def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator,
     return out
 
 
-def generate(gan: GanPair, n: int, rng: np.random.Generator, stats, params=None):
-    """Draw n noise vectors and decode G(z) into quadruplets."""
-    if n == 0:
-        return []
-    from .cartpole import DEFAULT_PARAMS
-
+def generate(gan: GanPair, n: int, rng: np.random.Generator, stats,
+             params=None) -> Transitions:
+    """Draw n noise vectors and decode G(z) into transitions (none for n = 0)."""
     return decode_batch(
         generate_encoded(gan, n, rng), stats, params or DEFAULT_PARAMS
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,34 +94,15 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
     cumulative = np.empty(n_episodes, dtype=np.int64)
     total = offset
     for ep in range(n_episodes):
-        quads, length = experience.run_episode(policy_fn, train_rng, params)
-        trace = policy.EpisodeTrace(
-            states=np.array([q.s_t.as_array() for q in quads]),
-            actions=np.array([q.a for q in quads], dtype=np.intp),
-            rewards=np.array([q.r for q in quads]),
-        )
-        policy.record_episode(agent, trace)
-        total += length
-        rewards[ep] = float(sum(q.r for q in quads))
+        episode = experience.run_episode(policy_fn, train_rng, params)
+        policy.record_episode(agent, episode)
+        total += len(episode)
+        rewards[ep] = episode.rewards.sum()
         cumulative[ep] = total
     curve = LearningCurve(config.mode, config.seed, rewards, cumulative, offset)
     if return_details:
         return curve, pre, agent
     return curve
-
-
-def run_many(configs, max_workers: int | None = None) -> list[LearningCurve]:
-    """Run independent experiments in parallel processes, order preserved.
-
-    Every (config, seed) run owns its RNG streams, so concurrency cannot
-    change any curve.
-    """
-    configs = list(configs)
-    workers = max_workers or min(len(configs), os.cpu_count() or 1)
-    if workers <= 1 or len(configs) <= 1:
-        return [run_experiment(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, configs))
 
 
 def rolling_average(rewards, window: int = 100) -> np.ndarray:

@@ -194,6 +194,25 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
+class Minibatcher:
+    """Cycles shuffled fixed-size minibatches; drops ragged tails."""
+
+    def __init__(self, data: np.ndarray, batch_size: int, rng: np.random.Generator):
+        self.data = data
+        self.batch_size = min(batch_size, data.shape[0])
+        self.rng = rng
+        self._order = np.empty(0, dtype=np.intp)
+        self._pos = 0
+
+    def next(self) -> np.ndarray:
+        if self._pos + self.batch_size > self._order.size:
+            self._order = self.rng.permutation(self.data.shape[0])
+            self._pos = 0
+        idx = self._order[self._pos : self._pos + self.batch_size]
+        self._pos += self.batch_size
+        return self.data[idx]
+
+
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 

@@ -16,15 +16,9 @@ import numpy as np
 from . import nn
 from .cartpole import CartPoleState
 from .errors import UsageError
+from .experience import Transitions
 
 Z_EPS = 1e-8
-
-
-@dataclass
-class EpisodeTrace:
-    states: np.ndarray  # (n, 4)
-    actions: np.ndarray  # (n,)
-    rewards: np.ndarray  # (n,)
 
 
 @dataclass
@@ -33,7 +27,7 @@ class PolicyAgent:
     opt: nn.OptimizerState
     gamma: float = 0.99
     update_frequency: int = 5
-    pending: list[EpisodeTrace] = field(default_factory=list)
+    pending: list[Transitions] = field(default_factory=list)
 
 
 def make_agent(
@@ -55,7 +49,7 @@ def make_agent(
 
 def action_probabilities(agent: PolicyAgent, state: CartPoleState) -> np.ndarray:
     # single-sample fast path; the hot loop calls this once per env step
-    h = state.as_array()
+    h = np.array(state)
     for w, b, act in zip(agent.net.weights, agent.net.biases, agent.net.activations):
         z = w @ h + b
         if act == "tanh":
@@ -113,32 +107,32 @@ def normalize_weights(values: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / (v.std() + Z_EPS)
 
 
-def update_on_episodes(agent: PolicyAgent, traces) -> float:
-    """Pool the traces, z-score the discounted returns, take one step."""
-    traces = list(traces)
-    if not traces:
-        raise UsageError("update_on_episodes needs at least one trace")
-    states = np.concatenate([t.states for t in traces])
-    actions = np.concatenate([t.actions for t in traces])
+def update_on_episodes(agent: PolicyAgent, episodes) -> float:
+    """Pool the episodes, z-score the discounted returns, take one step."""
+    episodes = list(episodes)
+    if not episodes:
+        raise UsageError("update_on_episodes needs at least one episode")
+    states = np.concatenate([e.states for e in episodes])
+    actions = np.concatenate([e.actions for e in episodes])
     returns = np.concatenate(
-        [discounted_returns(t.rewards, agent.gamma) for t in traces]
+        [discounted_returns(e.rewards, agent.gamma) for e in episodes]
     )
     return policy_gradient_step(agent, states, actions, normalize_weights(returns))
 
 
-def record_episode(agent: PolicyAgent, trace: EpisodeTrace) -> float | None:
+def record_episode(agent: PolicyAgent, episode: Transitions) -> float | None:
     """Accumulate one episode; update (and clear) every update_frequency episodes."""
-    agent.pending.append(trace)
+    agent.pending.append(episode)
     if len(agent.pending) < agent.update_frequency:
         return None
-    traces, agent.pending = agent.pending, []
-    return update_on_episodes(agent, traces)
+    episodes, agent.pending = agent.pending, []
+    return update_on_episodes(agent, episodes)
 
 
 def pretrain_on_synthetic(
     agent: PolicyAgent, batches, learning_rate: float | None = None
 ) -> int:
-    """One bandit-style update per batch of generated quadruplets.
+    """One bandit-style update per batch of generated Transitions.
 
     Generated samples are i.i.d. transitions, not episodes, so each batch is
     weighted by its z-scored reward channel; consumes zero real samples.
@@ -153,13 +147,11 @@ def pretrain_on_synthetic(
     n_updates = 0
     try:
         for batch in batches:
-            batch = list(batch)
-            if not batch:
+            if not len(batch):
                 continue
-            states = np.array([q.s_t.as_array() for q in batch])
-            actions = np.array([q.a for q in batch], dtype=np.intp)
-            rewards = np.array([q.r for q in batch])
-            policy_gradient_step(agent, states, actions, normalize_weights(rewards))
+            policy_gradient_step(
+                agent, batch.states, batch.actions, normalize_weights(batch.rewards)
+            )
             n_updates += 1
     finally:
         agent.opt = main_opt

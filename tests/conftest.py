@@ -14,4 +14,4 @@ def small_buffer():
 
 @pytest.fixture(scope="session")
 def small_encoded(small_buffer):
-    return experience.encode_batch(small_buffer.items, small_buffer.stats())
+    return experience.encode_batch(small_buffer, experience.compute_stats(small_buffer))

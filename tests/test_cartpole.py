@@ -21,13 +21,13 @@ class TestReset:
 
     def test_components_within_bounds(self):
         rng = np.random.default_rng(0)
-        draws = np.array([cartpole.reset(rng).as_array() for _ in range(10_000)])
+        draws = np.array([cartpole.reset(rng) for _ in range(10_000)])
         assert draws.min() >= -0.05
         assert draws.max() <= 0.05
 
     def test_component_means_near_zero(self):
         rng = np.random.default_rng(1)
-        draws = np.array([cartpole.reset(rng).as_array() for _ in range(10_000)])
+        draws = np.array([cartpole.reset(rng) for _ in range(10_000)])
         assert np.abs(draws.mean(axis=0)).max() < 0.005
 
 
@@ -91,7 +91,7 @@ class TestStep:
         state = CartPoleState(0.0, 0.0, 1e-4, 0.0)
         for _ in range(200):
             state, _, done = cartpole.step(state, 0, params)
-            assert np.all(np.isfinite(state.as_array()))
+            assert np.all(np.isfinite(state))
             if done:
                 break
 

@@ -6,20 +6,104 @@ from hypothesis import strategies as st
 from egan import cartpole, experience
 from egan.cartpole import CartPoleState, DEFAULT_PARAMS
 from egan.errors import CsvParseError, UsageError
-from egan.experience import ExperienceQuadruplet
+from egan.experience import Transitions
+
+
+def one_row(s, a, s_next, r=1.0, done=False) -> Transitions:
+    return Transitions(
+        states=np.array([s], dtype=np.float64),
+        actions=np.array([a], dtype=np.intp),
+        next_states=np.array([s_next], dtype=np.float64),
+        rewards=np.array([r]),
+        dones=np.array([done]),
+    )
+
+
+def assert_same(t1: Transitions, t2: Transitions):
+    for name in ("states", "actions", "next_states", "rewards", "dones"):
+        a, b = getattr(t1, name), getattr(t2, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+# Per-row reference codec: the row-at-a-time encode/decode the column
+# operations replaced, kept verbatim so encode_batch/decode_batch can be held
+# to bit-equality with it.
+
+def _ref_scale(values, stats):
+    lo, hi = stats.state_min, stats.state_max
+    span = hi - lo
+    ok = span > 0
+    return np.where(ok, 2.0 * (values - lo) / np.where(ok, span, 1.0) - 1.0, values)
+
+
+def _ref_unscale(values, stats):
+    lo, hi = stats.state_min, stats.state_max
+    span = hi - lo
+    ok = span > 0
+    return np.where(ok, (values + 1.0) / 2.0 * span + lo, values)
+
+
+def reference_encode(s, a, s_next, r, stats):
+    x = np.empty(10)
+    x[0:4] = _ref_scale(np.array(s), stats)
+    x[4] = 1.0 if a == 1 else -1.0
+    x[5:9] = _ref_scale(np.array(s_next), stats)
+    x[9] = (r - 0.5) * 2.0
+    return x
+
+
+def reference_decode(x, stats, params=DEFAULT_PARAMS):
+    x = np.asarray(x, dtype=np.float64)
+    s_t = CartPoleState(*_ref_unscale(x[0:4], stats).tolist())
+    a = 1 if x[4] >= 0.0 else 0
+    s_next = CartPoleState(*_ref_unscale(x[5:9], stats).tolist())
+    raw_r = min(max(x[9] / 2.0 + 0.5, 0.0), 1.0)
+    r = 1.0 if raw_r >= 0.5 else 0.0
+    done = cartpole.is_terminal(s_next, params)
+    return s_t, a, s_next, r, done
+
+
+def reference_encode_batch(t: Transitions, stats):
+    rows = zip(t.states.tolist(), t.actions.tolist(), t.next_states.tolist(),
+               t.rewards.tolist())
+    return np.array([reference_encode(s, a, s2, r, stats) for s, a, s2, r in rows])
+
+
+def reference_decode_batch(xs, stats, params=DEFAULT_PARAMS) -> Transitions:
+    rows = [reference_decode(x, stats, params) for x in xs]
+    return Transitions(
+        states=np.array([r[0] for r in rows]),
+        actions=np.array([r[1] for r in rows], dtype=np.intp),
+        next_states=np.array([r[2] for r in rows]),
+        rewards=np.array([r[3] for r in rows]),
+        dones=np.array([r[4] for r in rows], dtype=bool),
+    )
+
+
+def zero_range_stats(buffer):
+    """The buffer's stats with x_dot collapsed to zero range."""
+    stats = experience.compute_stats(buffer)
+    state_max = stats.state_max.copy()
+    state_max[1] = stats.state_min[1]
+    return experience.NormalizationStats(stats.state_min, state_max)
 
 
 def test_single_episode_buffer_size_equals_length():
     rng = np.random.default_rng(0)
     buf = experience.collect_random(DEFAULT_PARAMS, 1, rng)
-    assert len(buf) == buf.samples_consumed
+    assert len(buf) == buf.states.shape[0] == buf.next_states.shape[0]
+    assert len(buf) == buf.rewards.size == buf.dones.size
     assert 1 <= len(buf) <= 200
+    # one episode: every successor state is the next row's state
+    assert np.array_equal(buf.states[1:], buf.next_states[:-1])
+    assert buf.actions.dtype == np.intp and buf.dones.dtype == bool
 
 
 def test_collection_deterministic():
     b1 = experience.collect_random(DEFAULT_PARAMS, 5, np.random.default_rng(9))
     b2 = experience.collect_random(DEFAULT_PARAMS, 5, np.random.default_rng(9))
-    assert b1.items == b2.items
+    assert_same(b1, b2)
 
 
 def test_collect_requires_episodes():
@@ -29,56 +113,55 @@ def test_collect_requires_episodes():
 
 def test_buffer_transitions_replay_exactly(small_buffer):
     """Every stored transition must agree with the deterministic dynamics."""
-    for q in small_buffer.items[:400]:
-        nxt, reward, done = cartpole.step(q.s_t, q.a, DEFAULT_PARAMS)
-        assert nxt == q.s_next
-        assert reward == q.r
-        if not q.done:
+    for i in range(400):
+        s = CartPoleState(*small_buffer.states[i].tolist())
+        nxt, reward, done = cartpole.step(s, int(small_buffer.actions[i]), DEFAULT_PARAMS)
+        assert nxt == tuple(small_buffer.next_states[i].tolist())
+        assert reward == small_buffer.rewards[i]
+        if not small_buffer.dones[i]:
             assert done is False
 
 
 def test_episode_reward_sum_equals_length():
     rng = np.random.default_rng(4)
-    quads, length = experience.run_episode(experience.random_policy, rng)
-    assert sum(q.r for q in quads) == length
+    episode = experience.run_episode(experience.random_policy, rng)
+    assert episode.rewards.sum() == len(episode)
 
 
 def test_constant_action_topples_quickly():
-    quads, length = experience.run_episode(
-        lambda s, r: 0, np.random.default_rng(11)
-    )
-    assert length < 200
-    assert quads[-1].done
+    episode = experience.run_episode(lambda s, r: 0, np.random.default_rng(11))
+    assert len(episode) < 200
+    assert episode.dones[-1]
+    assert not episode.dones[:-1].any()
 
 
 def test_episode_determinism():
-    q1, _ = experience.run_episode(experience.random_policy, np.random.default_rng(5))
-    q2, _ = experience.run_episode(experience.random_policy, np.random.default_rng(5))
-    assert q1 == q2
+    e1 = experience.run_episode(experience.random_policy, np.random.default_rng(5))
+    e2 = experience.run_episode(experience.random_policy, np.random.default_rng(5))
+    assert_same(e1, e2)
 
 
 def test_episode_cap_marks_done():
     # pin the pole: tiny cap so even a random policy reaches it
-    quads, length = experience.run_episode(
+    episode = experience.run_episode(
         experience.random_policy, np.random.default_rng(5), max_steps=3
     )
-    assert length == 3
-    assert quads[-1].done
+    assert len(episode) == 3
+    assert episode.dones.tolist() == [False, False, True]
 
 
 class TestEncoding:
     def test_action_channel_mapping(self, small_buffer):
-        stats = small_buffer.stats()
-        q = small_buffer.items[0]
+        stats = experience.compute_stats(small_buffer)
+        s, s_next = small_buffer.states[0], small_buffer.next_states[0]
         for action, expected in ((0, -1.0), (1, 1.0)):
-            q2 = ExperienceQuadruplet(q.s_t, action, q.s_next, q.r, q.done)
-            assert experience.encode(q2, stats)[4] == expected
+            x = experience.encode_batch(one_row(s, action, s_next), stats)
+            assert x[0, 4] == expected
 
     def test_state_at_recorded_max_encodes_to_one(self, small_buffer):
-        stats = small_buffer.stats()
-        top = CartPoleState.from_array(stats.state_max)
-        q = ExperienceQuadruplet(top, 1, top, 1.0, False)
-        x = experience.encode(q, stats)
+        stats = experience.compute_stats(small_buffer)
+        top = stats.state_max
+        x = experience.encode_batch(one_row(top, 1, top), stats)[0]
         assert np.allclose(x[0:4], 1.0, atol=1e-12)
         assert np.allclose(x[5:9], 1.0, atol=1e-12)
 
@@ -87,59 +170,57 @@ class TestEncoding:
         assert small_encoded.max() <= 1.0 + 1e-12
 
     def test_round_trip_on_real_samples(self, small_buffer):
-        stats = small_buffer.stats()
-        for q in small_buffer.items[:200]:
-            back = experience.decode(experience.encode(q, stats), stats)
-            assert np.allclose(back.s_t.as_array(), q.s_t.as_array(), atol=1e-9)
-            assert np.allclose(back.s_next.as_array(), q.s_next.as_array(), atol=1e-9)
-            assert back.a == q.a
-            assert back.r == q.r
+        stats = experience.compute_stats(small_buffer)
+        back = experience.decode_batch(experience.encode_batch(small_buffer, stats), stats)
+        assert np.allclose(back.states, small_buffer.states, atol=1e-9)
+        assert np.allclose(back.next_states, small_buffer.next_states, atol=1e-9)
+        assert np.array_equal(back.actions, small_buffer.actions)
+        assert np.array_equal(back.rewards, small_buffer.rewards)
 
     def test_reward_channel_mapping(self, small_buffer):
-        stats = small_buffer.stats()
-        q = small_buffer.items[0]
-        assert experience.encode(q, stats)[9] == 1.0  # r = 1.0 -> +1
+        stats = experience.compute_stats(small_buffer)
+        assert experience.encode_batch(small_buffer, stats)[0, 9] == 1.0  # r = 1.0 -> +1
 
     def test_decode_action_threshold(self, small_buffer):
-        stats = small_buffer.stats()
-        x = experience.encode(small_buffer.items[0], stats)
+        stats = experience.compute_stats(small_buffer)
+        x = experience.encode_batch(small_buffer, stats)[0]
         x[4] = 0.3
-        assert experience.decode(x, stats).a == 1
+        assert experience.decode_batch(x, stats).actions[0] == 1
         x[4] = -0.3
-        assert experience.decode(x, stats).a == 0
+        assert experience.decode_batch(x, stats).actions[0] == 0
 
     def test_decode_all_zero_vector(self, small_buffer):
-        stats = small_buffer.stats()
-        q = experience.decode(np.zeros(10), stats)
+        stats = experience.compute_stats(small_buffer)
+        t = experience.decode_batch(np.zeros(10), stats)
         mid = (stats.state_min + stats.state_max) / 2.0
-        assert np.allclose(q.s_t.as_array(), mid, atol=1e-12)
-        assert q.a == 1  # tie at exactly 0 breaks upward
-        assert q.r == 1.0  # channel 0 -> raw 0.5 -> rounds up
+        assert np.allclose(t.states[0], mid, atol=1e-12)
+        assert t.actions[0] == 1  # tie at exactly 0 breaks upward
+        assert t.rewards[0] == 1.0  # channel 0 -> raw 0.5 -> rounds up
 
     def test_decode_is_total_outside_unit_box(self, small_buffer):
-        stats = small_buffer.stats()
-        q = experience.decode(np.full(10, 3.5), stats)
-        assert np.all(np.isfinite(q.s_t.as_array()))
-        assert q.r in (0.0, 1.0)
+        stats = experience.compute_stats(small_buffer)
+        t = experience.decode_batch(np.full(10, 3.5), stats)
+        assert np.all(np.isfinite(t.states))
+        assert t.rewards[0] in (0.0, 1.0)
 
     def test_decode_infers_done_geometrically(self, small_buffer):
-        stats = small_buffer.stats()
+        stats = experience.compute_stats(small_buffer)
         x = np.zeros(10)
         x[5] = 100.0  # push decoded next-state x far outside the track
-        assert experience.decode(x, stats).done
+        assert experience.decode_batch(x, stats).dones[0]
 
     def test_zero_range_dimension_passes_through(self):
-        s = CartPoleState(0.3, 0.0, 0.01, 0.0)
-        q = ExperienceQuadruplet(s, 1, s, 1.0, False)
-        stats = experience.compute_stats([q])  # every dim has zero range
-        x = experience.encode(q, stats)
-        assert np.allclose(x[0:4], s.as_array(), atol=1e-15)
-        back = experience.decode(x, stats)
-        assert np.allclose(back.s_t.as_array(), s.as_array(), atol=1e-15)
+        s = (0.3, 0.0, 0.01, 0.0)
+        t = one_row(s, 1, s)
+        stats = experience.compute_stats(t)  # every dim has zero range
+        x = experience.encode_batch(t, stats)
+        assert np.allclose(x[0, 0:4], s, atol=1e-15)
+        back = experience.decode_batch(x, stats)
+        assert np.allclose(back.states[0], s, atol=1e-15)
 
     def test_stats_recomputation_idempotent(self, small_buffer):
-        s1 = small_buffer.stats()
-        s2 = small_buffer.stats()
+        s1 = experience.compute_stats(small_buffer)
+        s2 = experience.compute_stats(small_buffer)
         assert np.array_equal(s1.state_min, s2.state_min)
         assert np.array_equal(s1.state_max, s2.state_max)
 
@@ -148,11 +229,67 @@ class TestEncoding:
     def test_round_trip_property(self, seed):
         rng = np.random.default_rng(seed)
         buf = experience.collect_random(DEFAULT_PARAMS, 2, rng)
-        stats = buf.stats()
-        for q in buf.items:
-            back = experience.decode(experience.encode(q, stats), stats)
-            assert np.allclose(back.s_t.as_array(), q.s_t.as_array(), atol=1e-9)
-            assert back.a == q.a
+        stats = experience.compute_stats(buf)
+        back = experience.decode_batch(experience.encode_batch(buf, stats), stats)
+        assert np.allclose(back.states, buf.states, atol=1e-9)
+        assert np.array_equal(back.actions, buf.actions)
+
+
+class TestReferenceCodec:
+    """The column codec is bit-equal to the per-row reference above."""
+
+    def test_encode_matches_reference_on_real_buffer(self, small_buffer):
+        stats = experience.compute_stats(small_buffer)
+        assert np.array_equal(
+            experience.encode_batch(small_buffer, stats),
+            reference_encode_batch(small_buffer, stats),
+        )
+
+    def test_decode_matches_reference_on_real_buffer(self, small_buffer, small_encoded):
+        stats = experience.compute_stats(small_buffer)
+        assert_same(
+            experience.decode_batch(small_encoded, stats),
+            reference_decode_batch(small_encoded, stats),
+        )
+
+    @pytest.mark.parametrize("zero_range", [False, True])
+    def test_decode_matches_reference_on_random_vectors(self, small_buffer, zero_range):
+        stats = (zero_range_stats(small_buffer) if zero_range
+                 else experience.compute_stats(small_buffer))
+        rng = np.random.default_rng(17)
+        xs = rng.uniform(-1.5, 1.5, size=(2000, 10))
+        xs[::7, 4] = 0.0  # action code exactly on the threshold
+        xs[::11, 9] = 0.0  # reward code exactly on the threshold
+        xs[::13, 9] = -1e-20  # rounds to the threshold in x / 2 + 0.5
+        assert_same(
+            experience.decode_batch(xs, stats), reference_decode_batch(xs, stats)
+        )
+
+    @pytest.mark.parametrize("zero_range", [False, True])
+    def test_encode_matches_reference_on_random_transitions(self, small_buffer, zero_range):
+        stats = (zero_range_stats(small_buffer) if zero_range
+                 else experience.compute_stats(small_buffer))
+        rng = np.random.default_rng(18)
+        xs = rng.uniform(-1.5, 1.5, size=(2000, 10))
+        xs[::7, 4] = 0.0
+        t = experience.decode_batch(xs, stats)
+        assert np.array_equal(
+            experience.encode_batch(t, stats), reference_encode_batch(t, stats)
+        )
+
+    def test_roundtrip_replays_through_simulator(self):
+        """Control for the physics residual of generated data: real transitions
+        after encode and decode still obey cartpole.step to rounding level."""
+        buf = experience.collect_random(DEFAULT_PARAMS, 20, np.random.default_rng(0))
+        stats = experience.compute_stats(buf)
+        back = experience.decode_batch(experience.encode_batch(buf, stats), stats)
+        residuals = []
+        for s, a, s_next in zip(back.states.tolist(), back.actions.tolist(),
+                                back.next_states.tolist()):
+            nxt, _, _ = cartpole.step(CartPoleState(*s), a, DEFAULT_PARAMS)
+            residuals.append(np.abs(np.array(nxt) - s_next))
+        assert len(residuals) == len(buf)
+        assert np.mean(residuals) < 1e-9
 
 
 class TestCsv:
@@ -160,7 +297,7 @@ class TestCsv:
         path = tmp_path / "data.csv"
         experience.save_csv(small_buffer, path)
         loaded = experience.load_csv(path)
-        assert loaded.items == small_buffer.items
+        assert_same(loaded, small_buffer)
 
     def test_header(self, small_buffer, tmp_path):
         path = tmp_path / "data.csv"
@@ -179,9 +316,14 @@ class TestCsv:
 
     def test_empty_buffer_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        experience.save_csv(experience.ReplayBuffer(), path)
+        path.write_text(experience.CSV_HEADER + "\n")
+        empty = experience.load_csv(path)
+        assert len(empty) == 0 and empty.states.shape == (0, 4)
+        with pytest.raises(UsageError):
+            experience.compute_stats(empty)
+        experience.save_csv(empty, path)
         assert path.read_text() == experience.CSV_HEADER + "\n"
-        assert len(experience.load_csv(path)) == 0
+        assert not (tmp_path / "empty.stats.csv").exists()
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -202,13 +344,3 @@ class TestCsv:
         with pytest.raises(CsvParseError) as err:
             experience.load_csv(path)
         assert err.value.line_number == 2
-
-
-def test_capacity_drops_oldest():
-    buf = experience.ReplayBuffer(capacity=2)
-    s = CartPoleState(0, 0, 0, 0)
-    quads = [ExperienceQuadruplet(s, a, s, 1.0, False) for a in (0, 1, 0)]
-    buf.extend(quads)
-    assert len(buf) == 2
-    assert buf.items == quads[1:]
-    assert buf.samples_consumed == 3

@@ -214,45 +214,53 @@ class TestTrainGan:
         assert np.array_equal(results[0], results[1])
 
     def test_generated_states_inside_expanded_box(self, small_buffer, small_encoded):
-        stats = small_buffer.stats()
+        stats = experience.compute_stats(small_buffer)
         pair = gan.make_gan(np.random.default_rng(41), noise_dim=16)
         gan.train_gan(pair, small_encoded, 2000, np.random.default_rng(42))
-        quads = gan.generate(pair, 1000, np.random.default_rng(43), stats)
+        fake = gan.generate(pair, 1000, np.random.default_rng(43), stats)
         lo, hi = stats.state_min, stats.state_max
         margin = 0.05 * (hi - lo)  # 10% total box expansion
-        inside = 0
-        for q in quads:
-            s = np.concatenate([q.s_t.as_array(), q.s_next.as_array()]).reshape(2, 4)
-            if np.all(s >= lo - margin) and np.all(s <= hi + margin):
-                inside += 1
-        assert inside / len(quads) >= 0.95
+        inside = np.ones(len(fake), dtype=bool)
+        for s in (fake.states, fake.next_states):
+            inside &= np.all((s >= lo - margin) & (s <= hi + margin), axis=1)
+        assert inside.mean() >= 0.95
 
     def test_action_frequency_matches_buffer(self, small_buffer, small_encoded):
-        stats = small_buffer.stats()
+        stats = experience.compute_stats(small_buffer)
         pair = gan.make_gan(np.random.default_rng(51), noise_dim=16)
         gan.train_gan(pair, small_encoded, 2000, np.random.default_rng(52))
-        quads = gan.generate(pair, 4000, np.random.default_rng(53), stats)
-        real_freq = np.mean([q.a for q in small_buffer.items])
-        fake_freq = np.mean([q.a for q in quads])
+        fake = gan.generate(pair, 4000, np.random.default_rng(53), stats)
+        real_freq = small_buffer.actions.mean()
+        fake_freq = fake.actions.mean()
         assert abs(real_freq - fake_freq) <= 0.10
 
 
 class TestGenerate:
     def test_zero_count_empty(self, small_buffer):
         pair = tiny_gan(data_dim=10)
-        assert gan.generate(pair, 0, np.random.default_rng(0), small_buffer.stats()) == []
+        rng = np.random.default_rng(0)
+        stats = experience.compute_stats(small_buffer)
+        fake = gan.generate(pair, 0, rng, stats)
+        assert len(fake) == 0
+        assert fake.states.shape == fake.next_states.shape == (0, 4)
+        # no draw consumed: the next generation matches a fresh stream
+        after = gan.generate(pair, 3, rng, stats)
+        fresh = gan.generate(pair, 3, np.random.default_rng(0), stats)
+        assert np.array_equal(after.states, fresh.states)
 
     def test_output_count(self, small_buffer):
         pair = gan.make_gan(np.random.default_rng(0), noise_dim=4)
-        quads = gan.generate(pair, 37, np.random.default_rng(1), small_buffer.stats())
-        assert len(quads) == 37
+        stats = experience.compute_stats(small_buffer)
+        fake = gan.generate(pair, 37, np.random.default_rng(1), stats)
+        assert len(fake) == 37
 
     def test_outputs_decode_to_quadruplets(self, small_buffer):
         pair = gan.make_gan(np.random.default_rng(0), noise_dim=4)
-        for q in gan.generate(pair, 10, np.random.default_rng(1), small_buffer.stats()):
-            assert q.a in (0, 1)
-            assert q.r in (0.0, 1.0)
-            assert np.all(np.isfinite(q.s_t.as_array()))
+        stats = experience.compute_stats(small_buffer)
+        fake = gan.generate(pair, 10, np.random.default_rng(1), stats)
+        assert set(fake.actions.tolist()) <= {0, 1}
+        assert set(fake.rewards.tolist()) <= {0.0, 1.0}
+        assert np.all(np.isfinite(fake.states))
 
     def test_generator_outputs_in_tanh_range(self):
         pair = gan.make_gan(np.random.default_rng(9), noise_dim=6)

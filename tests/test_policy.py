@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from egan import nn, policy
 from egan.cartpole import CartPoleState
 from egan.errors import UsageError
-from egan.experience import ExperienceQuadruplet
+from egan.experience import Transitions
 
 from test_nn import fd_param_gradient, max_rel_err
 
@@ -78,10 +78,13 @@ class TestDiscountedReturns:
 
 
 def make_trace(rng, n_steps, reward=1.0):
-    return policy.EpisodeTrace(
-        states=rng.uniform(-0.5, 0.5, size=(n_steps, 4)),
+    states = rng.uniform(-0.5, 0.5, size=(n_steps + 1, 4))
+    return Transitions(
+        states=states[:-1],
         actions=rng.integers(0, 2, size=n_steps).astype(np.intp),
+        next_states=states[1:],
         rewards=np.full(n_steps, reward),
+        dones=np.arange(n_steps) == n_steps - 1,
     )
 
 
@@ -141,7 +144,7 @@ class TestUpdateOnEpisodes:
         state = CartPoleState(0.1, 0.0, -0.02, 0.0)
         before = policy.action_probabilities(agent, state)[1]
         policy.policy_gradient_step(
-            agent, state.as_array()[None, :], np.array([1], dtype=np.intp),
+            agent, np.array([state]), np.array([1], dtype=np.intp),
             np.array([2.0])
         )
         after = policy.action_probabilities(agent, state)[1]
@@ -176,17 +179,13 @@ class TestUpdateOnEpisodes:
 
 
 def synthetic_batch(rng, n, rewards):
-    s = CartPoleState(0, 0, 0, 0)
-    return [
-        ExperienceQuadruplet(
-            CartPoleState(*rng.uniform(-0.5, 0.5, size=4)),
-            int(rng.integers(0, 2)),
-            s,
-            float(r),
-            False,
-        )
-        for r in rewards[:n]
-    ]
+    return Transitions(
+        states=rng.uniform(-0.5, 0.5, size=(n, 4)),
+        actions=rng.integers(0, 2, size=n).astype(np.intp),
+        next_states=np.zeros((n, 4)),
+        rewards=np.asarray(rewards[:n], dtype=np.float64),
+        dones=np.zeros(n, dtype=bool),
+    )
 
 
 class TestPretrain:
