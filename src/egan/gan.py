@@ -90,11 +90,7 @@ def discriminator_step(gan: GanPair, real_batch: np.ndarray, rng: np.random.Gene
     grad_fake = 1.0 / (n * (1.0 - p_fake))
     grads_r, _ = nn.backward(gan.d, cache_real, grad_real)
     grads_f, _ = nn.backward(gan.d, cache_fake, grad_fake)
-    total = nn.Gradients(
-        weights=[a + b for a, b in zip(grads_r.weights, grads_f.weights)],
-        biases=[a + b for a, b in zip(grads_r.biases, grads_f.biases)],
-    )
-    nn.optimizer_step(gan.d, total, gan.d_opt)
+    nn.optimizer_step(gan.d, grads_r + grads_f, gan.d_opt)
     return loss
 
 

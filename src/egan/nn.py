@@ -3,6 +3,14 @@
 Everything downstream (policy, generator, discriminator, enhancer) is an
 ``MlpNetwork``: a stack of fully connected layers with a per-layer activation
 tag.  Data is batch-major (rows = samples) and all parameters are float64.
+
+A network's parameters live in one flat vector, ``params``, laid out layer by
+layer as w0, b0, w1, b1, ... with each weight matrix row-major (fan_out,
+fan_in).  ``weights`` and ``biases`` are tuples of views into that vector, so
+writing into ``net.weights[i][...]`` changes ``params`` and vice versa.
+:func:`backward` returns the parameter gradient as a vector with the same
+layout, and :func:`optimizer_step` updates the whole vector at once; the
+checkpoint format writes the same vector one layer array per line.
 """
 
 from __future__ import annotations
@@ -22,21 +30,30 @@ PROB_EPS = 1e-7
 @dataclass
 class MlpNetwork:
     layer_sizes: list[int]
-    weights: list[np.ndarray]  # weights[i]: (layer_sizes[i+1], layer_sizes[i])
-    biases: list[np.ndarray]  # biases[i]: (layer_sizes[i+1],)
     activations: list[str]  # one tag per non-input layer
+    params: np.ndarray  # flat float64 vector: w0, b0, w1, b1, ...
+    # views into params, built once; tuples so a view cannot be rebound
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (out, in)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (out,)
+
+    def __post_init__(self):
+        if self.params.shape != (_parameter_count(self.layer_sizes),):
+            raise ShapeError(
+                f"params has shape {self.params.shape}, layer sizes "
+                f"{self.layer_sizes} need {_parameter_count(self.layer_sizes)}"
+            )
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            end = offset + fan_out * fan_in
+            weights.append(self.params[offset:end].reshape(fan_out, fan_in))
+            biases.append(self.params[end : end + fan_out])
+            offset = end + fan_out
+        self.weights, self.biases = tuple(weights), tuple(biases)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    def copy(self) -> "MlpNetwork":
-        return MlpNetwork(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-        )
 
 
 @dataclass
@@ -47,14 +64,11 @@ class ForwardCache:
     post: list[np.ndarray]  # post-activation output of every layer
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+def _parameter_count(layer_sizes) -> int:
+    return sum(o * i + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
-def init_network(layer_sizes, activations, rng: np.random.Generator) -> MlpNetwork:
-    """Xavier-uniform weights, zero biases; deterministic for a seeded rng."""
+def _check_architecture(layer_sizes, activations) -> tuple[list[int], list[str]]:
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise ConfigError(f"layer_sizes must be >=2 positive ints, got {layer_sizes}")
@@ -66,13 +80,18 @@ def init_network(layer_sizes, activations, rng: np.random.Generator) -> MlpNetwo
     for a in acts:
         if a not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {a!r}")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    return sizes, acts
+
+
+def init_network(layer_sizes, activations, rng: np.random.Generator) -> MlpNetwork:
+    """Xavier-uniform weights, zero biases; deterministic for a seeded rng."""
+    sizes, acts = _check_architecture(layer_sizes, activations)
+    net = MlpNetwork(sizes, acts, np.zeros(_parameter_count(sizes)))
+    for w in net.weights:
+        fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpNetwork(sizes, weights, biases, acts)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
@@ -107,11 +126,12 @@ def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
 
 def backward(
     net: MlpNetwork, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[Gradients, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns per-parameter gradients plus the gradient w.r.t. the inputs
-    (needed to chain the discriminator into the generator).
+    Returns the parameter gradient, a flat vector laid out like
+    ``net.params``, plus the gradient w.r.t. the inputs (needed to chain the
+    discriminator into the generator).
     """
     if len(cache.post) != net.n_layers:
         raise UsageError("cache does not match this network")
@@ -121,9 +141,11 @@ def backward(
             f"output_gradient shape {g.shape} does not match forward output "
             f"{cache.post[-1].shape}"
         )
-    grad_w = [np.empty(0)] * net.n_layers
-    grad_b = [np.empty(0)] * net.n_layers
+    grad = np.empty_like(net.params)
+    end = grad.size  # layers run last to first, so their blocks do too
     for i in range(net.n_layers - 1, -1, -1):
+        w = net.weights[i]
+        start = end - w.size - w.shape[0]
         y = cache.post[i]
         act = net.activations[i]
         if act == "tanh":
@@ -135,10 +157,11 @@ def backward(
         else:  # identity
             dz = g
         h_prev = cache.inputs if i == 0 else cache.post[i - 1]
-        grad_w[i] = dz.T @ h_prev
-        grad_b[i] = dz.sum(axis=0)
-        g = dz @ net.weights[i]
-    return Gradients(grad_w, grad_b), g
+        np.matmul(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
+        dz.sum(axis=0, out=grad[start + w.size : end])
+        g = dz @ w
+        end = start
+    return grad, g
 
 
 @dataclass
@@ -149,10 +172,8 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None  # Adam moments, laid out like params; None for sgd
+    v: np.ndarray | None = None
 
 
 def make_optimizer(net: MlpNetwork, kind: str, learning_rate: float) -> OptimizerState:
@@ -162,36 +183,30 @@ def make_optimizer(net: MlpNetwork, kind: str, learning_rate: float) -> Optimize
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
     state = OptimizerState(kind=kind, learning_rate=float(learning_rate))
     if kind == "adam":
-        state.m_w = [np.zeros_like(w) for w in net.weights]
-        state.v_w = [np.zeros_like(w) for w in net.weights]
-        state.m_b = [np.zeros_like(b) for b in net.biases]
-        state.v_b = [np.zeros_like(b) for b in net.biases]
+        state.m = np.zeros_like(net.params)
+        state.v = np.zeros_like(net.params)
     return state
 
 
-def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> None:
-    """One in-place update of every weight and bias."""
-    if len(grads.weights) != net.n_layers:
-        raise ShapeError("gradient layer count does not match network")
+def optimizer_step(net: MlpNetwork, grad: np.ndarray, state: OptimizerState) -> None:
+    """One in-place update of the whole parameter vector."""
+    if np.shape(grad) != net.params.shape:
+        raise ShapeError(
+            f"gradient has shape {np.shape(grad)}, network has {net.params.shape}"
+        )
     lr = state.learning_rate
     if state.kind == "sgd":
-        for i in range(net.n_layers):
-            net.weights[i] -= lr * grads.weights[i]
-            net.biases[i] -= lr * grads.biases[i]
+        net.params -= lr * grad
         return
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for i in range(net.n_layers):
-        for p, g, m, v in (
-            (net.weights[i], grads.weights[i], state.m_w[i], state.v_w[i]),
-            (net.biases[i], grads.biases[i], state.m_b[i], state.v_b[i]),
-        ):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    net.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 class Minibatcher:
@@ -217,33 +232,6 @@ def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def parameters_to_vector(net: MlpNetwork) -> np.ndarray:
-    chunks = []
-    for w, b in zip(net.weights, net.biases):
-        chunks.append(w.ravel())
-        chunks.append(b.ravel())
-    return np.concatenate(chunks)
-
-
-def vector_to_parameters(net: MlpNetwork, vec: np.ndarray) -> None:
-    offset = 0
-    for i in range(net.n_layers):
-        for arr in (net.weights[i], net.biases[i]):
-            n = arr.size
-            arr[...] = vec[offset : offset + n].reshape(arr.shape)
-            offset += n
-    if offset != vec.size:
-        raise ShapeError(f"vector has {vec.size} entries, network needs {offset}")
-
-
-def gradients_to_vector(grads: Gradients) -> np.ndarray:
-    chunks = []
-    for w, b in zip(grads.weights, grads.biases):
-        chunks.append(w.ravel())
-        chunks.append(b.ravel())
-    return np.concatenate(chunks)
-
-
 def save_network(net: MlpNetwork, path) -> None:
     """Text checkpoint: `mlp v1 <sizes> <activations>` then the parameters."""
     lines = [
@@ -267,10 +255,8 @@ def load_network(path) -> MlpNetwork:
         sizes = [int(s) for s in header[2].split(",")]
         acts = header[3].split(",")
         values = [float(tok) for tok in fh.read().split()]
-    rng = np.random.default_rng(0)
-    net = init_network(sizes, acts, rng)
-    expected = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    sizes, acts = _check_architecture(sizes, acts)
+    expected = _parameter_count(sizes)
     if len(values) != expected:
         raise UsageError(f"{path}: expected {expected} parameters, found {len(values)}")
-    vector_to_parameters(net, np.array(values))
-    return net
+    return MlpNetwork(sizes, acts, np.array(values))

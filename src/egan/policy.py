@@ -34,7 +34,7 @@ def make_agent(
     rng: np.random.Generator,
     hidden=(32,),
     learning_rate: float = 1e-3,
-    optimizer: str = "sgd",
+    optimizer: str = "adam",
     gamma: float = 0.99,
     update_frequency: int = 5,
     state_dim: int = 4,

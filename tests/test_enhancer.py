@@ -117,11 +117,11 @@ class TestTrainEnhancer:
         x2 = rng.normal(size=(6, 2))
 
         def loss_at(vec):
-            nn.vector_to_parameters(model.net, vec)
+            model.net.params[...] = vec
             pred, _ = nn.forward(model.net, x1)
             return float(np.mean((pred - x2) ** 2))
 
-        v0 = nn.parameters_to_vector(model.net)
+        v0 = model.net.params.copy()
         h = 1e-5
         numeric = np.empty_like(v0)
         for i in range(v0.size):
@@ -130,13 +130,11 @@ class TestTrainEnhancer:
             vm = v0.copy()
             vm[i] -= h
             numeric[i] = (loss_at(vp) - loss_at(vm)) / (2 * h)
-        nn.vector_to_parameters(model.net, v0)
+        model.net.params[...] = v0
 
         pred, cache = nn.forward(model.net, x1)
         diff = pred - x2
-        analytic = nn.gradients_to_vector(
-            nn.backward(model.net, cache, 2.0 * diff / diff.size)[0]
-        )
+        analytic = nn.backward(model.net, cache, 2.0 * diff / diff.size)[0]
         assert max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -152,17 +150,17 @@ class TestRefine:
 
     def test_zero_weight_leaves_generator_unchanged(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
-        before = nn.parameters_to_vector(pair.g)
+        before = pair.g.params.copy()
         history = enhancer.egan_refine(pair, model, 3, 0.0, np.random.default_rng(70),
                                        n_samples=200)
         assert len(history) == 3
-        assert np.array_equal(nn.parameters_to_vector(pair.g), before)
+        assert np.array_equal(pair.g.params, before)
 
     def test_zero_iterations_noop(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
-        before = nn.parameters_to_vector(pair.g)
+        before = pair.g.params.copy()
         assert enhancer.egan_refine(pair, model, 0, 1.0, np.random.default_rng(0)) == []
-        assert np.array_equal(nn.parameters_to_vector(pair.g), before)
+        assert np.array_equal(pair.g.params, before)
 
     def test_refinement_reduces_kl(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
@@ -172,10 +170,10 @@ class TestRefine:
 
     def test_discriminator_untouched(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
-        before = nn.parameters_to_vector(pair.d)
+        before = pair.d.params.copy()
         enhancer.egan_refine(pair, model, 3, 1.0, np.random.default_rng(72),
                              n_samples=200)
-        assert np.array_equal(nn.parameters_to_vector(pair.d), before)
+        assert np.array_equal(pair.d.params, before)
 
     def test_kl_penalty_closure_shapes(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)

@@ -65,17 +65,17 @@ class TestDiscriminatorStep:
     def test_zero_learning_rate_leaves_d_unchanged(self):
         pair = tiny_gan()
         pair.d_opt = nn.OptimizerState(kind="sgd", learning_rate=0.0)
-        before = nn.parameters_to_vector(pair.d)
+        before = pair.d.params.copy()
         gan.discriminator_step(pair, np.random.default_rng(1).normal(size=(8, 4)),
                                np.random.default_rng(2))
-        assert np.array_equal(nn.parameters_to_vector(pair.d), before)
+        assert np.array_equal(pair.d.params, before)
 
     def test_step_never_touches_generator(self):
         pair = tiny_gan()
-        before = nn.parameters_to_vector(pair.g)
+        before = pair.g.params.copy()
         gan.discriminator_step(pair, np.random.default_rng(1).normal(size=(8, 4)),
                                np.random.default_rng(2))
-        assert np.array_equal(nn.parameters_to_vector(pair.g), before)
+        assert np.array_equal(pair.g.params, before)
 
     def test_learns_separable_toy_data(self):
         # real data in a tight cluster far from the frozen generator's outputs
@@ -98,12 +98,12 @@ class TestDiscriminatorStep:
         fake, _ = nn.forward(pair.g, z)
 
         def loss_at(vec):
-            nn.vector_to_parameters(pair.d, vec)
+            pair.d.params[...] = vec
             d_real, _ = nn.forward(pair.d, real)
             d_fake, _ = nn.forward(pair.d, fake)
             return -float(np.mean(np.log(d_real)) + np.mean(np.log(1 - d_fake)))
 
-        v0 = nn.parameters_to_vector(pair.d)
+        v0 = pair.d.params.copy()
         h = 1e-5
         numeric = np.empty_like(v0)
         for i in range(v0.size):
@@ -112,14 +112,14 @@ class TestDiscriminatorStep:
             vm = v0.copy()
             vm[i] -= h
             numeric[i] = (loss_at(vp) - loss_at(vm)) / (2 * h)
-        nn.vector_to_parameters(pair.d, v0)
+        pair.d.params[...] = v0
 
         d_real, cache_r = nn.forward(pair.d, real)
         d_fake, cache_f = nn.forward(pair.d, fake)
         n = real.shape[0]
         g_r, _ = nn.backward(pair.d, cache_r, -1.0 / (n * d_real))
         g_f, _ = nn.backward(pair.d, cache_f, 1.0 / (n * (1 - d_fake)))
-        analytic = nn.gradients_to_vector(g_r) + nn.gradients_to_vector(g_f)
+        analytic = g_r + g_f
         assert max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -141,17 +141,17 @@ class TestGeneratorStep:
 
     def test_step_never_touches_discriminator(self):
         pair = tiny_gan()
-        before = nn.parameters_to_vector(pair.d)
+        before = pair.d.params.copy()
         gan.generator_step(pair, np.random.default_rng(2))
-        assert np.array_equal(nn.parameters_to_vector(pair.d), before)
+        assert np.array_equal(pair.d.params, before)
 
     def test_constant_discriminator_gives_zero_gradient(self):
         pair = tiny_gan(seed=13)
         for w in pair.d.weights:
             w[:] = 0.0  # D outputs sigmoid(0) = 0.5 for every input
-        before = nn.parameters_to_vector(pair.g)
+        before = pair.g.params.copy()
         gan.generator_step(pair, np.random.default_rng(3))
-        assert np.array_equal(nn.parameters_to_vector(pair.g), before)
+        assert np.array_equal(pair.g.params, before)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(UsageError):
@@ -164,14 +164,14 @@ class TestGeneratorStep:
         n = 5
 
         def loss_at(vec):
-            nn.vector_to_parameters(pair.g, vec)
+            pair.g.params[...] = vec
             out, _ = nn.forward(pair.g, z)
             d, _ = nn.forward(pair.d, out)
             if mode == "paper_minimax":
                 return float(np.mean(np.log(1 - d)))
             return -float(np.mean(np.log(d)))
 
-        v0 = nn.parameters_to_vector(pair.g)
+        v0 = pair.g.params.copy()
         h = 1e-5
         numeric = np.empty_like(v0)
         for i in range(v0.size):
@@ -180,7 +180,7 @@ class TestGeneratorStep:
             vm = v0.copy()
             vm[i] -= h
             numeric[i] = (loss_at(vp) - loss_at(vm)) / (2 * h)
-        nn.vector_to_parameters(pair.g, v0)
+        pair.g.params[...] = v0
 
         g_out, cache_g = nn.forward(pair.g, z)
         d_out, cache_d = nn.forward(pair.d, g_out)
@@ -189,7 +189,7 @@ class TestGeneratorStep:
         else:
             grad_d = -1.0 / (n * d_out)
         _, grad_g_out = nn.backward(pair.d, cache_d, grad_d)
-        analytic = nn.gradients_to_vector(nn.backward(pair.g, cache_g, grad_g_out)[0])
+        analytic = nn.backward(pair.g, cache_g, grad_g_out)[0]
         assert max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -210,7 +210,7 @@ class TestTrainGan:
             pair = gan.make_gan(np.random.default_rng(31), noise_dim=8,
                                 learning_rate=1e-4)
             gan.train_gan(pair, small_encoded, 100, np.random.default_rng(32))
-            results.append(nn.parameters_to_vector(pair.g))
+            results.append(pair.g.params.copy())
         assert np.array_equal(results[0], results[1])
 
     def test_generated_states_inside_expanded_box(self, small_buffer, small_encoded):

@@ -9,11 +9,11 @@ from egan.errors import ConfigError, ShapeError, UsageError
 
 def fd_param_gradient(net, inputs, loss_weights, h=1e-5):
     """Central finite differences of L = sum(loss_weights * forward(net, x))."""
-    v0 = nn.parameters_to_vector(net)
+    v0 = net.params.copy()
     grad = np.empty_like(v0)
 
     def loss_at(vec):
-        nn.vector_to_parameters(net, vec)
+        net.params[...] = vec
         out, _ = nn.forward(net, inputs)
         return float(np.sum(loss_weights * out))
 
@@ -23,7 +23,7 @@ def fd_param_gradient(net, inputs, loss_weights, h=1e-5):
         vm = v0.copy()
         vm[i] -= h
         grad[i] = (loss_at(vp) - loss_at(vm)) / (2 * h)
-    nn.vector_to_parameters(net, v0)
+    net.params[...] = v0
     return grad
 
 
@@ -80,8 +80,8 @@ class TestInit:
 class TestForward:
     def test_identity_network_passes_input_through(self):
         net = nn.init_network([3, 3], ["identity"], np.random.default_rng(0))
-        net.weights[0] = np.eye(3)
-        net.biases[0] = np.zeros(3)
+        net.weights[0][...] = np.eye(3)
+        net.biases[0][...] = np.zeros(3)
         x = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -0.5]])
         out, _ = nn.forward(net, x)
         assert np.array_equal(out, x)
@@ -129,8 +129,8 @@ class TestBackward:
         x = np.random.default_rng(3).normal(size=(4, 3))
         _, cache = nn.forward(net, x)
         grads, gin = nn.backward(net, cache, np.zeros((4, 2)))
-        assert all(np.all(g == 0.0) for g in grads.weights)
-        assert all(np.all(g == 0.0) for g in grads.biases)
+        assert grads.shape == net.params.shape
+        assert np.all(grads == 0.0)
         assert np.all(gin == 0.0)
 
     def test_linear_single_weight_chain_rule(self):
@@ -139,16 +139,17 @@ class TestBackward:
         net.weights[0][:] = 2.0
         _, cache = nn.forward(net, np.array([[3.0]]))
         grads, _ = nn.backward(net, cache, np.array([[1.0]]))
-        assert grads.weights[0][0, 0] == pytest.approx(3.0, abs=1e-12)
-        assert grads.biases[0][0] == pytest.approx(1.0, abs=1e-12)
+        # layout w0, b0
+        assert grads[0] == pytest.approx(3.0, abs=1e-12)
+        assert grads[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_in_output_gradient(self):
         net = nn.init_network([3, 4, 2], ["tanh", "identity"], np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(5, 3))
         g = np.random.default_rng(10).normal(size=(5, 2))
         _, cache = nn.forward(net, x)
-        g1 = nn.gradients_to_vector(nn.backward(net, cache, g)[0])
-        g2 = nn.gradients_to_vector(nn.backward(net, cache, 2.5 * g)[0])
+        g1 = nn.backward(net, cache, g)[0]
+        g2 = nn.backward(net, cache, 2.5 * g)[0]
         assert np.allclose(2.5 * g1, g2, rtol=1e-12, atol=1e-12)
 
     def test_mismatched_cache_raises(self):
@@ -169,7 +170,7 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(4, 2))
         _, cache = nn.forward(net, x)
-        analytic = nn.gradients_to_vector(nn.backward(net, cache, w)[0])
+        analytic = nn.backward(net, cache, w)[0]
         numeric = fd_param_gradient(net, x, w)
         assert max_rel_err(analytic, numeric) < 1e-4
 
@@ -177,37 +178,33 @@ class TestBackward:
 class TestOptimizers:
     def test_sgd_zero_gradient_no_change(self):
         net = nn.init_network([2, 2], ["identity"], np.random.default_rng(0))
-        before = nn.parameters_to_vector(net)
+        before = net.params.copy()
         opt = nn.make_optimizer(net, "sgd", 0.5)
-        zeros = nn.Gradients([np.zeros((2, 2))], [np.zeros(2)])
-        nn.optimizer_step(net, zeros, opt)
-        assert np.array_equal(nn.parameters_to_vector(net), before)
+        nn.optimizer_step(net, np.zeros(6), opt)
+        assert np.array_equal(net.params, before)
 
     def test_sgd_single_arithmetic_step(self):
         net = nn.init_network([1, 1], ["identity"], np.random.default_rng(0))
         net.weights[0][:] = 1.0
         opt = nn.make_optimizer(net, "sgd", 0.5)
-        grads = nn.Gradients([np.array([[0.1]])], [np.array([0.0])])
-        nn.optimizer_step(net, grads, opt)
+        nn.optimizer_step(net, np.array([0.1, 0.0]), opt)
         assert net.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_sgd_zero_learning_rate_state_is_inert(self):
         # degenerate lr=0 state built directly; the factory rejects lr <= 0
         net = nn.init_network([2, 3], ["tanh"], np.random.default_rng(1))
-        before = nn.parameters_to_vector(net)
+        before = net.params.copy()
         opt = nn.OptimizerState(kind="sgd", learning_rate=0.0)
-        grads = nn.Gradients([np.ones((3, 2))], [np.ones(3)])
-        nn.optimizer_step(net, grads, opt)
-        assert np.array_equal(nn.parameters_to_vector(net), before)
+        nn.optimizer_step(net, np.ones(9), opt)
+        assert np.array_equal(net.params, before)
 
     def test_adam_first_step_magnitude_is_learning_rate(self):
         net = nn.init_network([2, 2], ["identity"], np.random.default_rng(0))
         lr = 1e-3
         opt = nn.make_optimizer(net, "adam", lr)
-        before = nn.parameters_to_vector(net)
-        grads = nn.Gradients([np.full((2, 2), 0.7)], [np.full(2, 0.7)])
-        nn.optimizer_step(net, grads, opt)
-        delta = np.abs(nn.parameters_to_vector(net) - before)
+        before = net.params.copy()
+        nn.optimizer_step(net, np.full(6, 0.7), opt)
+        delta = np.abs(net.params - before)
         # |step| = lr * g / (g + eps) at t=1
         expected = lr * 0.7 / (0.7 + 1e-8)
         assert np.allclose(delta, expected, rtol=1e-9)
@@ -227,8 +224,7 @@ class TestOptimizers:
             v = 0.999 * v + 0.001 * g * g
             p -= 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         for g in (g1, g2):
-            grads = nn.Gradients([np.array([[g]])], [np.array([0.0])])
-            nn.optimizer_step(net, grads, opt)
+            nn.optimizer_step(net, np.array([g, 0.0]), opt)
         assert net.weights[0][0, 0] == pytest.approx(p, abs=1e-12)
 
     def test_bad_optimizer_config(self):
@@ -237,6 +233,142 @@ class TestOptimizers:
             nn.make_optimizer(net, "rmsprop", 1e-3)
         with pytest.raises(ConfigError):
             nn.make_optimizer(net, "sgd", 0.0)
+
+
+def split_like_layers(layer_sizes, vec):
+    """Cut a flat w0, b0, w1, b1, ... vector into per-layer copies."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(vec[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in).copy())
+        offset += fan_out * fan_in
+        biases.append(vec[offset : offset + fan_out].copy())
+        offset += fan_out
+    return weights, biases
+
+
+class ReferenceOptimizer:
+    """The per-layer SGD/Adam loop the flat optimizer replaced."""
+
+    def __init__(self, net, kind, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.weights, self.biases = split_like_layers(net.layer_sizes, net.params)
+        self.kind, self.lr, self.beta1, self.beta2, self.eps = kind, lr, beta1, beta2, eps
+        self.t = 0
+        self.m_w = [np.zeros_like(w) for w in self.weights]
+        self.v_w = [np.zeros_like(w) for w in self.weights]
+        self.m_b = [np.zeros_like(b) for b in self.biases]
+        self.v_b = [np.zeros_like(b) for b in self.biases]
+
+    def step(self, grad_w, grad_b):
+        if self.kind == "sgd":
+            for i in range(len(self.weights)):
+                self.weights[i] -= self.lr * grad_w[i]
+                self.biases[i] -= self.lr * grad_b[i]
+            return
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for i in range(len(self.weights)):
+            for p, g, m, v in (
+                (self.weights[i], grad_w[i], self.m_w[i], self.v_w[i]),
+                (self.biases[i], grad_b[i], self.m_b[i], self.v_b[i]),
+            ):
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * (g * g)
+                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def vector(self):
+        return np.concatenate(
+            [a.ravel() for w, b in zip(self.weights, self.biases) for a in (w, b)]
+        )
+
+
+GAN_SHAPES = {
+    "generator": ([16, 40, 20, 10], ["tanh"] * 3),
+    "discriminator": ([10, 40, 20, 1], ["tanh", "tanh", "sigmoid"]),
+}
+
+
+class TestFlatParameters:
+    """The flat optimizer is bit-equal to the per-layer reference, and the
+    per-layer arrays stay views into the flat vector."""
+
+    @pytest.mark.parametrize("shape", sorted(GAN_SHAPES))
+    @pytest.mark.parametrize("kind,lr", [("sgd", 1e-2), ("adam", 5e-6), ("adam", 1e-1)])
+    def test_optimizer_matches_reference(self, shape, kind, lr):
+        sizes, acts = GAN_SHAPES[shape]
+        rng = np.random.default_rng(31)
+        net = nn.init_network(sizes, acts, rng)
+        opt = nn.make_optimizer(net, kind, lr)
+        ref = ReferenceOptimizer(net, kind, lr)
+        for _ in range(5):
+            grad = rng.normal(scale=3.0, size=net.params.size)
+            nn.optimizer_step(net, grad, opt)
+            ref.step(*split_like_layers(sizes, grad))
+        assert np.array_equal(net.params, ref.vector())
+        if kind == "adam":
+            assert opt.t == ref.t == 5
+
+    def test_backward_layout_matches_per_layer_gradients(self):
+        sizes, acts = GAN_SHAPES["generator"]
+        rng = np.random.default_rng(32)
+        net = nn.init_network(sizes, acts, rng)
+        x = rng.uniform(-1.0, 1.0, size=(64, sizes[0]))
+        out, cache = nn.forward(net, x)
+        g_out = rng.normal(size=out.shape)
+        grad, _ = nn.backward(net, cache, g_out)
+        grad_w, grad_b = split_like_layers(sizes, grad)
+        # the last layer's gradient by hand: dz = g * (1 - y^2)
+        dz = g_out * (1.0 - out * out)
+        assert np.array_equal(grad_w[-1], dz.T @ cache.post[-2])
+        assert np.array_equal(grad_b[-1], dz.sum(axis=0))
+
+    def _assert_views(self, net):
+        assert net.params.ndim == 1 and net.params.dtype == np.float64
+        assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+        for a in (*net.weights, *net.biases):
+            assert np.shares_memory(net.params, a)
+
+    def test_views_after_init_and_load(self, tmp_path):
+        for sizes, acts in GAN_SHAPES.values():
+            net = nn.init_network(sizes, acts, np.random.default_rng(33))
+            self._assert_views(net)
+            path = tmp_path / "net.txt"
+            nn.save_network(net, path)
+            loaded = nn.load_network(path)
+            self._assert_views(loaded)
+            assert np.array_equal(loaded.params, net.params)
+
+    def test_in_place_write_shows_in_params(self):
+        net = nn.init_network([3, 4, 2], ["tanh", "softmax"], np.random.default_rng(34))
+        net.weights[1][...] = 7.0
+        net.biases[0][...] = -2.0
+        # layout w0 (4x3), b0 (4), w1 (2x4), b1 (2)
+        assert np.all(net.params[12:16] == -2.0)
+        assert np.all(net.params[16:24] == 7.0)
+        assert np.all(net.params[24:] == 0.0)
+
+    def test_rebinding_a_view_raises(self):
+        net = nn.init_network([3, 2], ["identity"], np.random.default_rng(35))
+        with pytest.raises(TypeError):
+            net.weights[0] = np.eye(2, 3)
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros(2)
+
+    def test_wrong_params_length_rejected(self):
+        with pytest.raises(ShapeError):
+            nn.MlpNetwork([3, 2], ["identity"], np.zeros(7))
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_optimizer_rejects_wrong_gradient_length(self, size):
+        net = nn.init_network([2, 2], ["identity"], np.random.default_rng(36))
+        for kind in ("sgd", "adam"):
+            opt = nn.make_optimizer(net, kind, 0.1)
+            before = net.params.copy()
+            with pytest.raises(ShapeError):
+                nn.optimizer_step(net, np.ones(size), opt)
+            assert np.array_equal(net.params, before)
 
 
 class TestDeterminismProperty:
@@ -252,7 +384,7 @@ class TestDeterminismProperty:
             grads, _ = nn.backward(net, cache, np.ones_like(out))
             opt = nn.make_optimizer(net, "adam", 1e-3)
             nn.optimizer_step(net, grads, opt)
-            results.append(nn.parameters_to_vector(net))
+            results.append(net.params.copy())
         assert np.array_equal(results[0], results[1])
 
 
@@ -264,9 +396,7 @@ class TestCheckpointFormat:
         loaded = nn.load_network(path)
         assert loaded.layer_sizes == net.layer_sizes
         assert loaded.activations == net.activations
-        assert np.array_equal(
-            nn.parameters_to_vector(loaded), nn.parameters_to_vector(net)
-        )
+        assert np.array_equal(loaded.params, net.params)
 
     def test_header_format(self, tmp_path):
         net = nn.init_network([2, 3], ["sigmoid"], np.random.default_rng(0))
@@ -279,4 +409,15 @@ class TestCheckpointFormat:
         path = tmp_path / "bad.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(UsageError):
+            nn.load_network(path)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_reject_wrong_parameter_count(self, tmp_path, delta):
+        net = nn.init_network([2, 3], ["sigmoid"], np.random.default_rng(0))
+        path = tmp_path / "net.txt"
+        nn.save_network(net, path)
+        lines = path.read_text().splitlines()
+        lines[-1] = " ".join(lines[-1].split()[:-1] if delta < 0 else [*lines[-1].split(), "0.5"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UsageError, match="expected 9 parameters"):
             nn.load_network(path)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egan import nn, policy
+from egan.config import ExperimentConfig
 from egan.cartpole import CartPoleState
 from egan.errors import UsageError
 from egan.experience import Transitions
@@ -17,6 +18,17 @@ def zero_weight_agent(optimizer="sgd", lr=1e-3):
     for w in agent.net.weights:
         w[:] = 0.0
     return agent
+
+
+def test_make_agent_defaults_match_config():
+    """A bare make_agent(rng) builds the agent the default config runs."""
+    config = ExperimentConfig()
+    agent = policy.make_agent(np.random.default_rng(0))
+    assert agent.net.layer_sizes == [4, *config.policy_hidden, 2]
+    assert agent.opt.learning_rate == config.pg_learning_rate
+    assert agent.opt.kind == config.pg_optimizer
+    assert agent.gamma == config.pg_discount
+    assert agent.update_frequency == config.pg_update_frequency
 
 
 class TestSelectAction:
@@ -94,9 +106,9 @@ class TestUpdateOnEpisodes:
         rng = np.random.default_rng(2)
         # gamma=0 makes every return equal to the constant reward
         agent.gamma = 0.0
-        before = nn.parameters_to_vector(agent.net)
+        before = agent.net.params.copy()
         policy.update_on_episodes(agent, [make_trace(rng, 6), make_trace(rng, 4)])
-        assert np.array_equal(nn.parameters_to_vector(agent.net), before)
+        assert np.array_equal(agent.net.params, before)
 
     def test_empty_accumulator_rejected(self):
         agent = policy.make_agent(np.random.default_rng(1))
@@ -113,10 +125,10 @@ class TestUpdateOnEpisodes:
         weights = np.array([0.5, -1.2, 2.0])
 
         net = agent.net
-        v0 = nn.parameters_to_vector(net)
+        v0 = net.params.copy()
 
         def loss_at(vec):
-            nn.vector_to_parameters(net, vec)
+            net.params[...] = vec
             probs, _ = nn.forward(net, states)
             chosen = probs[np.arange(3), actions]
             return -float(np.mean(np.log(chosen) * weights))
@@ -129,13 +141,13 @@ class TestUpdateOnEpisodes:
             vm = v0.copy()
             vm[i] -= h
             numeric[i] = (loss_at(vp) - loss_at(vm)) / (2 * h)
-        nn.vector_to_parameters(net, v0)
+        net.params[...] = v0
 
         probs, cache = nn.forward(net, states)
         chosen = nn.clamp_probabilities(probs[np.arange(3), actions])
         grad_out = np.zeros_like(probs)
         grad_out[np.arange(3), actions] = -weights / (3 * chosen)
-        analytic = nn.gradients_to_vector(nn.backward(net, cache, grad_out)[0])
+        analytic = nn.backward(net, cache, grad_out)[0]
         assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_single_positive_return_increases_action_probability(self):
@@ -164,7 +176,7 @@ class TestUpdateOnEpisodes:
             policy.policy_gradient_step(
                 agent, states, actions, policy.normalize_weights(returns + shift)
             )
-            agents.append(nn.parameters_to_vector(agent.net))
+            agents.append(agent.net.params.copy())
         assert np.allclose(agents[0], agents[1], atol=1e-12)
 
     def test_record_episode_updates_every_fifth(self):
@@ -191,25 +203,25 @@ def synthetic_batch(rng, n, rewards):
 class TestPretrain:
     def test_zero_batches_is_noop(self):
         agent = policy.make_agent(np.random.default_rng(10))
-        before = nn.parameters_to_vector(agent.net)
+        before = agent.net.params.copy()
         assert policy.pretrain_on_synthetic(agent, []) == 0
-        assert np.array_equal(nn.parameters_to_vector(agent.net), before)
+        assert np.array_equal(agent.net.params, before)
 
     def test_constant_reward_batch_is_noop(self):
         agent = policy.make_agent(np.random.default_rng(10))
         rng = np.random.default_rng(11)
-        before = nn.parameters_to_vector(agent.net)
+        before = agent.net.params.copy()
         batch = synthetic_batch(rng, 16, np.ones(16))
         assert policy.pretrain_on_synthetic(agent, [batch]) == 1
-        assert np.array_equal(nn.parameters_to_vector(agent.net), before)
+        assert np.array_equal(agent.net.params, before)
 
     def test_varied_rewards_update_parameters(self):
         agent = policy.make_agent(np.random.default_rng(10))
         rng = np.random.default_rng(11)
-        before = nn.parameters_to_vector(agent.net)
+        before = agent.net.params.copy()
         batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
         policy.pretrain_on_synthetic(agent, [batch])
-        assert not np.array_equal(nn.parameters_to_vector(agent.net), before)
+        assert not np.array_equal(agent.net.params, before)
 
     def test_agent_optimizer_state_untouched(self):
         agent = policy.make_agent(np.random.default_rng(10), optimizer="adam")
