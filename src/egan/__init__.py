@@ -25,7 +25,7 @@ from .experience import (
     decode_batch,
     encode_batch,
     load_csv,
-    run_episode,
+    run_episodes,
     save_csv,
 )
 from .gan import GanPair, gan_value, generate, make_gan, sample_noise, train_gan
@@ -43,7 +43,6 @@ from .policy import (
     discounted_returns,
     make_agent,
     pretrain_on_synthetic,
-    select_action,
     update_on_episodes,
 )
 

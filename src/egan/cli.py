@@ -63,6 +63,9 @@ def _cmd_run(args) -> int:
     config = _build_config(args)
     curve, pre, agent = harness.run_experiment(config, return_details=True)
     path = _write_run_artifacts(config, curve, pre, agent, config.out_dir)
+    if pre is not None and config.synthetic_batches and not pre.useful_synthetic_batches:
+        print(f"warning: all {config.synthetic_batches} synthetic batches had constant "
+              "rewards; pre-training left the policy unchanged", file=sys.stderr)
     final = harness.rolling_average(curve.rewards)[-1]
     print(
         f"mode={config.mode} seed={config.seed} episodes={len(curve)} "

@@ -204,6 +204,8 @@ class PretrainResult:
     gan_history: list = field(default_factory=list)
     enhancer_history: list = field(default_factory=list)
     kl_history: list = field(default_factory=list)
+    # synthetic batches that moved the policy; set once the synthetic phase ran
+    useful_synthetic_batches: int = 0
 
 
 def pretrain_pipeline(config, rng: np.random.Generator, params=None) -> PretrainResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import cartpole
-from .cartpole import CartPoleState, EnvParams, DEFAULT_PARAMS
+from .cartpole import EnvParams, DEFAULT_PARAMS
 from .errors import CsvParseError, UsageError
 
 ENCODED_DIM = 10
@@ -58,30 +58,40 @@ class NormalizationStats:
     state_max: np.ndarray
 
 
-def run_episode(
-    policy_fn,
-    rng: np.random.Generator,
-    params: EnvParams = DEFAULT_PARAMS,
-    max_steps: int | None = None,
-) -> Transitions:
-    """Roll out one episode; policy_fn(state, rng) -> action in {0, 1}."""
-    cap = params.max_steps if max_steps is None else max_steps
-    state = cartpole.reset(rng, params)
-    visited = [state]
-    actions: list[int] = []
-    rewards: list[float] = []
-    for t in range(cap):
-        action = int(policy_fn(state, rng))
-        state, reward, done = cartpole.step(state, action, params)
-        visited.append(state)
-        actions.append(action)
-        rewards.append(reward)
-        if done or t + 1 == cap:
+def run_episodes(probs_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Transitions]:
+    """Roll out one episode per generator, stepping the live ones together.
+
+    Each step calls probs_fn once on the live states stacked to (k_live, 4)
+    for P(action 0); episode i takes action int(u_t >= p0) with u drawn from
+    rngs[i] after its reset, so an episode does not depend on its group.  The
+    dynamics stay scalar: at a few episodes, k scalar steps beat one (k, 4)
+    numpy step.  An episode ends on a terminal state or at params.max_steps.
+    """
+    paths = [[cartpole.reset(rng, params)] for rng in rngs]
+    draws = [rng.random(params.max_steps).tolist() for rng in rngs]
+    steps: list[list[tuple[int, float]]] = [[] for _ in rngs]  # (action, reward)
+    live = list(range(len(paths)))
+    for t in range(params.max_steps):
+        if not live:
             break
+        p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
+        still = []
+        for i, p in zip(live, p0):
+            action = int(draws[i][t] >= p)
+            state, reward, done = cartpole.step(paths[i][-1], action, params)
+            paths[i].append(state)
+            steps[i].append((action, reward))
+            if not done:
+                still.append(i)
+        live = still
+    return [_episode(path, *zip(*taken)) for path, taken in zip(paths, steps)]
+
+
+def _episode(visited, actions, rewards) -> Transitions:
     path = np.array(visited)
     path.flags.writeable = False  # states and next_states are views of it
     dones = np.zeros(len(actions), dtype=bool)
-    dones[-1:] = True  # the loop stops only on a terminal state or at the cap
+    dones[-1] = True  # an episode stops only on a terminal state or at the cap
     return Transitions(
         states=path[:-1],
         actions=np.array(actions, dtype=np.intp),
@@ -91,18 +101,16 @@ def run_episode(
     )
 
 
-def random_policy(state: CartPoleState, rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2))
-
-
 def collect_random(
     params: EnvParams, n_episodes: int, rng: np.random.Generator
 ) -> Transitions:
-    """Every transition of n_episodes uniform-random-action episodes."""
+    """Every transition of n_episodes uniform-random-action episodes, run one
+    at a time (hundreds at once raise peak memory) on children of rng."""
     if n_episodes < 1:
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
     return Transitions.concatenate(
-        run_episode(random_policy, rng, params) for _ in range(n_episodes)
+        run_episodes(lambda states: np.full(len(states), 0.5), rng.spawn(1), params)[0]
+        for _ in range(n_episodes)
     )
 
 

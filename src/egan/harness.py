@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cartpole, enhancer, experience, gan, policy
+from . import cartpole, enhancer, experience, gan, nn, policy
 from .config import ExperimentConfig, validate
 from .errors import CsvParseError, UsageError
 
@@ -57,9 +57,10 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
 
     Mode none trains from scratch; gan/egan first run the pre-training
     pipeline, update the policy on synthetic batches (zero real samples), and
-    start the curve offset by the pre-training buffer size.  With
-    return_details=True, also returns the pre-training result (None for mode
-    none) and the trained agent.
+    start the curve offset by the pre-training buffer size.  Online episodes
+    run in lockstep groups on the frozen policy, each on its own child of the
+    training SeedSequence.  With return_details=True, also returns the
+    pre-training result (None for mode none) and the trained agent.
     """
     validate(config)
     params = _env_params(config)
@@ -78,27 +79,29 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
         pretrain_rng = np.random.default_rng(pretrain_ss)
         pre = enhancer.pretrain_pipeline(config, pretrain_rng, params)
         offset = pre.real_samples
-        policy.pretrain_on_synthetic(
+        pre.useful_synthetic_batches = policy.pretrain_on_synthetic(
             agent,
             _synthetic_batches(pre, config, pretrain_rng, params),
             learning_rate=config.pretrain_learning_rate,
         )
 
-    train_rng = np.random.default_rng(train_ss)
-
-    def policy_fn(state, rng):
-        return policy.select_action(agent, state, rng)
+    def probs_fn(states):
+        return nn.forward(agent.net, states)[0][:, 0]
 
     n_episodes = config.total_episodes()
     rewards = np.empty(n_episodes)
     cumulative = np.empty(n_episodes, dtype=np.int64)
     total = offset
-    for ep in range(n_episodes):
-        episode = experience.run_episode(policy_fn, train_rng, params)
-        policy.record_episode(agent, episode)
-        total += len(episode)
-        rewards[ep] = episode.rewards.sum()
-        cumulative[ep] = total
+    # the policy changes only when record_episode completes a group, so each
+    # group of update_frequency episodes runs in lockstep on one frozen policy
+    group = agent.update_frequency
+    for start in range(0, n_episodes, group):
+        rngs = [np.random.default_rng(s) for s in train_ss.spawn(min(group, n_episodes - start))]
+        for ep, episode in enumerate(experience.run_episodes(probs_fn, rngs, params), start):
+            policy.record_episode(agent, episode)
+            total += len(episode)
+            rewards[ep] = episode.rewards.sum()
+            cumulative[ep] = total
     curve = LearningCurve(config.mode, config.seed, rewards, cumulative, offset)
     if return_details:
         return curve, pre, agent

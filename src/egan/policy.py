@@ -4,7 +4,8 @@ Updates are plain likelihood-ratio steps: loss = -mean(log pi(a|s) * w).
 For on-policy updates w is the pooled z-scored discounted return; for
 synthetic pre-training w is the z-scored reward channel of one generated
 batch.  Z-scoring a constant batch yields w = 0, so degenerate batches leave
-the parameters untouched instead of erroring.
+the parameters untouched instead of erroring.  Actions are drawn by
+experience.run_episodes from one batched nn.forward of the policy per step.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .cartpole import CartPoleState
 from .errors import UsageError
 from .experience import Transitions
 
@@ -45,28 +45,6 @@ def make_agent(
     net = nn.init_network(sizes, acts, rng)
     opt = nn.make_optimizer(net, optimizer, learning_rate)
     return PolicyAgent(net=net, opt=opt, gamma=gamma, update_frequency=update_frequency)
-
-
-def action_probabilities(agent: PolicyAgent, state: CartPoleState) -> np.ndarray:
-    # single-sample fast path; the hot loop calls this once per env step
-    h = np.array(state)
-    for w, b, act in zip(agent.net.weights, agent.net.biases, agent.net.activations):
-        z = w @ h + b
-        if act == "tanh":
-            h = np.tanh(z)
-        elif act == "softmax":
-            e = np.exp(z - z.max())
-            h = e / e.sum()
-        elif act == "sigmoid":
-            h = 1.0 / (1.0 + np.exp(-z))
-        else:
-            h = z
-    return h
-
-
-def select_action(agent: PolicyAgent, state: CartPoleState, rng: np.random.Generator) -> int:
-    probs = action_probabilities(agent, state)
-    return int(rng.random() >= probs[0])
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -138,21 +116,22 @@ def pretrain_on_synthetic(
     weighted by its z-scored reward channel; consumes zero real samples.
     The synthetic phase runs on its own optimizer state (same kind as the
     agent's) so thousands of noisy batches can use a smaller step size than
-    on-policy training; agent.opt is untouched.  Returns the update count.
+    on-policy training; agent.opt is untouched.  Every non-empty batch takes
+    a step, but only a batch whose z-scored weights are not all zero can
+    change the parameters; returns the number of those batches.
     """
     lr = agent.opt.learning_rate if learning_rate is None else learning_rate
     pretrain_opt = nn.make_optimizer(agent.net, agent.opt.kind, lr)
     main_opt = agent.opt
     agent.opt = pretrain_opt
-    n_updates = 0
+    n_useful = 0
     try:
         for batch in batches:
             if not len(batch):
                 continue
-            policy_gradient_step(
-                agent, batch.states, batch.actions, normalize_weights(batch.rewards)
-            )
-            n_updates += 1
+            weights = normalize_weights(batch.rewards)
+            policy_gradient_step(agent, batch.states, batch.actions, weights)
+            n_useful += bool(weights.any())
     finally:
         agent.opt = main_opt
-    return n_updates
+    return n_useful

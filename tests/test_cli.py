@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
 from egan import harness
 from egan.cli import main
+
+from test_harness import fixed_reward_batches
 
 TINY_SETS = [
     "--set", "training_episodes=60",
@@ -104,3 +107,17 @@ def test_same_seed_cli_runs_byte_identical(tmp_path):
     c1 = (out1 / "curve_egan_7.csv").read_bytes()
     c2 = (out2 / "curve_egan_7.csv").read_bytes()
     assert c1 == c2
+
+
+@pytest.mark.parametrize("rewards,warned", [([1.0] * 8, True), ([1.0, 0.0] * 4, False)])
+def test_constant_synthetic_rewards_warn_on_stderr(tmp_path, capsys, monkeypatch,
+                                                   rewards, warned):
+    monkeypatch.setattr(harness, "_synthetic_batches", fixed_reward_batches(rewards))
+    code = main(["run", "--mode", "gan", "--seed", "0", "--out", str(tmp_path)] + TINY_SETS)
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert len(out.splitlines()) == 1 and out.startswith("mode=gan seed=0 ")
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == warned
+    if warned:
+        assert "all 5 synthetic batches had constant rewards" in warnings[0]

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import cartpole, experience
+from egan import cartpole, experience, nn, policy
 from egan.cartpole import CartPoleState, DEFAULT_PARAMS
 from egan.errors import CsvParseError, UsageError
 from egan.experience import Transitions
@@ -122,32 +124,95 @@ def test_buffer_transitions_replay_exactly(small_buffer):
             assert done is False
 
 
+def uniform(states):
+    return np.full(len(states), 0.5)
+
+
+def rngs_from(seed, k):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k)]
+
+
 def test_episode_reward_sum_equals_length():
-    rng = np.random.default_rng(4)
-    episode = experience.run_episode(experience.random_policy, rng)
+    episode, = experience.run_episodes(uniform, [np.random.default_rng(4)])
     assert episode.rewards.sum() == len(episode)
 
 
 def test_constant_action_topples_quickly():
-    episode = experience.run_episode(lambda s, r: 0, np.random.default_rng(11))
+    # p0 = 1 > every uniform draw, so the episode always pushes left
+    episode, = experience.run_episodes(lambda s: np.ones(len(s)), [np.random.default_rng(11)])
     assert len(episode) < 200
+    assert np.all(episode.actions == 0)
     assert episode.dones[-1]
     assert not episode.dones[:-1].any()
 
 
 def test_episode_determinism():
-    e1 = experience.run_episode(experience.random_policy, np.random.default_rng(5))
-    e2 = experience.run_episode(experience.random_policy, np.random.default_rng(5))
-    assert_same(e1, e2)
+    e1 = experience.run_episodes(uniform, rngs_from(5, 4))
+    e2 = experience.run_episodes(uniform, rngs_from(5, 4))
+    assert len(e1) == len(e2) == 4
+    for a, b in zip(e1, e2):
+        assert_same(a, b)
 
 
 def test_episode_cap_marks_done():
-    # pin the pole: tiny cap so even a random policy reaches it
-    episode = experience.run_episode(
-        experience.random_policy, np.random.default_rng(5), max_steps=3
-    )
+    # tiny cap so even a random policy reaches it
+    params = replace(DEFAULT_PARAMS, max_steps=3)
+    episode, = experience.run_episodes(uniform, [np.random.default_rng(5)], params)
     assert len(episode) == 3
     assert episode.dones.tolist() == [False, False, True]
+
+
+def frozen_policy(seed=3):
+    agent = policy.make_agent(np.random.default_rng(seed))
+    return lambda states: nn.forward(agent.net, states)[0][:, 0]
+
+
+class TestRunEpisodes:
+    def test_one_group_equals_serial_groups(self):
+        # compare Transitions, never probabilities: the forward of k rows can
+        # differ from k one-row forwards in the last bits, an action cannot
+        probs = frozen_policy()
+        together = experience.run_episodes(probs, rngs_from(21, 5))
+        serial = [experience.run_episodes(probs, [rng])[0] for rng in rngs_from(21, 5)]
+        assert len({len(e) for e in together}) > 1  # the group really shrank
+        for a, b in zip(together, serial):
+            assert_same(a, b)
+
+    def test_one_forward_per_step_on_live_states(self):
+        seen = []
+
+        def probs(states):
+            seen.append(states.shape)
+            return np.full(len(states), 0.5)
+
+        episodes = experience.run_episodes(probs, rngs_from(8, 5))
+        lengths = [len(e) for e in episodes]
+        assert len(seen) == max(lengths)
+        assert [shape[0] for shape in seen] == [
+            sum(n > t for n in lengths) for t in range(max(lengths))
+        ]
+        assert all(shape[1] == 4 for shape in seen)
+
+    def test_cap_truncates_some_episodes_only(self):
+        params = replace(DEFAULT_PARAMS, max_steps=25)
+        episodes = experience.run_episodes(uniform, rngs_from(2, 12), params)
+        lengths = [len(e) for e in episodes]
+        assert max(lengths) == 25 and min(lengths) < 25
+        for e in episodes:
+            assert e.dones[-1] and not e.dones[:-1].any()
+            # an episode ends on a terminal state unless the cap cut it short
+            last = CartPoleState(*e.next_states[-1].tolist())
+            assert cartpole.is_terminal(last) or len(e) == 25
+            assert np.array_equal(e.states[1:], e.next_states[:-1])
+
+    def test_action_frequency_follows_probability(self):
+        episodes = experience.run_episodes(lambda s: np.full(len(s), 0.3), rngs_from(6, 100))
+        actions = np.concatenate([e.actions for e in episodes])
+        assert actions.size > 1000
+        assert abs(np.mean(actions == 0) - 0.3) < 0.03
+
+    def test_no_generators_no_episodes(self):
+        assert experience.run_episodes(uniform, []) == []
 
 
 class TestEncoding:

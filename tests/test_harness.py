@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import harness
+from egan import experience, harness, nn, policy
+from egan.cartpole import EnvParams
 from egan.config import ExperimentConfig
 from egan.errors import CsvParseError, UsageError
+from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
 
 
@@ -149,6 +151,65 @@ class TestRunExperiment:
 
         with pytest.raises(ConfigError):
             harness.run_experiment(ExperimentConfig(mode="worst", **TINY))
+
+    def test_last_partial_group(self):
+        # 7 episodes at update frequency 5: a group of 5, one update, then 2
+        cfg = ExperimentConfig(mode="none", seed=6, **{**TINY, "training_episodes": 4})
+        curve, _, agent = harness.run_experiment(cfg, return_details=True)
+        assert cfg.total_episodes() == 7 and len(curve) == 7
+        assert agent.opt.t == 1
+        assert len(agent.pending) == 2
+
+    def test_lockstep_run_equals_serial_replay(self):
+        # each episode runs on its own child of the training SeedSequence and
+        # the policy changes only between groups, so playing the episodes one
+        # at a time, recording each before the next, gives the same curve
+        cfg = ExperimentConfig(mode="none", seed=9, **TINY)
+        curve = harness.run_experiment(cfg)
+        _, agent_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+        agent = policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden)
+        lengths = []
+        for ss in train_ss.spawn(cfg.total_episodes()):
+            episode, = experience.run_episodes(
+                lambda s: nn.forward(agent.net, s)[0][:, 0], [np.random.default_rng(ss)],
+                EnvParams(max_steps=cfg.env_max_steps))
+            policy.record_episode(agent, episode)
+            lengths.append(len(episode))
+        assert agent.opt.t == cfg.total_episodes() // cfg.pg_update_frequency > 1
+        assert curve.rewards.tolist() == lengths
+
+    @pytest.mark.parametrize("rewards,useful", [([1.0] * 8, 0), ([1.0, 0.0] * 4, 10)])
+    def test_synthetic_phase_counts_useful_batches(self, monkeypatch, rewards, useful):
+        monkeypatch.setattr(harness, "_synthetic_batches", fixed_reward_batches(rewards))
+        cfg = ExperimentConfig(mode="gan", seed=4, **TINY)
+        _, pre, _ = harness.run_experiment(cfg, return_details=True)
+        assert cfg.synthetic_batches == 10
+        assert pre.useful_synthetic_batches == useful
+
+
+def fixed_reward_batches(rewards):
+    """Stands in for the generator: every synthetic batch carries `rewards`."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+
+    def batches(pre, config, rng, params):
+        for _ in range(config.synthetic_batches):
+            states = rng.uniform(-0.05, 0.05, size=(rewards.size, 4))
+            actions = rng.integers(0, 2, size=rewards.size).astype(np.intp)
+            yield Transitions(states, actions, states, rewards,
+                              np.zeros(rewards.size, dtype=bool))
+
+    return batches
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_online_benchmark_config_learns(seed):
+    """The benchmark's online workload config clears its learning bar."""
+    cfg = ExperimentConfig(mode="none", seed=seed, training_episodes=2000,
+                           pretrain_episodes=500, env_max_steps=100)
+    curve = harness.run_experiment(cfg)
+    assert len(curve) == 2500
+    assert harness.rolling_average(curve.rewards)[-1] >= 55.0
 
 
 class TestCurveCsv:

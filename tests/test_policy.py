@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import nn, policy
+from egan import experience, nn, policy
 from egan.config import ExperimentConfig
 from egan.cartpole import CartPoleState
 from egan.errors import UsageError
@@ -31,10 +31,17 @@ def test_make_agent_defaults_match_config():
     assert agent.update_frequency == config.pg_update_frequency
 
 
+def p0_of(agent, states):
+    """P(action 0) as the online phase computes it: one forward of the batch."""
+    return nn.forward(agent.net, np.atleast_2d(np.asarray(states, dtype=np.float64)))[0][:, 0]
+
+
 class TestSelectAction:
+    """Actions come from experience.run_episodes: action = int(u >= p0)."""
+
     def test_zero_weights_give_uniform_probabilities(self):
         agent = zero_weight_agent()
-        probs = policy.action_probabilities(agent, CartPoleState(0.1, -0.2, 0.03, 0.4))
+        probs = nn.forward(agent.net, np.array([[0.1, -0.2, 0.03, 0.4]]))[0][0]
         assert probs[0] == pytest.approx(0.5, abs=1e-15)
         assert probs[1] == pytest.approx(0.5, abs=1e-15)
 
@@ -43,22 +50,30 @@ class TestSelectAction:
         agent = policy.make_agent(np.random.default_rng(0), hidden=())
         agent.net.weights[0][:] = 0.0
         agent.net.weights[0][0, 0] = 1.0
-        probs = policy.action_probabilities(agent, CartPoleState(1.0, 0.0, 0.0, 0.0))
-        assert probs[0] == pytest.approx(0.7310585786300049, abs=1e-9)
+        p0 = p0_of(agent, [1.0, 0.0, 0.0, 0.0])[0]
+        assert p0 == pytest.approx(0.7310585786300049, abs=1e-9)
 
     def test_empirical_frequency_matches_probabilities(self):
-        agent = zero_weight_agent()
-        rng = np.random.default_rng(77)
-        state = CartPoleState(0, 0, 0, 0)
-        draws = np.array([policy.select_action(agent, state, rng) for _ in range(10_000)])
-        assert abs(draws.mean() - 0.5) < 0.02
+        # a bias-only policy with p0 = sigmoid(1) in every state
+        agent = policy.make_agent(np.random.default_rng(0), hidden=())
+        agent.net.weights[0][:] = 0.0
+        agent.net.biases[0][:] = [1.0, 0.0]
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(77).spawn(300)]
+        episodes = experience.run_episodes(lambda s: p0_of(agent, s), rngs)
+        actions = np.concatenate([e.actions for e in episodes])
+        assert actions.size > 3000
+        assert abs(np.mean(actions == 0) - 0.7310585786300049) < 0.02
 
     def test_deterministic_given_rng(self):
         agent = policy.make_agent(np.random.default_rng(3))
-        s = CartPoleState(0.01, 0.2, -0.01, 0.1)
-        a1 = [policy.select_action(agent, s, np.random.default_rng(5)) for _ in range(20)]
-        a2 = [policy.select_action(agent, s, np.random.default_rng(5)) for _ in range(20)]
-        assert a1 == a2
+
+        def play():
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(5)]
+            return experience.run_episodes(lambda s: p0_of(agent, s), rngs)
+
+        for a, b in zip(play(), play()):
+            assert np.array_equal(a.actions, b.actions)
+            assert np.array_equal(a.states, b.states)
 
 
 class TestDiscountedReturns:
@@ -154,12 +169,12 @@ class TestUpdateOnEpisodes:
         agent = policy.make_agent(np.random.default_rng(4), optimizer="sgd",
                                   learning_rate=1e-2)
         state = CartPoleState(0.1, 0.0, -0.02, 0.0)
-        before = policy.action_probabilities(agent, state)[1]
+        before = 1.0 - p0_of(agent, state)[0]
         policy.policy_gradient_step(
             agent, np.array([state]), np.array([1], dtype=np.intp),
             np.array([2.0])
         )
-        after = policy.action_probabilities(agent, state)[1]
+        after = 1.0 - p0_of(agent, state)[0]
         assert after > before
 
     def test_update_invariant_to_return_shift(self):
@@ -212,7 +227,7 @@ class TestPretrain:
         rng = np.random.default_rng(11)
         before = agent.net.params.copy()
         batch = synthetic_batch(rng, 16, np.ones(16))
-        assert policy.pretrain_on_synthetic(agent, [batch]) == 1
+        assert policy.pretrain_on_synthetic(agent, [batch, batch]) == 0
         assert np.array_equal(agent.net.params, before)
 
     def test_varied_rewards_update_parameters(self):
@@ -220,7 +235,8 @@ class TestPretrain:
         rng = np.random.default_rng(11)
         before = agent.net.params.copy()
         batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
-        policy.pretrain_on_synthetic(agent, [batch])
+        flat = synthetic_batch(rng, 16, np.ones(16))
+        assert policy.pretrain_on_synthetic(agent, [batch, flat]) == 1
         assert not np.array_equal(agent.net.params, before)
 
     def test_agent_optimizer_state_untouched(self):
