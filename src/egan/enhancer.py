@@ -88,8 +88,8 @@ def train_enhancer(
         x1, x2 = batch[:, :HALF_DIM], batch[:, HALF_DIM:]
         pred, cache = nn.forward(model.net, x1)
         diff = pred - x2
-        loss = float(np.mean(diff**2))
-        grads, _ = nn.backward(model.net, cache, 2.0 * diff / diff.size)
+        loss = float((diff**2).sum() / diff.size)
+        grads, _ = nn.backward(model.net, cache, 2.0 * diff / diff.size, inputs=False)
         nn.optimizer_step(model.net, grads, model.opt)
         losses.append(loss)
     return losses
@@ -181,7 +181,7 @@ def egan_refine(
         g_out, cache = nn.forward(gan.g, z)
         kl, grad = penalty(g_out)
         history.append(kl)
-        grads, _ = nn.backward(gan.g, cache, kl_weight * grad)
+        grads, _ = nn.backward(gan.g, cache, kl_weight * grad, inputs=False)
         nn.optimizer_step(gan.g, grads, opt)
     return history
 

@@ -62,7 +62,8 @@ def run_episodes(probs_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     """Roll out one episode per generator, stepping the live ones together.
 
     Each step calls probs_fn once on the live states stacked to (k_live, 4)
-    for P(action 0); episode i takes action int(u_t >= p0) with u drawn from
+    for P(action 0); probs_fn None is the uniform policy, p0 = 0.5 with no
+    state stack.  Episode i takes action int(u_t >= p0) with u drawn from
     rngs[i] after its reset, so an episode does not depend on its group.  The
     dynamics stay scalar: at a few episodes, k scalar steps beat one (k, 4)
     numpy step.  An episode ends on a terminal state or at params.max_steps.
@@ -74,7 +75,10 @@ def run_episodes(probs_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     for t in range(params.max_steps):
         if not live:
             break
-        p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
+        if probs_fn is None:
+            p0 = [0.5] * len(live)
+        else:
+            p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
         still = []
         for i, p in zip(live, p0):
             action = int(draws[i][t] >= p)
@@ -109,8 +113,7 @@ def collect_random(
     if n_episodes < 1:
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
     return Transitions.concatenate(
-        run_episodes(lambda states: np.full(len(states), 0.5), rng.spawn(1), params)[0]
-        for _ in range(n_episodes)
+        run_episodes(None, [child], params)[0] for child in rng.spawn(n_episodes)
     )
 
 

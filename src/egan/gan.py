@@ -79,18 +79,18 @@ def discriminator_step(gan: GanPair, real_batch: np.ndarray, rng: np.random.Gene
     z = sample_noise(rng, n, gan.noise_dim)
     fake, _ = nn.forward(gan.g, z)
 
-    d_real, cache_real = nn.forward(gan.d, real)
-    d_fake, cache_fake = nn.forward(gan.d, fake)
-    p_real = nn.clamp_probabilities(d_real)
-    p_fake = nn.clamp_probabilities(d_fake)
-    loss = -float(np.mean(np.log(p_real)) + np.mean(np.log(1.0 - p_fake)))
+    # one D pass over real || fake: V is one sum over both minibatches
+    d_out, cache = nn.forward(gan.d, np.concatenate([real, fake]))
+    p = nn.clamp_probabilities(d_out)
+    p_real, p_fake = p[:n], p[n:]
+    loss = -float(np.log(p_real).sum() / n + np.log(1.0 - p_fake).sum() / n)
 
     # clamp is pass-through for gradients, so saturated D outputs still learn
-    grad_real = -1.0 / (n * p_real)
-    grad_fake = 1.0 / (n * (1.0 - p_fake))
-    grads_r, _ = nn.backward(gan.d, cache_real, grad_real)
-    grads_f, _ = nn.backward(gan.d, cache_fake, grad_fake)
-    nn.optimizer_step(gan.d, grads_r + grads_f, gan.d_opt)
+    grad = np.empty_like(p)
+    grad[:n] = -1.0 / (n * p_real)
+    grad[n:] = 1.0 / (n * (1.0 - p_fake))
+    grads, _ = nn.backward(gan.d, cache, grad, inputs=False)
+    nn.optimizer_step(gan.d, grads, gan.d_opt)
     return loss
 
 
@@ -116,17 +116,17 @@ def generator_step(
     d_out, cache_d = nn.forward(gan.d, g_out)
     p = nn.clamp_probabilities(d_out)
     if mode == "paper_minimax":
-        loss = float(np.mean(np.log(1.0 - p)))
+        loss = float(np.log(1.0 - p).sum() / n)
         grad_d_out = -1.0 / (n * (1.0 - p))
     else:
-        loss = -float(np.mean(np.log(p)))
+        loss = -float(np.log(p).sum() / n)
         grad_d_out = -1.0 / (n * p)
-    _, grad_g_out = nn.backward(gan.d, cache_d, grad_d_out)
+    _, grad_g_out = nn.backward(gan.d, cache_d, grad_d_out, params=False)
     if regularizer is not None and reg_weight != 0.0:
         penalty, d_penalty = regularizer(g_out)
         loss += reg_weight * penalty
         grad_g_out = grad_g_out + reg_weight * d_penalty
-    grads_g, _ = nn.backward(gan.g, cache_g, grad_g_out)
+    grads_g, _ = nn.backward(gan.g, cache_g, grad_g_out, inputs=False)
     nn.optimizer_step(gan.g, grads_g, gan.g_opt)
     return loss
 

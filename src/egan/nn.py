@@ -11,6 +11,17 @@ writing into ``net.weights[i][...]`` changes ``params`` and vice versa.
 :func:`backward` returns the parameter gradient as a vector with the same
 layout, and :func:`optimizer_step` updates the whole vector at once; the
 checkpoint format writes the same vector one layer array per line.
+
+:func:`backward` computes only what its caller keeps.  Its keyword-only flags
+``params`` and ``inputs`` (both on by default) select the parameter gradient
+and the input gradient; a slot whose flag is off returns ``None``.  With
+``params=False`` the per-layer ``dz.T @ h`` matmuls and bias sums are skipped
+(the generator step only needs D's input gradient); with ``inputs=False`` the
+layer-0 ``dz @ w`` is skipped (no trainer uses the gradient w.r.t. its data).
+
+:func:`forward` converts its input only when it is not already a 2-D float64
+array, and computes every activation in place in the layer's pre-activation
+buffer, so one array is allocated per layer.
 """
 
 from __future__ import annotations
@@ -94,15 +105,20 @@ def init_network(layer_sizes, activations, rng: np.random.Generator) -> MlpNetwo
     return net
 
 
-def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
+def _activate(kind: str, z: np.ndarray) -> np.ndarray:
+    """Apply the activation in place in z and return z."""
     if kind == "tanh":
-        return np.tanh(z)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return np.tanh(z, out=z)
+    if kind == "sigmoid":  # 1 / (1 + exp(-z))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if kind == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
     if kind == "identity":
         return z
     raise ConfigError(f"unknown activation {kind!r}")
@@ -110,7 +126,9 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
 
 def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Batch forward pass; returns outputs and the cache backward() needs."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    x = inputs
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 2):
+        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if x.shape[1] != net.layer_sizes[0]:
         raise ShapeError(
             f"input has {x.shape[1]} columns, network expects {net.layer_sizes[0]}"
@@ -118,20 +136,27 @@ def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
     post = []
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = h @ w.T + b
-        h = _apply_activation(act, z)
+        z = h @ w.T
+        z += b
+        h = _activate(act, z)
         post.append(h)
     return h, ForwardCache(inputs=x, post=post)
 
 
 def backward(
-    net: MlpNetwork, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    net: MlpNetwork,
+    cache: ForwardCache,
+    output_gradient: np.ndarray,
+    *,
+    params: bool = True,
+    inputs: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns the parameter gradient, a flat vector laid out like
     ``net.params``, plus the gradient w.r.t. the inputs (needed to chain the
-    discriminator into the generator).
+    discriminator into the generator).  ``params=False`` or ``inputs=False``
+    skips that gradient's work and returns ``None`` in its slot.
     """
     if len(cache.post) != net.n_layers:
         raise UsageError("cache does not match this network")
@@ -141,27 +166,31 @@ def backward(
             f"output_gradient shape {g.shape} does not match forward output "
             f"{cache.post[-1].shape}"
         )
-    grad = np.empty_like(net.params)
-    end = grad.size  # layers run last to first, so their blocks do too
+    grad = np.empty_like(net.params) if params else None
+    end = net.params.size  # layers run last to first, so their blocks do too
     for i in range(net.n_layers - 1, -1, -1):
         w = net.weights[i]
         start = end - w.size - w.shape[0]
         y = cache.post[i]
         act = net.activations[i]
-        if act == "tanh":
-            dz = g * (1.0 - y * y)
+        if act == "tanh":  # g * (1 - y * y)
+            dz = y * y
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
         elif act == "sigmoid":
             dz = g * y * (1.0 - y)
         elif act == "softmax":
             dz = y * (g - (g * y).sum(axis=1, keepdims=True))
         else:  # identity
             dz = g
-        h_prev = cache.inputs if i == 0 else cache.post[i - 1]
-        np.matmul(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
-        dz.sum(axis=0, out=grad[start + w.size : end])
-        g = dz @ w
+        if params:
+            h_prev = cache.inputs if i == 0 else cache.post[i - 1]
+            np.matmul(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
+            dz.sum(axis=0, out=grad[start + w.size : end])
+        if i > 0 or inputs:
+            g = dz @ w
         end = start
-    return grad, g
+    return grad, (g if inputs else None)
 
 
 @dataclass
@@ -229,7 +258,8 @@ class Minibatcher:
 
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    # same values as np.clip for non-NaN input, without its dispatch overhead
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def save_network(net: MlpNetwork, path) -> None:

@@ -70,11 +70,11 @@ def policy_gradient_step(
     n = states.shape[0]
     probs, cache = nn.forward(agent.net, states)
     chosen = nn.clamp_probabilities(probs[np.arange(n), actions])
-    loss = -float(np.mean(np.log(chosen) * weights))
+    loss = -float((np.log(chosen) * weights).sum() / n)
     # clamp is pass-through for gradients: d log(clip(p))/dp := 1/clip(p)
     grad_out = np.zeros_like(probs)
     grad_out[np.arange(n), actions] = -weights / (n * chosen)
-    grads, _ = nn.backward(agent.net, cache, grad_out)
+    grads, _ = nn.backward(agent.net, cache, grad_out, inputs=False)
     nn.optimizer_step(agent.net, grads, agent.opt)
     return loss
 

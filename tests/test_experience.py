@@ -113,6 +113,40 @@ def test_collect_requires_episodes():
         experience.collect_random(DEFAULT_PARAMS, 0, np.random.default_rng(0))
 
 
+def reference_collect_random(params, n_episodes, rng) -> Transitions:
+    """The per-step rollout collect_random replaced: one rng.spawn(1) child
+    per episode, and every step a 1-row state stack and an np.full p0."""
+    parts = []
+    for _ in range(n_episodes):
+        child, = rng.spawn(1)
+        path = [cartpole.reset(child, params)]
+        draws = child.random(params.max_steps).tolist()
+        actions, rewards = [], []
+        for t in range(params.max_steps):
+            states = np.array([path[-1]])
+            p0 = np.full(len(states), 0.5).tolist()[0]
+            action = int(draws[t] >= p0)
+            state, reward, done = cartpole.step(path[-1], action, params)
+            path.append(state)
+            actions.append(action)
+            rewards.append(reward)
+            if done:
+                break
+        visited = np.array(path)
+        dones = np.zeros(len(actions), dtype=bool)
+        dones[-1] = True
+        parts.append(Transitions(visited[:-1], np.array(actions, dtype=np.intp),
+                                 visited[1:], np.array(rewards), dones))
+    return Transitions.concatenate(parts)
+
+
+def test_collect_random_matches_per_step_reference():
+    got = experience.collect_random(DEFAULT_PARAMS, 50, np.random.default_rng(70))
+    want = reference_collect_random(DEFAULT_PARAMS, 50, np.random.default_rng(70))
+    assert len(got) > 50
+    assert_same(got, want)
+
+
 def test_buffer_transitions_replay_exactly(small_buffer):
     """Every stored transition must agree with the deterministic dynamics."""
     for i in range(400):
@@ -210,6 +244,11 @@ class TestRunEpisodes:
         actions = np.concatenate([e.actions for e in episodes])
         assert actions.size > 1000
         assert abs(np.mean(actions == 0) - 0.3) < 0.03
+
+    def test_none_is_the_uniform_policy(self):
+        for a, b in zip(experience.run_episodes(None, rngs_from(9, 6)),
+                        experience.run_episodes(uniform, rngs_from(9, 6))):
+            assert_same(a, b)
 
     def test_no_generators_no_episodes(self):
         assert experience.run_episodes(uniform, []) == []

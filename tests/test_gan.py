@@ -56,6 +56,24 @@ class TestGanValue:
         assert gan.gan_value(p, p) <= gan.gan_value(0.5, 0.5) + 1e-12
 
 
+def reference_discriminator_step(pair, real_batch, rng):
+    """The two-pass D step the stacked one replaced: D forward and backward on
+    the real rows, then on the fake rows, and the two gradients summed."""
+    real = np.atleast_2d(np.asarray(real_batch, dtype=np.float64))
+    n = real.shape[0]
+    z = gan.sample_noise(rng, n, pair.noise_dim)
+    fake, _ = nn.forward(pair.g, z)
+    d_real, cache_real = nn.forward(pair.d, real)
+    d_fake, cache_fake = nn.forward(pair.d, fake)
+    p_real = np.clip(d_real, nn.PROB_EPS, 1.0 - nn.PROB_EPS)
+    p_fake = np.clip(d_fake, nn.PROB_EPS, 1.0 - nn.PROB_EPS)
+    loss = -float(np.mean(np.log(p_real)) + np.mean(np.log(1.0 - p_fake)))
+    grads_r, _ = nn.backward(pair.d, cache_real, -1.0 / (n * p_real))
+    grads_f, _ = nn.backward(pair.d, cache_fake, 1.0 / (n * (1.0 - p_fake)))
+    nn.optimizer_step(pair.d, grads_r + grads_f, pair.d_opt)
+    return loss
+
+
 class TestDiscriminatorStep:
     def test_batch_of_one_rejected(self):
         pair = tiny_gan()
@@ -76,6 +94,21 @@ class TestDiscriminatorStep:
         gan.discriminator_step(pair, np.random.default_rng(1).normal(size=(8, 4)),
                                np.random.default_rng(2))
         assert np.array_equal(pair.g.params, before)
+
+    def test_stacked_pass_matches_two_pass_reference(self, small_encoded):
+        # the single pass over real || fake only reorders float sums
+        stacked = gan.make_gan(np.random.default_rng(60))
+        two_pass = gan.make_gan(np.random.default_rng(60))
+        rng_a, rng_b = np.random.default_rng(61), np.random.default_rng(61)
+        batches = nn.Minibatcher(small_encoded, 64, np.random.default_rng(62))
+        for _ in range(20):
+            real = batches.next()
+            loss_a = gan.discriminator_step(stacked, real, rng_a)
+            loss_b = reference_discriminator_step(two_pass, real, rng_b)
+            assert loss_a == pytest.approx(loss_b, rel=1e-12, abs=0.0)
+        assert np.allclose(stacked.d.params, two_pass.d.params, rtol=1e-12, atol=0.0)
+        assert np.array_equal(stacked.g.params, two_pass.g.params)
+        assert rng_a.random() == rng_b.random()
 
     def test_learns_separable_toy_data(self):
         # real data in a tight cluster far from the frozen generator's outputs

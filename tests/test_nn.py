@@ -123,6 +123,63 @@ class TestForward:
         assert np.all(np.isfinite(out))
 
 
+class TestForwardInputs:
+    """forward converts only inputs that are not 2-D float64 arrays; every
+    layout and dtype gives the output of the float64 C-contiguous input."""
+
+    @pytest.fixture
+    def net(self):
+        return nn.init_network([4, 32, 2], ["tanh", "softmax"], np.random.default_rng(40))
+
+    @pytest.fixture
+    def x(self):
+        return np.random.default_rng(41).normal(size=(6, 4))
+
+    def _expected(self, net, x):
+        out, _ = nn.forward(net, np.ascontiguousarray(x, dtype=np.float64))
+        return out
+
+    def test_list(self, net, x):
+        assert np.array_equal(nn.forward(net, x.tolist())[0], self._expected(net, x))
+
+    def test_int_array(self, net):
+        x = np.arange(24).reshape(6, 4) - 12
+        assert x.dtype.kind == "i"
+        assert np.array_equal(nn.forward(net, x)[0], self._expected(net, x.astype(np.float64)))
+
+    def test_float32(self, net, x):
+        x32 = x.astype(np.float32)
+        out, cache = nn.forward(net, x32)
+        assert out.dtype == np.float64 and cache.inputs.dtype == np.float64
+        assert np.array_equal(out, self._expected(net, x32.astype(np.float64)))
+
+    def test_one_dimensional_row(self, net, x):
+        out, _ = nn.forward(net, x[0])
+        assert out.shape == (1, 2)
+        assert np.array_equal(out, self._expected(net, x[:1]))
+
+    def test_non_contiguous_slice(self, net):
+        wide = np.random.default_rng(42).normal(size=(12, 6))
+        for x in (wide[:6, 1:5], wide[::2, 1:5], wide[::2, ::-1][:, :4]):
+            assert not x.flags.c_contiguous
+            assert np.array_equal(nn.forward(net, x)[0], self._expected(net, x))
+
+    def test_fortran_order(self, net, x):
+        xf = np.asfortranarray(x)
+        assert not xf.flags.c_contiguous
+        assert np.array_equal(nn.forward(net, xf)[0], self._expected(net, x))
+
+    def test_wrong_width_still_raises(self, net):
+        for bad in (np.zeros((3, 5)), np.zeros(3), [[1.0, 2.0]]):
+            with pytest.raises(ShapeError):
+                nn.forward(net, bad)
+
+    def test_input_left_untouched(self, net, x):
+        before = x.copy()
+        nn.forward(net, x)
+        assert np.array_equal(x, before)
+
+
 class TestBackward:
     def test_zero_output_gradient_gives_zero_grads(self):
         net = nn.init_network([3, 5, 2], ["tanh", "softmax"], np.random.default_rng(2))
@@ -288,6 +345,53 @@ GAN_SHAPES = {
     "generator": ([16, 40, 20, 10], ["tanh"] * 3),
     "discriminator": ([10, 40, 20, 1], ["tanh", "tanh", "sigmoid"]),
 }
+
+
+# The four nets of the default config.
+NET_SHAPES = {
+    "g": ([16, 40, 20, 10], ["tanh"] * 3),
+    "d": ([10, 40, 20, 1], ["tanh", "tanh", "sigmoid"]),
+    "enh": ([5, 60, 60, 5], ["tanh"] * 3),
+    "pi": ([4, 32, 2], ["tanh", "softmax"]),
+}
+
+
+class TestBackwardFlags:
+    """A flag that is off skips that gradient and returns None; the other
+    gradient is bit-equal to the full call's."""
+
+    @pytest.fixture(params=sorted(NET_SHAPES))
+    def setup(self, request):
+        sizes, acts = NET_SHAPES[request.param]
+        rng = np.random.default_rng(50)
+        net = nn.init_network(sizes, acts, rng)
+        out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(64, sizes[0])))
+        return net, cache, rng.normal(size=out.shape)
+
+    def test_params_off(self, setup):
+        net, cache, g = setup
+        _, gin_full = nn.backward(net, cache, g)
+        grad, gin = nn.backward(net, cache, g, params=False)
+        assert grad is None
+        assert np.array_equal(gin, gin_full)
+
+    def test_inputs_off(self, setup):
+        net, cache, g = setup
+        grad_full, _ = nn.backward(net, cache, g)
+        grad, gin = nn.backward(net, cache, g, inputs=False)
+        assert gin is None
+        assert np.array_equal(grad, grad_full)
+
+    def test_output_gradient_left_untouched(self, setup):
+        net, cache, g = setup
+        before = g.copy()
+        nn.backward(net, cache, g)
+        assert np.array_equal(g, before)
+
+    def test_flags_are_keyword_only(self, setup):
+        net, cache, g = setup
+        with pytest.raises(TypeError):
+            nn.backward(net, cache, g, False)
 
 
 class TestFlatParameters:
