@@ -42,6 +42,10 @@ class Transitions:
     def __len__(self) -> int:
         return self.actions.shape[0]
 
+    def slice(self, start: int, stop: int) -> "Transitions":
+        """Rows start..stop-1, as views of these columns."""
+        return Transitions(*(getattr(self, f.name)[start:stop] for f in fields(Transitions)))
+
     @staticmethod
     def concatenate(parts) -> "Transitions":
         parts = list(parts)

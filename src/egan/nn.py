@@ -19,9 +19,9 @@ and the input gradient; a slot whose flag is off returns ``None``.  With
 (the generator step only needs D's input gradient); with ``inputs=False`` the
 layer-0 ``dz @ w`` is skipped (no trainer uses the gradient w.r.t. its data).
 
-:func:`forward` converts its input only when it is not already a 2-D float64
-array, and computes every activation in place in the layer's pre-activation
-buffer, so one array is allocated per layer.
+:func:`forward` converts its input (:func:`input_batch`) only when it is not
+already a 2-D float64 array, and computes every activation in place in the
+layer's pre-activation buffer, so one array is allocated per layer.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {kind!r}")
 
 
-def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Batch forward pass; returns outputs and the cache backward() needs."""
+def input_batch(net: MlpNetwork, inputs) -> np.ndarray:
+    """inputs as a 2-D float64 batch for net, converted only when needed;
+    raises ShapeError when its width is not the network's input width."""
     x = inputs
     if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 2):
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -133,6 +134,12 @@ def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
         raise ShapeError(
             f"input has {x.shape[1]} columns, network expects {net.layer_sizes[0]}"
         )
+    return x
+
+
+def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Batch forward pass; returns outputs and the cache backward() needs."""
+    x = input_batch(net, inputs)
     post = []
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):

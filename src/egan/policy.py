@@ -4,8 +4,13 @@ Updates are plain likelihood-ratio steps: loss = -mean(log pi(a|s) * w).
 For on-policy updates w is the pooled z-scored discounted return; for
 synthetic pre-training w is the z-scored reward channel of one generated
 batch.  Z-scoring a constant batch yields w = 0, so degenerate batches leave
-the parameters untouched instead of erroring.  Actions are drawn by
-experience.run_episodes from one batched nn.forward of the policy per step.
+the parameters untouched instead of erroring.
+
+Training goes through nn.forward/nn.backward and the softmax head.  Acting
+does not: for two actions softmax(z0, z1)[0] is the logistic sigmoid of the
+logit gap z0 - z1, so p0_function folds the head into one column once per
+frozen policy, and experience.run_episodes calls it once per step on the
+live states for P(action 0).
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .errors import UsageError
 from .experience import Transitions
 
 Z_EPS = 1e-8
+# exp(-gap) overflows float64 once -gap passes about 709.8; P(action 0) at
+# -gap = 700 is below 1e-304 already
+MAX_NEG_LOGIT_GAP = 700.0
 
 
 @dataclass
@@ -45,6 +53,44 @@ def make_agent(
     net = nn.init_network(sizes, acts, rng)
     opt = nn.make_optimizer(net, optimizer, learning_rate)
     return PolicyAgent(net=net, opt=opt, gamma=gamma, update_frequency=update_frequency)
+
+
+def p0_function(net: nn.MlpNetwork):
+    """states -> P(action 0) of the policy net as its parameters are now.
+
+    The net must be tanh hidden layers (any number, none included) under a
+    2-output softmax head.  The hidden layers are copied as they are; the
+    head becomes the single column wd = w[0] - w[1], bd = b[0] - b[1], and
+    P(action 0) = 1 / (1 + exp(-(h @ wd + bd))).  That agrees with
+    nn.forward's softmax column to rounding, with no ForwardCache and no
+    second column.  A wrong input width raises ShapeError as nn.forward does.
+    """
+    if net.activations[-1] != "softmax" or net.layer_sizes[-1] != 2:
+        raise UsageError(
+            f"p0_function needs a 2-output softmax head, got "
+            f"{net.layer_sizes[-1]} {net.activations[-1]} outputs"
+        )
+    if any(act != "tanh" for act in net.activations[:-1]):
+        raise UsageError(f"p0_function needs tanh hidden layers, got {net.activations[:-1]}")
+    hidden = [(w.copy(), b.copy()) for w, b in zip(net.weights[:-1], net.biases[:-1])]
+    w_last, b_last = net.weights[-1], net.biases[-1]
+    # -wd and -bd, exact negations, so exp needs no np.negative
+    neg_wd, neg_bd = w_last[1] - w_last[0], float(b_last[1] - b_last[0])
+
+    def p0(states) -> np.ndarray:
+        h = nn.input_batch(net, states)
+        for w, b in hidden:  # the arithmetic of nn.forward's tanh layers
+            z = h @ w.T
+            z += b
+            h = np.tanh(z, out=z)
+        neg_gap = np.dot(h, neg_wd)
+        neg_gap += neg_bd
+        np.minimum(neg_gap, MAX_NEG_LOGIT_GAP, out=neg_gap)
+        np.exp(neg_gap, out=neg_gap)
+        neg_gap += 1.0
+        return np.divide(1.0, neg_gap, out=neg_gap)
+
+    return p0
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:

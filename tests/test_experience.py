@@ -201,6 +201,18 @@ def frozen_policy(seed=3):
     return lambda states: nn.forward(agent.net, states)[0][:, 0]
 
 
+def test_slice_rows_are_views():
+    rng = np.random.default_rng(0)
+    states = rng.uniform(-1, 1, size=(6, 4))
+    t = Transitions(states, rng.integers(0, 2, size=6).astype(np.intp),
+                    states + 1.0, rng.random(6), np.arange(6) == 5)
+    part = t.slice(2, 5)
+    assert len(part) == 3
+    assert_same(part, Transitions(t.states[2:5], t.actions[2:5], t.next_states[2:5],
+                                  t.rewards[2:5], t.dones[2:5]))
+    assert np.shares_memory(part.states, t.states)
+
+
 class TestRunEpisodes:
     def test_one_group_equals_serial_groups(self):
         # compare Transitions, never probabilities: the forward of k rows can

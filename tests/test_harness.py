@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import experience, harness, nn, policy
+from egan import enhancer, experience, gan, harness, nn, policy
 from egan.cartpole import EnvParams
 from egan.config import ExperimentConfig
 from egan.errors import CsvParseError, UsageError
 from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
+
+from test_experience import assert_same
 
 
 def make_curve(rewards, offset=0, mode="none", seed=0):
@@ -185,6 +187,26 @@ class TestRunExperiment:
         _, pre, _ = harness.run_experiment(cfg, return_details=True)
         assert cfg.synthetic_batches == 10
         assert pre.useful_synthetic_batches == useful
+
+
+class TestSyntheticBatches:
+    @pytest.mark.parametrize("n_batches", [0, 1, 16, 17, 64, 70, 129])
+    def test_chunked_generation_equals_per_batch_loop(self, n_batches):
+        cfg = ExperimentConfig(mode="gan", synthetic_batches=n_batches)
+        pair = gan.make_gan(np.random.default_rng(2))
+        stats = experience.NormalizationStats(np.full(4, -0.5), np.full(4, 0.5))
+        pre = enhancer.PretrainResult(gan=pair, enhancer=None, stats=stats,
+                                      buffer=None, real_samples=0)
+        params = EnvParams()
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = list(harness._synthetic_batches(pre, cfg, rng, params))
+        # the reference: one generator call per batch
+        ref = [gan.generate(pair, cfg.gan_batch_size, ref_rng, stats, params)
+               for _ in range(n_batches)]
+        assert len(got) == n_batches
+        for batch, expected in zip(got, ref):
+            assert_same(batch, expected)
+        assert rng.random() == ref_rng.random()
 
 
 def fixed_reward_batches(rewards):

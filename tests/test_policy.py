@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import experience, nn, policy
+from egan import experience, harness, nn, policy
 from egan.config import ExperimentConfig
-from egan.cartpole import CartPoleState
-from egan.errors import UsageError
+from egan.cartpole import DEFAULT_PARAMS, CartPoleState
+from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
 from test_nn import fd_param_gradient, max_rel_err
@@ -32,8 +34,77 @@ def test_make_agent_defaults_match_config():
 
 
 def p0_of(agent, states):
-    """P(action 0) as the online phase computes it: one forward of the batch."""
-    return nn.forward(agent.net, np.atleast_2d(np.asarray(states, dtype=np.float64)))[0][:, 0]
+    """P(action 0) as the online phase computes it: the policy's p0_function."""
+    return policy.p0_function(agent.net)(states)
+
+
+def forward_p0(net):
+    """The softmax column of nn.forward, which p0_function stands in for."""
+    return lambda states: nn.forward(net, states)[0][:, 0]
+
+
+# |p0_function - softmax column| on identical inputs; both round the logit gap
+P0_BOUND = 16 * 2.0**-53
+# the CartPole box: position and angle to their limits, velocities past what
+# random-policy episodes reach
+STATE_BOX = np.array([DEFAULT_PARAMS.x_limit, 3.0, DEFAULT_PARAMS.theta_limit, 3.5])
+
+
+class TestP0Function:
+    @pytest.mark.parametrize("hidden", [(32,), (16, 16), ()])
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    def test_agrees_with_softmax_column(self, hidden, scale):
+        agent = policy.make_agent(np.random.default_rng(0), hidden=hidden)
+        agent.net.params *= scale
+        states = np.random.default_rng(1).uniform(-STATE_BOX, STATE_BOX, size=(10_000, 4))
+        got = policy.p0_function(agent.net)(states)
+        assert got.shape == (10_000,)
+        assert np.abs(got - forward_p0(agent.net)(states)).max() <= P0_BOUND
+
+    @pytest.mark.parametrize("hidden", [(32,), ()])
+    @pytest.mark.parametrize("gap,expected", [(1000.0, 1.0), (-1000.0, 0.0)])
+    def test_saturated_gap_without_warning(self, hidden, gap, expected):
+        agent = policy.make_agent(np.random.default_rng(0), hidden=hidden)
+        agent.net.weights[-1][:] = 0.0
+        agent.net.biases[-1][:] = [gap / 2, -gap / 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p0 = policy.p0_function(agent.net)(np.zeros((3, 4)))
+        assert np.abs(p0 - expected).max() <= P0_BOUND
+
+    @pytest.mark.parametrize("sizes,acts", [
+        ([4, 8, 3], ["tanh", "softmax"]),
+        ([4, 8, 2], ["tanh", "sigmoid"]),
+        ([4, 8, 2], ["sigmoid", "softmax"]),
+    ])
+    def test_rejects_other_architectures(self, sizes, acts):
+        net = nn.init_network(sizes, acts, np.random.default_rng(0))
+        with pytest.raises(UsageError):
+            policy.p0_function(net)
+
+    def test_wrong_width_raises_shape_error(self):
+        p0 = policy.p0_function(policy.make_agent(np.random.default_rng(0)).net)
+        with pytest.raises(ShapeError):
+            p0(np.zeros((2, 5)))
+
+    def test_reads_the_parameters_it_was_built_from(self):
+        agent = policy.make_agent(np.random.default_rng(0))
+        states = np.random.default_rng(1).uniform(-STATE_BOX, STATE_BOX, size=(8, 4))
+        p0 = policy.p0_function(agent.net)
+        before = p0(states)
+        agent.net.params += 0.5
+        assert np.array_equal(p0(states), before)
+
+    def test_online_run_equals_forward_driven_run(self, monkeypatch):
+        cfg = ExperimentConfig(mode="none", seed=0, training_episodes=200,
+                               pretrain_episodes=100, env_max_steps=200)
+        assert cfg.total_episodes() == 300
+        curve, _, agent = harness.run_experiment(cfg, return_details=True)
+        monkeypatch.setattr(policy, "p0_function", forward_p0)
+        ref_curve, _, ref_agent = harness.run_experiment(cfg, return_details=True)
+        assert np.array_equal(curve.rewards, ref_curve.rewards)
+        assert np.array_equal(agent.net.params, ref_agent.net.params)
+        assert agent.opt.t == 60  # one update per group of 5 episodes
 
 
 class TestSelectAction:
