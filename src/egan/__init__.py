@@ -4,8 +4,9 @@ A generator/discriminator pair learns the joint distribution of encoded
 (state, action, next state, reward) transitions collected by a random policy
 and passed between layers as one struct-of-arrays, ``Transitions``;
 an optional transition-consistency network refines the generator with a
-moment-matching KL penalty; the resulting samples pre-train a REINFORCE agent
-before it touches the real environment.
+moment-matching KL penalty (``moment_kl``); the resulting samples pre-train a
+REINFORCE agent before it touches the real environment.  ``egan run``,
+``egan sweep`` and ``egan report`` (``egan.cli``) are the entry points.
 """
 
 from .cartpole import CartPoleState, EnvParams, reset, step
@@ -13,9 +14,8 @@ from .config import ExperimentConfig, load_config, validate
 from .enhancer import (
     EnhancerModel,
     egan_refine,
-    fit_gaussian,
-    kl_regularizer,
     make_enhancer,
+    moment_kl,
     pretrain_pipeline,
     train_enhancer,
 )
@@ -24,11 +24,9 @@ from .experience import (
     collect_random,
     decode_batch,
     encode_batch,
-    load_csv,
     run_episodes,
-    save_csv,
 )
-from .gan import GanPair, gan_value, generate, make_gan, sample_noise, train_gan
+from .gan import GanPair, generate, make_gan, sample_noise, train_gan
 from .harness import (
     LearningCurve,
     aggregate_runs,

@@ -111,6 +111,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
     rows = harness.write_report(args.runs, args.threshold, window=args.window)
     for mode, median, iqr in rows:
         print(f"{mode}: median_samples_to_threshold={median} iqr={iqr}")

@@ -65,23 +65,23 @@ class ExperimentConfig:
 def validate(config: ExperimentConfig) -> None:
     if config.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
-    positive_ints = (
-        "pretrain_episodes",
-        "gan_batch_size",
-        "gan_train_steps",
-        "noise_dim",
-        "enhancer_train_steps",
-        "refine_samples",
-        "training_episodes",
-        "pg_update_frequency",
-        "env_max_steps",
-    )
-    for name in positive_ints:
-        if getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
-    for name in ("synthetic_batches", "refine_iterations"):
-        if getattr(config, name) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
+    # a D step and a moment fit each need >= 2 batch rows
+    minimums = {
+        "pretrain_episodes": 1,
+        "gan_batch_size": 2,
+        "gan_train_steps": 1,
+        "noise_dim": 1,
+        "enhancer_train_steps": 1,
+        "refine_samples": 2,
+        "training_episodes": 1,
+        "pg_update_frequency": 1,
+        "env_max_steps": 1,
+        "synthetic_batches": 0,
+        "refine_iterations": 0,
+    }
+    for name, least in minimums.items():
+        if getattr(config, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
     positive_floats = (
         "gan_learning_rate",
         "enhancer_learning_rate",
@@ -175,8 +175,3 @@ def config_to_text(config: ExperimentConfig) -> str:
         for f in fields(ExperimentConfig)
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(config_to_text(config))

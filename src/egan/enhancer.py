@@ -5,8 +5,9 @@ sample to the encoded (next state, reward) half.  Once trained on real data
 it acts as a fixed oracle of the environment dynamics: generated pairs are
 scored by the KL divergence between the per-dimension Gaussian moments of the
 generated second half (P) and of the enhancer's prediction from the generated
-first half (Q).  Gradient descent on that penalty pulls the generator toward
-transition-consistent samples.
+first half (Q).  `moment_kl` is that penalty with its gradient w.r.t. P, and
+`kl_penalty` applies it to a generator output batch.  Gradient descent on the
+penalty pulls the generator toward transition-consistent samples.
 """
 
 from __future__ import annotations
@@ -29,33 +30,19 @@ VARIANCE_FLOOR = 1e-6
 class EnhancerModel:
     net: nn.MlpNetwork
     opt: nn.OptimizerState
-    kl_weight: float = 1.0
-
-
-@dataclass
-class BatchGaussian:
-    mean: np.ndarray
-    var: np.ndarray  # biased (/n) sample variance, floored at VARIANCE_FLOOR
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
 
 def make_enhancer(
     rng: np.random.Generator,
     hidden=(60, 60),
     learning_rate: float = 1e-3,
-    kl_weight: float = 1.0,
     input_dim: int = HALF_DIM,
     output_dim: int = HALF_DIM,
 ) -> EnhancerModel:
     net = nn.init_network(
         [input_dim, *hidden, output_dim], ["tanh"] * (len(hidden) + 1), rng
     )
-    return EnhancerModel(
-        net=net, opt=nn.make_optimizer(net, "adam", learning_rate), kl_weight=kl_weight
-    )
+    return EnhancerModel(net=net, opt=nn.make_optimizer(net, "adam", learning_rate))
 
 
 def predict(model: EnhancerModel, x1: np.ndarray) -> np.ndarray:
@@ -95,52 +82,35 @@ def train_enhancer(
     return losses
 
 
-def fit_gaussian(batch: np.ndarray) -> BatchGaussian:
-    """Per-dimension sample mean and biased variance, floored at 1e-6."""
-    data = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if data.shape[0] < 2:
-        raise UsageError(f"need >= 2 rows to fit a Gaussian, got {data.shape[0]}")
-    return BatchGaussian(
-        mean=data.mean(axis=0), var=np.maximum(data.var(axis=0), VARIANCE_FLOOR)
-    )
+def moment_kl(p_batch: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarray]:
+    """KL(P || Q) between the moments of two sample batches, and d KL / d p_batch.
 
-
-def kl_diagonal_gaussian(p: BatchGaussian, q: BatchGaussian) -> float:
-    """Closed-form KL(P || Q) between diagonal Gaussians, summed over dims."""
-    if p.dim != q.dim:
-        raise ShapeError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    Each batch is fitted once to a diagonal Gaussian: its per-dimension mean
+    and biased (/n) variance, floored at VARIANCE_FLOOR.  The KL is the closed
+    form summed over dimensions.  Q is a constant target; the penalty reaches
+    P through its mean and variance only, and a floored P variance is a flat
+    region that contributes no gradient.
+    """
+    p = np.atleast_2d(np.asarray(p_batch, dtype=np.float64))
+    q = np.atleast_2d(np.asarray(q_batch, dtype=np.float64))
+    for batch in (p, q):
+        if batch.shape[0] < 2:
+            raise UsageError(f"need >= 2 rows to fit a Gaussian, got {batch.shape[0]}")
+    if p.shape[1] != q.shape[1]:
+        raise ShapeError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
+    p_mean, q_mean = p.mean(axis=0), q.mean(axis=0)
+    p_raw_var = p.var(axis=0)
+    p_var = np.maximum(p_raw_var, VARIANCE_FLOOR)
+    q_var = np.maximum(q.var(axis=0), VARIANCE_FLOOR)
     terms = (
-        0.5 * np.log(q.var / p.var)
-        + (p.var + (p.mean - q.mean) ** 2) / (2.0 * q.var)
+        0.5 * np.log(q_var / p_var)
+        + (p_var + (p_mean - q_mean) ** 2) / (2.0 * q_var)
         - 0.5
     )
-    return float(terms.sum())
-
-
-def kl_regularizer(p_batch: np.ndarray, q_batch: np.ndarray) -> float:
-    """KL between the fitted moments of two sample batches (P generated, Q target)."""
-    return kl_diagonal_gaussian(fit_gaussian(p_batch), fit_gaussian(q_batch))
-
-
-def kl_regularizer_with_grad(
-    p_batch: np.ndarray, q_batch: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """KL plus its gradient w.r.t. the P batch entries (Q is a constant target).
-
-    The penalty reaches P through the fitted mean and variance only; a floored
-    variance is a flat region and contributes no gradient.
-    """
-    p_data = np.atleast_2d(np.asarray(p_batch, dtype=np.float64))
-    p = fit_gaussian(p_data)
-    q = fit_gaussian(q_batch)
-    kl = kl_diagonal_gaussian(p, q)
-    n = p_data.shape[0]
-    raw_var = p_data.var(axis=0)
-    live = raw_var > VARIANCE_FLOOR
-    d_mean = (p.mean - q.mean) / q.var / n
-    d_var = np.where(live, -0.5 / p.var + 0.5 / q.var, 0.0)
-    grad = d_mean + d_var * 2.0 * (p_data - p.mean) / n
-    return kl, grad
+    n = p.shape[0]
+    d_mean = (p_mean - q_mean) / q_var / n
+    d_var = np.where(p_raw_var > VARIANCE_FLOOR, -0.5 / p_var + 0.5 / q_var, 0.0)
+    return float(terms.sum()), d_mean + d_var * 2.0 * (p - p_mean) / n
 
 
 def kl_penalty(model: EnhancerModel):
@@ -148,7 +118,7 @@ def kl_penalty(model: EnhancerModel):
 
     def _penalty(g_out: np.ndarray) -> tuple[float, np.ndarray]:
         target = predict(model, g_out[:, :HALF_DIM])
-        kl, d_p = kl_regularizer_with_grad(g_out[:, HALF_DIM:], target)
+        kl, d_p = moment_kl(g_out[:, HALF_DIM:], target)
         grad = np.zeros_like(g_out)
         grad[:, HALF_DIM:] = d_p
         return kl, grad
@@ -235,7 +205,6 @@ def pretrain_pipeline(config, rng: np.random.Generator, params=None) -> Pretrain
             rng,
             hidden=config.enhancer_hidden,
             learning_rate=config.enhancer_learning_rate,
-            kl_weight=config.kl_weight,
         )
     regularizer = None
     reg_weight = 0.0

@@ -14,7 +14,7 @@ class UsageError(RuntimeError):
 
 
 class CsvParseError(ValueError):
-    """A dataset file that cannot be parsed; carries the offending line number."""
+    """A curve file that cannot be parsed; carries the offending line number."""
 
     def __init__(self, path: str, line_number: int, message: str):
         super().__init__(f"{path}:{line_number}: {message}")

@@ -1,4 +1,4 @@
-"""Experience collection, the 10-dim encoded representation, and CSV persistence.
+"""Experience collection and the 10-dim encoded representation.
 
 Every layer passes transitions as one struct-of-arrays, `Transitions`: row i
 is the transition (s_t, a, s_{t+1}, r, done).  For the GAN a row is encoded
@@ -21,12 +21,10 @@ import numpy as np
 
 from . import cartpole
 from .cartpole import EnvParams, DEFAULT_PARAMS
-from .errors import CsvParseError, UsageError
+from .errors import UsageError
 
 ENCODED_DIM = 10
 HALF_DIM = 5
-
-CSV_HEADER = "x,x_dot,theta,theta_dot,a,nx,nx_dot,ntheta,ntheta_dot,r,done"
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,64 +171,4 @@ def decode_batch(
         rewards=(x[:, 9] / 2.0 + 0.5 >= 0.5).astype(np.float64),
         dones=(np.abs(next_states[:, 0]) > params.x_limit)
         | (np.abs(next_states[:, 2]) > params.theta_limit),
-    )
-
-
-def _stats_path(path) -> str:
-    text = str(path)
-    return (text[: -len(".csv")] if text.endswith(".csv") else text) + ".stats.csv"
-
-
-def save_csv(transitions: Transitions, path) -> None:
-    """Write the dataset plus a `<name>.stats.csv` sidecar of per-dim min/max."""
-    lines = [CSV_HEADER]
-    for s, a, s_next, r, done in zip(
-        transitions.states.tolist(),
-        transitions.actions.tolist(),
-        transitions.next_states.tolist(),
-        transitions.rewards.tolist(),
-        transitions.dones.tolist(),
-    ):
-        row = [*map(repr, s), str(a), *map(repr, s_next), repr(r), str(int(done))]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if len(transitions):
-        stats = compute_stats(transitions)
-        dims = ["x", "x_dot", "theta", "theta_dot"]
-        side = ["dim,min,max"]
-        for name, lo, hi in zip(
-            dims, stats.state_min.tolist(), stats.state_max.tolist()
-        ):
-            side.append(f"{name},{lo!r},{hi!r}")
-        with open(_stats_path(path), "w") as fh:
-            fh.write("\n".join(side) + "\n")
-
-
-def load_csv(path) -> Transitions:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise CsvParseError(str(path), 1, f"unexpected header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 11:
-                raise CsvParseError(
-                    str(path), line_no, f"expected 11 fields, found {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise CsvParseError(str(path), line_no, str(exc)) from exc
-    table = np.array(rows, dtype=np.float64).reshape(-1, 11)
-    return Transitions(
-        states=table[:, 0:4],
-        actions=table[:, 4].astype(np.intp),
-        next_states=table[:, 5:9],
-        rewards=table[:, 9],
-        dones=table[:, 10].astype(np.intp).astype(bool),
     )

@@ -63,13 +63,6 @@ def sample_noise(rng: np.random.Generator, batch: int, noise_dim: int) -> np.nda
     return rng.uniform(-1.0, 1.0, size=(batch, noise_dim))
 
 
-def gan_value(d_real, d_fake) -> float:
-    """V(D, G) = mean log D(real) + mean log(1 - D(fake))."""
-    real = nn.clamp_probabilities(np.asarray(d_real, dtype=np.float64))
-    fake = nn.clamp_probabilities(np.asarray(d_fake, dtype=np.float64))
-    return float(np.mean(np.log(real)) + np.mean(np.log(1.0 - fake)))
-
-
 def discriminator_step(gan: GanPair, real_batch: np.ndarray, rng: np.random.Generator) -> float:
     """One ascent step on V w.r.t. D (descent on -V); G stays frozen."""
     real = np.atleast_2d(np.asarray(real_batch, dtype=np.float64))
@@ -100,7 +93,6 @@ def generator_step(
     mode: str = "non_saturating",
     regularizer=None,
     reg_weight: float = 0.0,
-    batch_size: int | None = None,
 ) -> float:
     """One descent step on the generator objective; D stays frozen.
 
@@ -110,7 +102,7 @@ def generator_step(
     """
     if mode not in GENERATOR_MODES:
         raise UsageError(f"mode must be one of {GENERATOR_MODES}, got {mode!r}")
-    n = gan.batch_size if batch_size is None else batch_size
+    n = gan.batch_size
     z = sample_noise(rng, n, gan.noise_dim)
     g_out, cache_g = nn.forward(gan.g, z)
     d_out, cache_d = nn.forward(gan.d, g_out)
@@ -155,15 +147,11 @@ def train_gan(
     return history
 
 
-def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator,
-                     chunk: int = 65536) -> np.ndarray:
-    out = np.empty((n, gan.g.layer_sizes[-1]))
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        z = sample_noise(rng, m, gan.noise_dim)
-        out[done : done + m], _ = nn.forward(gan.g, z)
-        done += m
+def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator) -> np.ndarray:
+    """G(z) for n fresh noise rows; an empty (0, data_dim) array for n = 0."""
+    if n == 0:
+        return np.empty((0, gan.g.layer_sizes[-1]))
+    out, _ = nn.forward(gan.g, sample_noise(rng, n, gan.noise_dim))
     return out
 
 

@@ -61,6 +61,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["gan_batch_size=1", "refine_samples=1"])
+def test_one_row_batch_is_config_error(tmp_path, capsys, setting):
+    code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(tmp_path)]
+                + TINY_SETS + ["--set", setting])
+    assert code == 2
+    assert "must be >= 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_report_bad_window_is_config_error(tmp_path, capsys):
+    assert main(["run", "--mode", "none", "--seed", "0", "--out", str(tmp_path)]
+                + TINY_SETS) == 0
+    code = main(["report", "--runs", str(tmp_path), "--window", "0"])
+    assert code == 2
+    assert "--window must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_key_exit_code(tmp_path):
     code = main(["run", "--mode", "none", "--out", str(tmp_path),
                  "--set", "flux_capacitor=1"])

@@ -5,7 +5,6 @@ from egan.config import (
     apply_overrides,
     config_to_text,
     load_config,
-    save_config,
     validate,
 )
 from egan.errors import ConfigError
@@ -50,6 +49,8 @@ def test_validate_accepts_defaults():
         ("pg_optimizer", "rmsprop"),
         ("gan_generator_mode", "wasserstein"),
         ("policy_hidden", ()),
+        ("gan_batch_size", 1),
+        ("refine_samples", 1),
     ],
 )
 def test_validate_rejects_bad_fields(field, value):
@@ -60,8 +61,8 @@ def test_validate_rejects_bad_fields(field, value):
 def test_text_round_trip(tmp_path):
     cfg = ExperimentConfig(mode="egan", seed=3, kl_weight=0.5, g_hidden=(16, 8),
                            joint_update=True)
-    path = tmp_path / "run.cfg"
-    save_config(cfg, path)
+    path = tmp_path / "meta_egan_3.txt"  # what `egan run` writes, and --config reads
+    path.write_text(config_to_text(cfg))
     assert load_config(path) == cfg
 
 

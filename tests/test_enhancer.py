@@ -10,44 +10,114 @@ from egan.errors import ShapeError, UsageError
 from test_nn import max_rel_err
 
 
+def reference_moment_kl(p_batch, q_batch):
+    """The two-fit KL and gradient that moment_kl replaced, kept verbatim."""
+
+    def fit(batch):
+        data = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        return data.mean(axis=0), np.maximum(data.var(axis=0), enhancer.VARIANCE_FLOOR)
+
+    p_data = np.atleast_2d(np.asarray(p_batch, dtype=np.float64))
+    p_mean, p_var = fit(p_data)
+    q_mean, q_var = fit(q_batch)
+    terms = (
+        0.5 * np.log(q_var / p_var)
+        + (p_var + (p_mean - q_mean) ** 2) / (2.0 * q_var)
+        - 0.5
+    )
+    kl = float(terms.sum())
+    n = p_data.shape[0]
+    raw_var = p_data.var(axis=0)
+    live = raw_var > enhancer.VARIANCE_FLOOR
+    d_mean = (p_mean - q_mean) / q_var / n
+    d_var = np.where(live, -0.5 / p_var + 0.5 / q_var, 0.0)
+    grad = d_mean + d_var * 2.0 * (p_data - p_mean) / n
+    return kl, grad
+
+
+def kl(p, q):
+    return enhancer.moment_kl(p, q)[0]
+
+
+class TestMomentKlMatchesReference:
+    def _assert_same(self, p, q):
+        value, grad = enhancer.moment_kl(p, q)
+        ref_value, ref_grad = reference_moment_kl(p, q)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.normal(scale=rng.uniform(0.1, 3.0), size=(50, 5)) + rng.normal(size=5)
+        q = rng.normal(scale=rng.uniform(0.1, 3.0), size=(50, 5)) + rng.normal(size=5)
+        self._assert_same(p, q)
+
+    def test_constant_column_hits_floor(self):
+        rng = np.random.default_rng(11)
+        p = rng.normal(size=(40, 5))
+        p[:, 2] = 0.25  # floored P variance: that column gets no variance gradient
+        q = rng.normal(size=(40, 5))
+        q[:, 4] = -0.5  # floored Q variance
+        self._assert_same(p, q)
+
+    def test_refine_shape(self):
+        rng = np.random.default_rng(12)
+        p = np.tanh(rng.normal(size=(6000, 5)))
+        q = np.tanh(rng.normal(loc=0.2, size=(6000, 5)))
+        self._assert_same(p, q)
+
+
 class TestFitGaussian:
+    """The moments moment_kl fits to each batch, read back through the KL."""
+
     def test_two_point_batch(self):
-        g = enhancer.fit_gaussian(np.array([[0.0], [2.0]]))
-        assert g.mean[0] == pytest.approx(1.0, abs=1e-15)
-        assert g.var[0] == pytest.approx(1.0, abs=1e-15)
+        p = np.array([[0.0], [2.0]])  # mean 1, var 1
+        assert kl(p, np.array([[2.0], [0.0], [2.0], [0.0]])) == 0.0
+        assert kl(p, np.array([[-1.0], [1.0]])) == pytest.approx(0.5, abs=1e-15)
 
     def test_identical_rows_hit_variance_floor(self):
         row = np.array([0.3, -0.7, 1.1])
-        g = enhancer.fit_gaussian(np.tile(row, (5, 1)))
-        assert np.allclose(g.mean, row, atol=1e-15)
-        assert np.all(g.var == enhancer.VARIANCE_FLOOR)
+        p = np.tile(row, (5, 1))
+        value, grad = enhancer.moment_kl(p, p.copy())
+        assert value == 0.0
+        assert np.all(grad == 0.0)
+        q = np.concatenate([row - 1.0, row + 1.0]).reshape(2, 3)  # var 1 about row
+        floor = enhancer.VARIANCE_FLOOR
+        expected = 3 * (0.5 * np.log(1.0 / floor) + floor / 2.0 - 0.5)
+        assert kl(p, q) == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         batch = rng.normal(size=(40, 4))
-        g1 = enhancer.fit_gaussian(batch)
-        g2 = enhancer.fit_gaussian(batch[rng.permutation(40)])
-        assert np.allclose(g1.mean, g2.mean, atol=1e-12)
-        assert np.allclose(g1.var, g2.var, atol=1e-12)
+        q = rng.normal(size=(40, 4))
+        perm = rng.permutation(40)
+        v1, g1 = enhancer.moment_kl(batch, q)
+        v2, g2 = enhancer.moment_kl(batch[perm], q)
+        assert v1 == pytest.approx(v2, abs=1e-12)
+        assert np.allclose(g1[perm], g2, atol=1e-12)
 
     def test_single_row_rejected(self):
+        two = np.zeros((2, 2))
         with pytest.raises(UsageError):
-            enhancer.fit_gaussian(np.array([[1.0, 2.0]]))
+            enhancer.moment_kl(np.array([[1.0, 2.0]]), two)
+        with pytest.raises(UsageError):
+            enhancer.moment_kl(two, np.array([[1.0, 2.0]]))
 
 
 class TestKlRegularizer:
     def test_identical_batches_zero(self):
         batch = np.random.default_rng(1).normal(size=(30, 5))
-        assert enhancer.kl_regularizer(batch, batch.copy()) == 0.0
+        assert kl(batch, batch.copy()) == 0.0
 
     def test_unit_mean_shift_five_dims(self):
         p = np.array([[0.0] * 5, [2.0] * 5])  # mean 1, var 1 per dim
         q = np.array([[-1.0] * 5, [1.0] * 5])  # mean 0, var 1 per dim
-        assert enhancer.kl_regularizer(p, q) == pytest.approx(2.5, abs=1e-12)
+        assert kl(p, q) == pytest.approx(2.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            enhancer.kl_regularizer(np.zeros((3, 2)), np.ones((3, 4)))
+            enhancer.moment_kl(np.zeros((3, 2)), np.ones((3, 4)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -55,21 +125,21 @@ class TestKlRegularizer:
         rng = np.random.default_rng(seed)
         p = rng.normal(scale=rng.uniform(0.1, 3.0), size=(12, 3)) + rng.normal(size=3)
         q = rng.normal(scale=rng.uniform(0.1, 3.0), size=(12, 3)) + rng.normal(size=3)
-        assert enhancer.kl_regularizer(p, q) >= -1e-12
+        assert kl(p, q) >= -1e-12
 
     def test_row_permutation_invariance_of_both_batches(self):
         rng = np.random.default_rng(9)
         p = rng.normal(size=(25, 4))
         q = rng.normal(size=(25, 4))
-        v1 = enhancer.kl_regularizer(p, q)
-        v2 = enhancer.kl_regularizer(p[rng.permutation(25)], q[rng.permutation(25)])
+        v1 = kl(p, q)
+        v2 = kl(p[rng.permutation(25)], q[rng.permutation(25)])
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         p = rng.normal(size=(10, 3))
         q = rng.normal(loc=0.5, size=(10, 3))
-        kl, grad = enhancer.kl_regularizer_with_grad(p, q)
+        _, grad = enhancer.moment_kl(p, q)
         h = 1e-5
         numeric = np.empty_like(p)
         for i in range(p.shape[0]):
@@ -78,9 +148,7 @@ class TestKlRegularizer:
                 pp[i, j] += h
                 pm = p.copy()
                 pm[i, j] -= h
-                numeric[i, j] = (
-                    enhancer.kl_regularizer(pp, q) - enhancer.kl_regularizer(pm, q)
-                ) / (2 * h)
+                numeric[i, j] = (kl(pp, q) - kl(pm, q)) / (2 * h)
         assert max_rel_err(grad.ravel(), numeric.ravel()) < 1e-4
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from egan import cartpole, experience, nn, policy
 from egan.cartpole import CartPoleState, DEFAULT_PARAMS
-from egan.errors import CsvParseError, UsageError
+from egan.errors import UsageError
 from egan.experience import Transitions
 
 
@@ -406,57 +406,3 @@ class TestReferenceCodec:
             residuals.append(np.abs(np.array(nxt) - s_next))
         assert len(residuals) == len(buf)
         assert np.mean(residuals) < 1e-9
-
-
-class TestCsv:
-    def test_round_trip(self, small_buffer, tmp_path):
-        path = tmp_path / "data.csv"
-        experience.save_csv(small_buffer, path)
-        loaded = experience.load_csv(path)
-        assert_same(loaded, small_buffer)
-
-    def test_header(self, small_buffer, tmp_path):
-        path = tmp_path / "data.csv"
-        experience.save_csv(small_buffer, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "x,x_dot,theta,theta_dot,a,nx,nx_dot,ntheta,ntheta_dot,r,done"
-
-    def test_stats_sidecar_written(self, small_buffer, tmp_path):
-        path = tmp_path / "data.csv"
-        experience.save_csv(small_buffer, path)
-        sidecar = tmp_path / "data.stats.csv"
-        assert sidecar.exists()
-        lines = sidecar.read_text().splitlines()
-        assert lines[0] == "dim,min,max"
-        assert len(lines) == 5
-
-    def test_empty_buffer_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text(experience.CSV_HEADER + "\n")
-        empty = experience.load_csv(path)
-        assert len(empty) == 0 and empty.states.shape == (0, 4)
-        with pytest.raises(UsageError):
-            experience.compute_stats(empty)
-        experience.save_csv(empty, path)
-        assert path.read_text() == experience.CSV_HEADER + "\n"
-        assert not (tmp_path / "empty.stats.csv").exists()
-
-    def test_parse_error_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = [
-            experience.CSV_HEADER,
-            "0,0,0,0,1,0,0.1,0,0.2,1.0,0",
-            "0,0,oops,0,1,0,0.1,0,0.2,1.0,0",
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(CsvParseError) as err:
-            experience.load_csv(path)
-        assert err.value.line_number == 3
-        assert ":3:" in str(err.value)
-
-    def test_wrong_field_count_rejected(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text(experience.CSV_HEADER + "\n1,2,3\n")
-        with pytest.raises(CsvParseError) as err:
-            experience.load_csv(path)
-        assert err.value.line_number == 2

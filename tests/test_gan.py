@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from egan import experience, gan, nn
 from egan.errors import UsageError
@@ -33,27 +31,6 @@ class TestNoise:
     def test_rejects_empty_batch(self):
         with pytest.raises(UsageError):
             gan.sample_noise(np.random.default_rng(0), 0, 16)
-
-
-class TestGanValue:
-    def test_equilibrium_value(self):
-        assert gan.gan_value(0.5, 0.5) == pytest.approx(-1.3862943611198906, abs=1e-12)
-
-    def test_perfect_discriminator_limit(self):
-        assert gan.gan_value(1.0, 0.0) == pytest.approx(0.0, abs=1e-5)
-
-    def test_direct_evaluation(self):
-        assert gan.gan_value(0.8, 0.3) == pytest.approx(-0.5798184952529422, abs=1e-12)
-
-    def test_accepts_batches(self):
-        v = gan.gan_value(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        assert v == pytest.approx(2 * np.log(0.5), abs=1e-12)
-
-    @given(st.floats(0.01, 0.99))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_value_maximized_at_half(self, p):
-        # V at d_real = d_fake = p is ln p + ln(1-p), peaking at p = 0.5
-        assert gan.gan_value(p, p) <= gan.gan_value(0.5, 0.5) + 1e-12
 
 
 def reference_discriminator_step(pair, real_batch, rng):
