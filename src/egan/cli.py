@@ -19,12 +19,8 @@ def _build_config(args) -> ExperimentConfig:
     config = ExperimentConfig()
     if getattr(args, "config", None):
         config = load_config(args.config, base=config)
-    overrides = {}
-    for name in ("mode", "seed", "out_dir"):
-        value = getattr(args, name.replace("out_dir", "out"), None) if name == "out_dir" \
-            else getattr(args, name, None)
-        if value is not None:
-            overrides[name] = str(value)
+    flags = {"mode": args.mode, "seed": getattr(args, "seed", None), "out_dir": args.out}
+    overrides = {name: str(value) for name, value in flags.items() if value is not None}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")

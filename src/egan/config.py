@@ -29,7 +29,6 @@ class ExperimentConfig:
     gan_learning_rate: float = 5e-6
     gan_batch_size: int = 64
     gan_train_steps: int = 30000  # adam at 5e-6 needs ~30k steps to leave init
-    gan_generator_mode: str = "non_saturating"
     noise_dim: int = 16
     enhancer_hidden: tuple = (60, 60)
     enhancer_learning_rate: float = 1e-3
@@ -38,7 +37,6 @@ class ExperimentConfig:
     refine_learning_rate: float = 1e-3
     refine_samples: int = 6000
     kl_weight: float = 1.0  # lambda
-    joint_update: bool = False
 
     # training phase
     training_episodes: int = 5000
@@ -48,9 +46,6 @@ class ExperimentConfig:
     pg_learning_rate: float = 1e-3
     pg_discount: float = 0.99
     pg_update_frequency: int = 5
-    # sgd at lr 1e-3 never lifts off: on mode none, seed 0, its rolling reward
-    # after 2000 episodes is 14.3, against 183.9 for adam at the same rate
-    pg_optimizer: str = "adam"
 
     # environment
     env_max_steps: int = 200
@@ -67,6 +62,7 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
     # a D step and a moment fit each need >= 2 batch rows
     minimums = {
+        "seed": 0,  # np.random.SeedSequence rejects negative entropy
         "pretrain_episodes": 1,
         "gan_batch_size": 2,
         "gan_train_steps": 1,
@@ -96,13 +92,6 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"kl_weight must be >= 0, got {config.kl_weight}")
     if not 0.0 < config.pg_discount <= 1.0:
         raise ConfigError(f"pg_discount must be in (0, 1], got {config.pg_discount}")
-    if config.pg_optimizer not in ("sgd", "adam"):
-        raise ConfigError(f"pg_optimizer must be sgd or adam, got {config.pg_optimizer}")
-    if config.gan_generator_mode not in ("paper_minimax", "non_saturating"):
-        raise ConfigError(
-            f"gan_generator_mode must be paper_minimax or non_saturating, "
-            f"got {config.gan_generator_mode}"
-        )
     for name in ("g_hidden", "d_hidden", "enhancer_hidden", "policy_hidden"):
         value = getattr(config, name)
         if not value or any(int(v) < 1 for v in value):
@@ -116,12 +105,6 @@ def _parse_value(name: str, text: str, target_type):
             return int(text)
         if target_type is float:
             return float(text)
-        if target_type is bool:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if target_type is tuple:
             return tuple(int(tok) for tok in text.split(",") if tok.strip())
         return text
@@ -132,8 +115,6 @@ def _parse_value(name: str, text: str, target_type):
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

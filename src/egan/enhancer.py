@@ -114,7 +114,11 @@ def moment_kl(p_batch: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarr
 
 
 def kl_penalty(model: EnhancerModel):
-    """Regularizer closure for joint GAN updates: g_out -> (KL, d KL/d g_out)."""
+    """The refinement penalty of a generator output batch: g_out -> (KL, d KL/d g_out).
+
+    The KL compares the generated (s', r) half with the enhancer's prediction
+    from the generated (s, a) half; the (s, a) half gets no gradient.
+    """
 
     def _penalty(g_out: np.ndarray) -> tuple[float, np.ndarray]:
         target = predict(model, g_out[:, :HALF_DIM])
@@ -201,36 +205,18 @@ def pretrain_pipeline(config, rng: np.random.Generator, params=None) -> Pretrain
     enhancer_history: list[float] = []
     kl_history: list[float] = []
     if config.mode == "egan":
+        # built before train_gan, so its init draws come first from rng
         model = make_enhancer(
             rng,
             hidden=config.enhancer_hidden,
             learning_rate=config.enhancer_learning_rate,
         )
-    regularizer = None
-    reg_weight = 0.0
-    if model is not None and config.joint_update:
-        # joint mode needs the enhancer ready before adversarial training
+    gan_history = gan_mod.train_gan(pair, encoded, config.gan_train_steps, rng)
+    if model is not None:
         enhancer_history = train_enhancer(
             model, encoded, config.enhancer_train_steps, rng,
             batch_size=config.gan_batch_size,
         )
-        regularizer = kl_penalty(model)
-        reg_weight = config.kl_weight
-    gan_history = gan_mod.train_gan(
-        pair,
-        encoded,
-        config.gan_train_steps,
-        rng,
-        mode=config.gan_generator_mode,
-        regularizer=regularizer,
-        reg_weight=reg_weight,
-    )
-    if model is not None:
-        if not config.joint_update:
-            enhancer_history = train_enhancer(
-                model, encoded, config.enhancer_train_steps, rng,
-                batch_size=config.gan_batch_size,
-            )
         kl_history = egan_refine(
             pair,
             model,

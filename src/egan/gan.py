@@ -1,9 +1,10 @@
 """Generator/discriminator pair over encoded experience vectors.
 
 The discriminator ascends V = E[log D(x)] + E[log(1 - D(G(z)))]; the
-generator either descends the literal minimax term log(1 - D(G(z))) or the
-non-saturating surrogate -log D(G(z)).  Probabilities are clamped before any
-log, and the clamp is treated as a flat region by the gradients.
+generator descends the non-saturating surrogate -log D(G(z)) of Goodfellow
+et al. 2014 (arXiv:1406.2661), whose gradient stays strong while D still
+rejects G's samples.  Probabilities are clamped before any log; gradients
+pass through the clamp, evaluated at the clamped value.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from . import nn
 from .cartpole import DEFAULT_PARAMS
 from .errors import UsageError
 from .experience import ENCODED_DIM, Transitions, decode_batch
-
-GENERATOR_MODES = ("paper_minimax", "non_saturating")
-
 
 @dataclass
 class GanPair:
@@ -38,7 +36,6 @@ def make_gan(
     d_hidden=(40, 20),
     learning_rate: float = 5e-6,
     batch_size: int = 64,
-    optimizer: str = "adam",
 ) -> GanPair:
     g = nn.init_network(
         [noise_dim, *g_hidden, data_dim], ["tanh"] * (len(g_hidden) + 1), rng
@@ -49,8 +46,8 @@ def make_gan(
     return GanPair(
         g=g,
         d=d,
-        g_opt=nn.make_optimizer(g, optimizer, learning_rate),
-        d_opt=nn.make_optimizer(d, optimizer, learning_rate),
+        g_opt=nn.make_optimizer(g, "adam", learning_rate),
+        d_opt=nn.make_optimizer(d, "adam", learning_rate),
         batch_size=batch_size,
         noise_dim=noise_dim,
     )
@@ -87,52 +84,27 @@ def discriminator_step(gan: GanPair, real_batch: np.ndarray, rng: np.random.Gene
     return loss
 
 
-def generator_step(
-    gan: GanPair,
-    rng: np.random.Generator,
-    mode: str = "non_saturating",
-    regularizer=None,
-    reg_weight: float = 0.0,
-) -> float:
-    """One descent step on the generator objective; D stays frozen.
-
-    regularizer, when given, is a callable mapping the generator output batch
-    to (penalty, d penalty / d output); the weighted gradient is added before
-    backpropagating into G.
-    """
-    if mode not in GENERATOR_MODES:
-        raise UsageError(f"mode must be one of {GENERATOR_MODES}, got {mode!r}")
+def generator_step(gan: GanPair, rng: np.random.Generator) -> float:
+    """One descent step on -mean log D(G(z)) over a fresh noise batch; D stays frozen."""
     n = gan.batch_size
     z = sample_noise(rng, n, gan.noise_dim)
     g_out, cache_g = nn.forward(gan.g, z)
     d_out, cache_d = nn.forward(gan.d, g_out)
     p = nn.clamp_probabilities(d_out)
-    if mode == "paper_minimax":
-        loss = float(np.log(1.0 - p).sum() / n)
-        grad_d_out = -1.0 / (n * (1.0 - p))
-    else:
-        loss = -float(np.log(p).sum() / n)
-        grad_d_out = -1.0 / (n * p)
-    _, grad_g_out = nn.backward(gan.d, cache_d, grad_d_out, params=False)
-    if regularizer is not None and reg_weight != 0.0:
-        penalty, d_penalty = regularizer(g_out)
-        loss += reg_weight * penalty
-        grad_g_out = grad_g_out + reg_weight * d_penalty
+    loss = -float(np.log(p).sum() / n)
+    _, grad_g_out = nn.backward(gan.d, cache_d, -1.0 / (n * p), params=False)
     grads_g, _ = nn.backward(gan.g, cache_g, grad_g_out, inputs=False)
     nn.optimizer_step(gan.g, grads_g, gan.g_opt)
     return loss
 
 
 def train_gan(
-    gan: GanPair,
-    encoded_real: np.ndarray,
-    n_steps: int,
-    rng: np.random.Generator,
-    mode: str = "non_saturating",
-    regularizer=None,
-    reg_weight: float = 0.0,
+    gan: GanPair, encoded_real: np.ndarray, n_steps: int, rng: np.random.Generator
 ) -> list[tuple[float, float]]:
-    """Alternate one D step and one G step over shuffled minibatches."""
+    """n_steps rounds of one D step on a shuffled real minibatch, then one G step.
+
+    Returns the (D loss, G loss) of every round.
+    """
     data = np.atleast_2d(np.asarray(encoded_real, dtype=np.float64))
     if data.shape[0] == 0:
         raise UsageError("cannot train a GAN on an empty dataset")
@@ -140,10 +112,7 @@ def train_gan(
     history = []
     for _ in range(n_steps):
         d_loss = discriminator_step(gan, batches.next(), rng)
-        g_loss = generator_step(
-            gan, rng, mode=mode, regularizer=regularizer, reg_weight=reg_weight
-        )
-        history.append((d_loss, g_loss))
+        history.append((d_loss, generator_step(gan, rng)))
     return history
 
 

@@ -84,7 +84,6 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
         np.random.default_rng(agent_ss),
         hidden=config.policy_hidden,
         learning_rate=config.pg_learning_rate,
-        optimizer=config.pg_optimizer,
         gamma=config.pg_discount,
         update_frequency=config.pg_update_frequency,
     )

@@ -84,6 +84,25 @@ def test_unknown_key_exit_code(tmp_path):
     assert code == 2
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    code = main(["run", "--mode", "none", "--seed", "-1", "--out", str(tmp_path)]
+                + TINY_SETS)
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["joint_update=true", "gan_generator_mode=paper_minimax", "pg_optimizer=sgd"],
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, setting):
+    code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(tmp_path)]
+                + TINY_SETS + ["--set", setting])
+    assert code == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     code = main(["report", "--runs", str(tmp_path), "--threshold", "120"])
     assert code == 3

@@ -46,10 +46,9 @@ def test_validate_accepts_defaults():
         ("pg_discount", 0.0),
         ("pg_discount", 1.5),
         ("kl_weight", -0.1),
-        ("pg_optimizer", "rmsprop"),
-        ("gan_generator_mode", "wasserstein"),
-        ("policy_hidden", ()),
+        ("seed", -1),
         ("gan_batch_size", 1),
+        ("policy_hidden", ()),
         ("refine_samples", 1),
     ],
 )
@@ -59,8 +58,7 @@ def test_validate_rejects_bad_fields(field, value):
 
 
 def test_text_round_trip(tmp_path):
-    cfg = ExperimentConfig(mode="egan", seed=3, kl_weight=0.5, g_hidden=(16, 8),
-                           joint_update=True)
+    cfg = ExperimentConfig(mode="egan", seed=3, kl_weight=0.5, g_hidden=(16, 8))
     path = tmp_path / "meta_egan_3.txt"  # what `egan run` writes, and --config reads
     path.write_text(config_to_text(cfg))
     assert load_config(path) == cfg
@@ -93,11 +91,8 @@ def test_bad_value_rejected():
 
 
 def test_tuple_and_bool_parsing():
-    cfg = apply_overrides(
-        ExperimentConfig(), {"g_hidden": "8,4", "joint_update": "true"}
-    )
+    cfg = apply_overrides(ExperimentConfig(), {"g_hidden": "8,4"})
     assert cfg.g_hidden == (8, 4)
-    assert cfg.joint_update is True
 
 
 def test_missing_file_is_config_error(tmp_path):

@@ -282,14 +282,6 @@ class TestPipeline:
         with pytest.raises(UsageError):
             enhancer.pretrain_pipeline(cfg, np.random.default_rng(0))
 
-    def test_joint_update_flag_runs(self):
-        cfg = ExperimentConfig(mode="egan", pretrain_episodes=3, gan_train_steps=20,
-                               enhancer_train_steps=20, refine_iterations=1,
-                               refine_samples=100, joint_update=True)
-        pre = enhancer.pretrain_pipeline(cfg, np.random.default_rng(2))
-        assert pre.enhancer is not None
-        assert len(pre.gan_history) == 20
-
 
 def test_kl_history_csv(tmp_path):
     path = tmp_path / "kl.csv"

@@ -134,8 +134,7 @@ class TestDiscriminatorStep:
 
 
 class TestGeneratorStep:
-    @pytest.mark.parametrize("mode", ["paper_minimax", "non_saturating"])
-    def test_step_raises_mean_discriminator_score(self, mode):
+    def test_step_raises_mean_discriminator_score(self):
         pair = tiny_gan(seed=11, learning_rate=5e-3)
         rng_probe = np.random.default_rng(20)
         z = gan.sample_noise(rng_probe, 256, 3)
@@ -146,7 +145,7 @@ class TestGeneratorStep:
             return float(d.mean())
 
         before = mean_score()
-        gan.generator_step(pair, np.random.default_rng(21), mode=mode)
+        gan.generator_step(pair, np.random.default_rng(21))
         assert mean_score() > before
 
     def test_step_never_touches_discriminator(self):
@@ -163,12 +162,7 @@ class TestGeneratorStep:
         gan.generator_step(pair, np.random.default_rng(3))
         assert np.array_equal(pair.g.params, before)
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(UsageError):
-            gan.generator_step(tiny_gan(), np.random.default_rng(0), mode="wgan")
-
-    @pytest.mark.parametrize("mode", ["paper_minimax", "non_saturating"])
-    def test_gradients_through_d_match_finite_differences(self, mode):
+    def test_gradients_through_d_match_finite_differences(self):
         pair = tiny_gan(seed=17)
         z = gan.sample_noise(np.random.default_rng(18), 5, 3)
         n = 5
@@ -177,8 +171,6 @@ class TestGeneratorStep:
             pair.g.params[...] = vec
             out, _ = nn.forward(pair.g, z)
             d, _ = nn.forward(pair.d, out)
-            if mode == "paper_minimax":
-                return float(np.mean(np.log(1 - d)))
             return -float(np.mean(np.log(d)))
 
         v0 = pair.g.params.copy()
@@ -194,11 +186,7 @@ class TestGeneratorStep:
 
         g_out, cache_g = nn.forward(pair.g, z)
         d_out, cache_d = nn.forward(pair.d, g_out)
-        if mode == "paper_minimax":
-            grad_d = -1.0 / (n * (1 - d_out))
-        else:
-            grad_d = -1.0 / (n * d_out)
-        _, grad_g_out = nn.backward(pair.d, cache_d, grad_d)
+        _, grad_g_out = nn.backward(pair.d, cache_d, -1.0 / (n * d_out))
         analytic = nn.backward(pair.g, cache_g, grad_g_out)[0]
         assert max_rel_err(analytic, numeric) < 1e-4
 

@@ -1,6 +1,6 @@
 """Golden artifacts: `egan run` writes the same bytes as the recorded runs.
 
-Every artifact of three tiny runs is checked by sha256, except
+Every artifact of one tiny run per mode is checked by sha256, except
 `meta_<mode>_<seed>.txt`, whose `out_dir` line names the output directory.
 A refactor must leave every digest unchanged.  A change that deliberately
 alters RNG consumption or floating-point evaluation order updates the digests
@@ -24,9 +24,8 @@ TINY_SETS = [
 
 RUNS = {
     "egan": ["--mode", "egan", "--seed", "2"],
-    "egan_joint": ["--mode", "egan", "--seed", "3", "--set", "joint_update=true"],
-    "gan_minimax": ["--mode", "gan", "--seed", "4",
-                    "--set", "gan_generator_mode=paper_minimax"],
+    "gan": ["--mode", "gan", "--seed", "4"],
+    "none": ["--mode", "none", "--seed", "5"],
 }
 
 GOLDEN = {
@@ -39,21 +38,16 @@ GOLDEN = {
         "kl_history_egan_2.csv": "4f9d1d632c31b4e1150019295e3478938ad5f9daf4c551900b9e634002205c1d",
         "policy_egan_2.txt": "014f4178fed13860438973aa6b74bb3c5df5ee90ac157558808dc5cdd2368827",
     },
-    "egan_joint": {
-        "curve_egan_3.csv": "6fc10536413490f80c677f58e06902f158c3e1db25b62b4868a25f7597e44f34",
-        "discriminator_egan_3.txt": "c9ce96d9587b3b6946d9079a8bcad24defedc9c1340c982e4c71acacd0203d1b",
-        "enhancer_egan_3.txt": "eb944abfe30ce3fc875d185e8af360557c4d1857a2955168c9670b841d11369c",
-        "gan_losses_egan_3.csv": "e779e396ca38e071e325e268648c81361e5d2e900a696b7c93cc5375731aa40f",
-        "generator_egan_3.txt": "86267b53efa6410ceab918e15b060006a5a2eab17340ab171276c9d1bfa7ee70",
-        "kl_history_egan_3.csv": "c3e96b1ce862b48ab634778b72ff4e9f2d7ce0f8a6f718b8b1ecabd5b7215ba4",
-        "policy_egan_3.txt": "ff3b42cdb1f2e8c04f450b4becfc184e1f6b210518c7dcabbc60ab56c0a965e7",
-    },
-    "gan_minimax": {
+    "gan": {
         "curve_gan_4.csv": "f71e8250db296fc61cf475313f07ba83596a00ee826163ef0684af343f734e0c",
-        "discriminator_gan_4.txt": "43427f5ee274e0dbbdf3f0fa2ddded6b06a2bde109660b13a08a0d8b73d4f6eb",
-        "gan_losses_gan_4.csv": "fda0d84efc98b9af5a5707e9b31591913dc3b1087357b47cb06d856c9f30881d",
-        "generator_gan_4.txt": "a9ee8542eeb71e91436b7d0b15debf0d82c657b87fcdf29687be2bc9bd125dbe",
-        "policy_gan_4.txt": "f4e52740a0b4bab234fdb77fc1a851e691212dc9070a02ae2e0b72b386fc0adf",
+        "discriminator_gan_4.txt": "7be4c0be12e699ce3b734918126ee8b3cdadc682a1a568cfe5d0d74814812d8b",
+        "gan_losses_gan_4.csv": "da3288df39443b61f66581e0b00a163808dd29050931ec615c8f3d7137eedd64",
+        "generator_gan_4.txt": "ed3b782383bb92f3c42bfd6b2d4796036a2a94b1f49a2a579a5a37a8ea720358",
+        "policy_gan_4.txt": "a82f4f34d747601ee6daa7a0fd3cae746785feaaed22f951409854d3da117b66",
+    },
+    "none": {
+        "curve_none_5.csv": "8a069f45bb3b04f8f8a9b0717fa69fd85d7364cced00225a92ae9db8643f9f2e",
+        "policy_none_5.txt": "b9fef46ee55365ce6bbacd3984148853105e2ccde0a2bb1fcd1c9c1e8f606ba9",
     },
 }
 

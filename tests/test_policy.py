@@ -28,7 +28,7 @@ def test_make_agent_defaults_match_config():
     agent = policy.make_agent(np.random.default_rng(0))
     assert agent.net.layer_sizes == [4, *config.policy_hidden, 2]
     assert agent.opt.learning_rate == config.pg_learning_rate
-    assert agent.opt.kind == config.pg_optimizer
+    assert agent.opt.kind == "adam"
     assert agent.gamma == config.pg_discount
     assert agent.update_frequency == config.pg_update_frequency
 
