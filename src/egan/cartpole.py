@@ -57,26 +57,34 @@ def step(
 
     Semi-explicit Euler with the old derivatives: positions advance on the
     current velocities, velocities advance on the accelerations.
+
+    This is the rollout's inner loop, so the body unpacks the state once,
+    reads each params field once, builds the successor with tuple.__new__
+    (no NamedTuple keyword handling) and tests both limits inline, as
+    is_terminal does.  Every float expression keeps the operand order of the
+    attribute-access form, so each result is bit-identical to it.
     """
     if action not in (0, 1):
         raise UsageError(f"action must be 0 or 1, got {action!r}")
-    if is_terminal(state, params):
+    x, x_dot, theta, theta_dot = state
+    x_limit, theta_limit = params.x_limit, params.theta_limit
+    if abs(x) > x_limit or abs(theta) > theta_limit:
         raise UsageError("cannot step a terminated episode")
+    mass_pole, half_length, tau = params.mass_pole, params.pole_half_length, params.tau
     force = params.force_mag if action == 1 else -params.force_mag
-    cos_t = math.cos(state.theta)
-    sin_t = math.sin(state.theta)
-    total_mass = params.mass_cart + params.mass_pole
-    polemass_length = params.mass_pole * params.pole_half_length
-    temp = (force + polemass_length * state.theta_dot**2 * sin_t) / total_mass
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    total_mass = params.mass_cart + mass_pole
+    polemass_length = mass_pole * half_length
+    temp = (force + polemass_length * theta_dot**2 * sin_t) / total_mass
     theta_acc = (params.gravity * sin_t - cos_t * temp) / (
-        params.pole_half_length
-        * (4.0 / 3.0 - params.mass_pole * cos_t**2 / total_mass)
+        half_length * (4.0 / 3.0 - mass_pole * cos_t**2 / total_mass)
     )
     x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
-    nxt = CartPoleState(
-        x=state.x + params.tau * state.x_dot,
-        x_dot=state.x_dot + params.tau * x_acc,
-        theta=state.theta + params.tau * state.theta_dot,
-        theta_dot=state.theta_dot + params.tau * theta_acc,
+    x_next = x + tau * x_dot
+    theta_next = theta + tau * theta_dot
+    nxt = tuple.__new__(
+        CartPoleState,
+        (x_next, x_dot + tau * x_acc, theta_next, theta_dot + tau * theta_acc),
     )
-    return nxt, 1.0, is_terminal(nxt, params)
+    return nxt, 1.0, abs(x_next) > x_limit or abs(theta_next) > theta_limit

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -109,6 +110,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     if args.window < 1:
         raise ConfigError(f"--window must be >= 1, got {args.window}")
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     rows = harness.write_report(args.runs, args.threshold, window=args.window)
     for mode, median, iqr in rows:
         print(f"{mode}: median_samples_to_threshold={median} iqr={iqr}")

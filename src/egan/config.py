@@ -9,6 +9,7 @@ k = 2 refinement iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -78,6 +79,12 @@ def validate(config: ExperimentConfig) -> None:
     for name, least in minimums.items():
         if getattr(config, name) < least:
             raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
+    # nan is false under every ordered comparison, so it slips past the
+    # bound checks below, and inf passes the lower bounds: check finiteness
+    # first, on every float field
+    for f in fields(ExperimentConfig):
+        if isinstance(f.default, float) and not math.isfinite(getattr(config, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(config, f.name)}")
     positive_floats = (
         "gan_learning_rate",
         "enhancer_learning_rate",

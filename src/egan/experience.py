@@ -16,6 +16,7 @@ the successor state.  Encoding and decoding are column operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -69,32 +70,48 @@ def run_episodes(probs_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     rngs[i] after its reset, so an episode does not depend on its group.  The
     dynamics stay scalar: at a few episodes, k scalar steps beat one (k, 4)
     numpy step.  An episode ends on a terminal state or at params.max_steps.
+
+    Each live episode is one record (path, draws, actions, rewards), and the
+    states are stacked by _stack, a flat np.fromiter over the state tuples:
+    the same float64 values np.array gives, without its per-row sequence
+    probing, so every column is bit-identical to np.array stacking.
+    cartpole.step is looked up once per call, not once per step, so a wrapper
+    installed on the module attribute before the call still sees every step.
     """
+    step = cartpole.step
     paths = [[cartpole.reset(rng, params)] for rng in rngs]
     draws = [rng.random(params.max_steps).tolist() for rng in rngs]
-    steps: list[list[tuple[int, float]]] = [[] for _ in rngs]  # (action, reward)
-    live = list(range(len(paths)))
+    episodes = [(path, draw, [], []) for path, draw in zip(paths, draws)]
+    live = episodes
     for t in range(params.max_steps):
         if not live:
             break
         if probs_fn is None:
             p0 = [0.5] * len(live)
         else:
-            p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
+            p0 = probs_fn(_stack([episode[0][-1] for episode in live])).tolist()
         still = []
-        for i, p in zip(live, p0):
-            action = int(draws[i][t] >= p)
-            state, reward, done = cartpole.step(paths[i][-1], action, params)
-            paths[i].append(state)
-            steps[i].append((action, reward))
+        for episode, p in zip(live, p0):
+            path, draw, actions, rewards = episode
+            action = 1 if draw[t] >= p else 0
+            state, reward, done = step(path[-1], action, params)
+            path.append(state)
+            actions.append(action)
+            rewards.append(reward)
             if not done:
-                still.append(i)
+                still.append(episode)
         live = still
-    return [_episode(path, *zip(*taken)) for path, taken in zip(paths, steps)]
+    return [_episode(path, actions, rewards) for path, _, actions, rewards in episodes]
+
+
+def _stack(states) -> np.ndarray:
+    """k CartPoleStates -> (k, 4) float64, as np.array(states) but flat."""
+    k = len(states)
+    return np.fromiter(chain.from_iterable(states), np.float64, 4 * k).reshape(k, 4)
 
 
 def _episode(visited, actions, rewards) -> Transitions:
-    path = np.array(visited)
+    path = _stack(visited)
     path.flags.writeable = False  # states and next_states are views of it
     dones = np.zeros(len(actions), dtype=bool)
     dones[-1] = True  # an episode stops only on a terminal state or at the cap

@@ -96,16 +96,21 @@ def p0_function(net: nn.MlpNetwork):
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
-    """Backward recursion G_t = r_t + gamma * G_{t+1}."""
+    """Backward recursion G_t = r_t + gamma * G_{t+1}.
+
+    The loop runs over Python floats from tolist(): each step is the same
+    IEEE double multiply and add as on numpy float64 scalars, so the returns
+    are bit-identical, without a numpy scalar boxed per read and per write.
+    """
     r = np.asarray(rewards, dtype=np.float64)
     if r.size == 0:
         raise UsageError("rewards must be nonempty")
-    out = np.empty_like(r)
+    returns = r.tolist()
     acc = 0.0
-    for i in range(r.size - 1, -1, -1):
-        acc = r[i] + gamma * acc
-        out[i] = acc
-    return out
+    for i in range(len(returns) - 1, -1, -1):
+        acc = returns[i] + gamma * acc
+        returns[i] = acc
+    return np.array(returns)
 
 
 def policy_gradient_step(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,53 @@ from egan.errors import UsageError
 # temp = 10/1.1, theta_acc = -(100/11)/(0.5*(4/3 - 0.1/1.1)) = -600/41,
 # x_acc = 100/11 + 0.05*(600/41)/1.1 = 400/41, then Euler with tau = 0.02
 ORIGIN_PUSH_RIGHT = (0.0, 8.0 / 41.0, 0.0, -12.0 / 41.0)
+
+
+def reference_step(state, action, params=cartpole.DEFAULT_PARAMS):
+    """The attribute-access step that the lean body replaced, kept verbatim
+    so cartpole.step can be held to bit-equality with it."""
+    if action not in (0, 1):
+        raise UsageError(f"action must be 0 or 1, got {action!r}")
+    if cartpole.is_terminal(state, params):
+        raise UsageError("cannot step a terminated episode")
+    force = params.force_mag if action == 1 else -params.force_mag
+    cos_t = math.cos(state.theta)
+    sin_t = math.sin(state.theta)
+    total_mass = params.mass_cart + params.mass_pole
+    polemass_length = params.mass_pole * params.pole_half_length
+    temp = (force + polemass_length * state.theta_dot**2 * sin_t) / total_mass
+    theta_acc = (params.gravity * sin_t - cos_t * temp) / (
+        params.pole_half_length
+        * (4.0 / 3.0 - params.mass_pole * cos_t**2 / total_mass)
+    )
+    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
+    nxt = CartPoleState(
+        x=state.x + params.tau * state.x_dot,
+        x_dot=state.x_dot + params.tau * x_acc,
+        theta=state.theta + params.tau * state.theta_dot,
+        theta_dot=state.theta_dot + params.tau * theta_acc,
+    )
+    return nxt, 1.0, cartpole.is_terminal(nxt, params)
+
+
+OTHER_PARAMS = EnvParams(gravity=9.81, mass_cart=1.3, mass_pole=0.25,
+                         pole_half_length=0.7, force_mag=7.5, tau=0.03,
+                         x_limit=3.1, theta_limit=0.3)
+
+
+def non_terminal_states(params, n, seed):
+    """n random states inside the limits, led by every signed-zero origin and
+    the four at rest exactly on a limit (not terminal, nor is their successor)."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([-params.x_limit, -4.0, -params.theta_limit, -4.0])
+    draws = rng.uniform(lo, -lo, size=(n, 4))
+    zeros = [CartPoleState(*(math.copysign(0.0, (i >> d & 1) - 0.5) for d in range(4)))
+             for i in range(16)]
+    edges = [CartPoleState(sign * params.x_limit, 0.0, 0.0, 0.0) for sign in (1, -1)]
+    edges += [CartPoleState(0.0, 0.0, sign * params.theta_limit, 0.0) for sign in (1, -1)]
+    states = zeros + edges + [CartPoleState(*row) for row in draws.tolist()]
+    assert not any(cartpole.is_terminal(s, params) for s in states)
+    return states
 
 
 class TestReset:
@@ -100,6 +149,40 @@ class TestStep:
         nxt, _, done = cartpole.step(state, 1)
         assert abs(nxt.theta) > cartpole.DEFAULT_PARAMS.theta_limit
         assert done is True
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize("params", [cartpole.DEFAULT_PARAMS, OTHER_PARAMS],
+                             ids=["default", "other"])
+    def test_bit_identical_on_random_states(self, params):
+        states = non_terminal_states(params, 100_000, seed=17)
+        for action in (0, 1):
+            got = [cartpole.step(s, action, params) for s in states]
+            want = [reference_step(s, action, params) for s in states]
+            assert all(type(nxt) is CartPoleState for nxt, _, _ in got)
+            # tobytes, not ==: -0.0 against 0.0 must count as a difference
+            assert (np.array([nxt for nxt, _, _ in got]).tobytes()
+                    == np.array([nxt for nxt, _, _ in want]).tobytes())
+            assert all(type(r) is float and r == 1.0 for _, r, _ in got)
+            assert all(type(done) is bool for _, _, done in got)
+            assert [done for _, _, done in got] == [done for _, _, done in want]
+            assert any(done for _, _, done in got)  # the limit tests were reached
+
+    @pytest.mark.parametrize(
+        "action", [0, 1, True, False, 1.0, np.int64(1), 2, -1, 0.5, "1"],
+        ids=repr,
+    )
+    def test_same_accept_reject_as_reference(self, action):
+        state = CartPoleState(0.1, -0.2, 0.03, 0.4)
+        outcomes = []
+        for fn in (cartpole.step, reference_step):
+            try:
+                nxt, reward, done = fn(state, action)
+            except UsageError:
+                outcomes.append(None)
+            else:
+                outcomes.append((np.array(nxt).tobytes(), reward, done))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTermination:

@@ -78,6 +78,24 @@ def test_report_bad_window_is_config_error(tmp_path, capsys):
     assert "--window must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["pg_learning_rate=nan", "kl_weight=inf"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, setting):
+    code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(tmp_path)]
+                + TINY_SETS + ["--set", setting])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_report_non_finite_threshold_is_config_error(tmp_path, capsys, threshold):
+    assert main(["run", "--mode", "none", "--seed", "0", "--out", str(tmp_path)]
+                + TINY_SETS) == 0
+    code = main(["report", "--runs", str(tmp_path), f"--threshold={threshold}"])
+    assert code == 2
+    assert "--threshold must be finite" in capsys.readouterr().err
+
+
 def test_unknown_key_exit_code(tmp_path):
     code = main(["run", "--mode", "none", "--out", str(tmp_path),
                  "--set", "flux_capacitor=1"])

@@ -57,6 +57,32 @@ def test_validate_rejects_bad_fields(field, value):
         validate(ExperimentConfig(**{field: value}))
 
 
+FLOAT_FIELDS = (
+    "gan_learning_rate",
+    "enhancer_learning_rate",
+    "refine_learning_rate",
+    "kl_weight",
+    "pretrain_learning_rate",
+    "pg_learning_rate",
+    "pg_discount",
+)
+
+
+def test_float_fields_are_every_float_field():
+    from dataclasses import fields
+
+    assert set(FLOAT_FIELDS) == {
+        f.name for f in fields(ExperimentConfig) if isinstance(f.default, float)
+    }
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_validate_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        validate(ExperimentConfig(**{field: value}))
+
+
 def test_text_round_trip(tmp_path):
     cfg = ExperimentConfig(mode="egan", seed=3, kl_weight=0.5, g_hidden=(16, 8))
     path = tmp_path / "meta_egan_3.txt"  # what `egan run` writes, and --config reads

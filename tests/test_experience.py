@@ -266,6 +266,69 @@ class TestRunEpisodes:
         assert experience.run_episodes(uniform, []) == []
 
 
+def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
+    """The lockstep loop run_episodes replaced, kept verbatim: np.array over
+    the CartPoleState NamedTuples, and per-episode (action, reward) pairs."""
+    paths = [[cartpole.reset(rng, params)] for rng in rngs]
+    draws = [rng.random(params.max_steps).tolist() for rng in rngs]
+    steps = [[] for _ in rngs]
+    live = list(range(len(paths)))
+    for t in range(params.max_steps):
+        if not live:
+            break
+        if probs_fn is None:
+            p0 = [0.5] * len(live)
+        else:
+            p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
+        still = []
+        for i, p in zip(live, p0):
+            action = int(draws[i][t] >= p)
+            state, reward, done = cartpole.step(paths[i][-1], action, params)
+            paths[i].append(state)
+            steps[i].append((action, reward))
+            if not done:
+                still.append(i)
+        live = still
+    episodes = []
+    for visited, taken in zip(paths, steps):
+        actions, rewards = zip(*taken)
+        path = np.array(visited)
+        dones = np.zeros(len(actions), dtype=bool)
+        dones[-1] = True
+        episodes.append(Transitions(path[:-1], np.array(actions, dtype=np.intp),
+                                    path[1:], np.array(rewards), dones))
+    return episodes
+
+
+class TestRunEpisodesMatchesReference:
+    @pytest.mark.parametrize("cap", [1, 25, 100, 200])
+    @pytest.mark.parametrize("k", [1, 5, 7])
+    @pytest.mark.parametrize("frozen", [True, False], ids=["p0", "uniform"])
+    def test_same_columns(self, frozen, k, cap):
+        params = replace(DEFAULT_PARAMS, max_steps=cap)
+        probs = policy.p0_function(policy.make_agent(np.random.default_rng(3)).net)
+        probs_fn = probs if frozen else None
+        got = experience.run_episodes(probs_fn, rngs_from(40 + k, k), params)
+        want = reference_run_episodes(probs_fn, rngs_from(40 + k, k), params)
+        assert len(got) == len(want) == k
+        for a, b in zip(got, want):
+            assert_same(a, b)
+            assert not a.states.flags.writeable
+            assert not a.next_states.flags.writeable
+
+    def test_one_step_call_per_transition(self, monkeypatch):
+        calls = []
+        step = cartpole.step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(cartpole, "step", counted)
+        episodes = experience.run_episodes(None, rngs_from(13, 7))
+        assert len(calls) == sum(len(e) for e in episodes) > 7
+
+
 class TestEncoding:
     def test_action_channel_mapping(self, small_buffer):
         stats = experience.compute_stats(small_buffer)

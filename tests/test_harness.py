@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,15 +225,31 @@ def fixed_reward_batches(rewards):
     return batches
 
 
+# sha256 of the curve CSV and the policy file of the online workload config;
+# a speed change to the rollout path must leave both unchanged
+ONLINE_DIGESTS = {
+    0: ("2953d01fae719c34d9edb8541e35c6bf4229be635d6ada25660dfe9cf3777e2b",
+        "6a6cb221a6a87fe4c3edf36c9103b126c1f79971be283d7393e04d007126f0ad"),
+    1: ("86f5065114ef64a6af6e79de76d469ea2714942d52cbe53ca537cc9377182e9e",
+        "7a2f554bb4a3eae6a0f129182702a1d119135f72c776da716a56e5fb0c70319d"),
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1])
-def test_online_benchmark_config_learns(seed):
-    """The benchmark's online workload config clears its learning bar."""
+def test_online_benchmark_config_learns(seed, tmp_path):
+    """The benchmark's online workload config clears its learning bar, and
+    writes the recorded curve and policy bytes."""
     cfg = ExperimentConfig(mode="none", seed=seed, training_episodes=2000,
                            pretrain_episodes=500, env_max_steps=100)
-    curve = harness.run_experiment(cfg)
+    curve, _, agent = harness.run_experiment(cfg, return_details=True)
     assert len(curve) == 2500
     assert harness.rolling_average(curve.rewards)[-1] >= 55.0
+    harness.save_curve_csv(curve, tmp_path / "curve.csv")
+    nn.save_network(agent.net, tmp_path / "policy.txt")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("curve.csv", "policy.txt"))
+    assert digests == ONLINE_DIGESTS[seed]
 
 
 class TestCurveCsv:

@@ -147,7 +147,38 @@ class TestSelectAction:
             assert np.array_equal(a.states, b.states)
 
 
+def reference_discounted_returns(rewards, gamma):
+    """The numpy-scalar recursion discounted_returns replaced, kept verbatim."""
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.size == 0:
+        raise UsageError("rewards must be nonempty")
+    out = np.empty_like(r)
+    acc = 0.0
+    for i in range(r.size - 1, -1, -1):
+        acc = r[i] + gamma * acc
+        out[i] = acc
+    return out
+
+
 class TestDiscountedReturns:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99, 1.0])
+    def test_matches_numpy_scalar_reference(self, gamma):
+        rng = np.random.default_rng(12)
+        for n in range(1, 301):
+            # mixed signs and magnitudes, and the all-ones rewards of CartPole
+            for rewards in (rng.normal(0.0, 10.0, size=n) * rng.integers(0, 2, size=n),
+                            np.ones(n)):
+                got = policy.discounted_returns(rewards, gamma)
+                want = reference_discounted_returns(rewards, gamma)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rewards", [np.array([]), ()], ids=["ndarray", "tuple"])
+    def test_empty_rejected_in_any_form(self, rewards):
+        with pytest.raises(UsageError):
+            policy.discounted_returns(rewards, 0.99)
+
     def test_hand_recursion(self):
         out = policy.discounted_returns([1.0, 1.0, 1.0], 0.99)
         assert np.allclose(out, [2.9701, 1.99, 1.0], atol=1e-12)
