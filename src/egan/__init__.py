@@ -5,7 +5,8 @@ A generator/discriminator pair learns the joint distribution of encoded
 and passed between layers as one struct-of-arrays, ``Transitions``;
 an optional transition-consistency network refines the generator with a
 moment-matching KL penalty (``moment_kl``); the resulting samples pre-train a
-REINFORCE agent before it touches the real environment.  ``egan run``,
+REINFORCE agent before it touches the real environment.  ``egan.harness``
+owns that schedule (``pretrain_pipeline``, ``run_experiment``).  ``egan run``,
 ``egan sweep`` and ``egan report`` (``egan.cli``) are the entry points.
 """
 
@@ -16,7 +17,6 @@ from .enhancer import (
     egan_refine,
     make_enhancer,
     moment_kl,
-    pretrain_pipeline,
     train_enhancer,
 )
 from .experience import (
@@ -29,7 +29,9 @@ from .experience import (
 from .gan import GanPair, generate, make_gan, sample_noise, train_gan
 from .harness import (
     LearningCurve,
+    PretrainResult,
     aggregate_runs,
+    pretrain_pipeline,
     rolling_average,
     run_experiment,
     samples_to_threshold,

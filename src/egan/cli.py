@@ -9,9 +9,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
-from . import enhancer, gan, harness, nn, policy
+from . import enhancer, gan, harness, nn
 from .config import ExperimentConfig, apply_overrides, config_to_text, load_config, validate
 from .errors import ConfigError
 
@@ -71,21 +70,25 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+
+
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
-    lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    lengths = _int_list("--lengths", args.lengths)
     if not lengths:
         raise ConfigError("--lengths must name at least one pre-training length")
-    seeds = (
-        [int(tok) for tok in args.seeds.split(",") if tok.strip()]
-        if args.seeds
-        else list(harness.DEFAULT_SEEDS)
-    )
-    os.makedirs(config.out_dir, exist_ok=True)
+    seeds = _int_list("--seeds", args.seeds) if args.seeds else list(harness.DEFAULT_SEEDS)
+    if len(seeds) < 2:
+        raise ConfigError(f"--seeds must name at least 2 seeds to aggregate, got {len(seeds)}")
     results = harness.sweep_pretrain_length(config, lengths, seeds=seeds)
     for res in results:
         subdir = os.path.join(config.out_dir, f"len_{res.pretrain_episodes}")
-        os.makedirs(subdir, exist_ok=True)
+        os.makedirs(subdir, exist_ok=True)  # and out_dir with it
         for curve in res.curves:
             harness.save_curve_csv(
                 curve, os.path.join(subdir, harness.curve_filename(curve.mode, curve.seed))

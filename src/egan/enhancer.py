@@ -1,27 +1,27 @@
 """Transition-consistency network and the KL-driven generator refinement.
 
+This module holds the enhancer model and the refinement only; egan.harness
+collects the data they train on and runs them in order.
 The enhancer is a regression MLP from the encoded (state, action) half of a
-sample to the encoded (next state, reward) half.  Once trained on real data
-it acts as a fixed oracle of the environment dynamics: generated pairs are
-scored by the KL divergence between the per-dimension Gaussian moments of the
-generated second half (P) and of the enhancer's prediction from the generated
-first half (Q).  `moment_kl` is that penalty with its gradient w.r.t. P, and
-`kl_penalty` applies it to a generator output batch.  Gradient descent on the
-penalty pulls the generator toward transition-consistent samples.
+sample to the encoded (next state, reward) half; an encoded row is split at
+the net's input width.  Once trained on real data it acts as a fixed oracle
+of the environment dynamics: generated pairs are scored by the KL divergence
+between the per-dimension Gaussian moments of the generated second half (P)
+and of the enhancer's prediction from the generated first half (Q).
+`moment_kl` is that penalty with its gradient w.r.t. P, and `kl_penalty`
+applies it to a generator output batch.  Gradient descent on the penalty
+pulls the generator toward transition-consistent samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import experience
 from . import gan as gan_mod
 from . import nn
-from .cartpole import DEFAULT_PARAMS
 from .errors import ShapeError, UsageError
-from .experience import HALF_DIM
 
 VARIANCE_FLOOR = 1e-6
 
@@ -36,8 +36,8 @@ def make_enhancer(
     rng: np.random.Generator,
     hidden=(60, 60),
     learning_rate: float = 1e-3,
-    input_dim: int = HALF_DIM,
-    output_dim: int = HALF_DIM,
+    input_dim: int = 5,  # encoded (s, a)
+    output_dim: int = 5,  # encoded (s', r)
 ) -> EnhancerModel:
     net = nn.init_network(
         [input_dim, *hidden, output_dim], ["tanh"] * (len(hidden) + 1), rng
@@ -53,8 +53,9 @@ def predict(model: EnhancerModel, x1: np.ndarray) -> np.ndarray:
 def enhancer_mse(model: EnhancerModel, encoded: np.ndarray) -> float:
     """Mean squared error of E(x1) against x2 over an encoded dataset."""
     data = np.atleast_2d(encoded)
-    pred = predict(model, data[:, :HALF_DIM])
-    return float(np.mean((pred - data[:, HALF_DIM:]) ** 2))
+    k = model.net.layer_sizes[0]
+    pred = predict(model, data[:, :k])
+    return float(np.mean((pred - data[:, k:]) ** 2))
 
 
 def train_enhancer(
@@ -69,10 +70,11 @@ def train_enhancer(
     if data.shape[0] == 0:
         raise UsageError("cannot train the enhancer on an empty dataset")
     batches = nn.Minibatcher(data, batch_size, rng)
+    k = model.net.layer_sizes[0]
     losses = []
     for _ in range(n_steps):
         batch = batches.next()
-        x1, x2 = batch[:, :HALF_DIM], batch[:, HALF_DIM:]
+        x1, x2 = batch[:, :k], batch[:, k:]
         pred, cache = nn.forward(model.net, x1)
         diff = pred - x2
         loss = float((diff**2).sum() / diff.size)
@@ -120,11 +122,13 @@ def kl_penalty(model: EnhancerModel):
     from the generated (s, a) half; the (s, a) half gets no gradient.
     """
 
+    k = model.net.layer_sizes[0]
+
     def _penalty(g_out: np.ndarray) -> tuple[float, np.ndarray]:
-        target = predict(model, g_out[:, :HALF_DIM])
-        kl, d_p = moment_kl(g_out[:, HALF_DIM:], target)
+        target = predict(model, g_out[:, :k])
+        kl, d_p = moment_kl(g_out[:, k:], target)
         grad = np.zeros_like(g_out)
-        grad[:, HALF_DIM:] = d_p
+        grad[:, k:] = d_p
         return kl, grad
 
     return _penalty
@@ -166,73 +170,3 @@ def save_kl_history(history, path) -> None:
         lines.append(f"{i},{kl!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-@dataclass
-class PretrainResult:
-    gan: gan_mod.GanPair
-    enhancer: EnhancerModel | None
-    stats: experience.NormalizationStats  # of the collected buffer
-    buffer: experience.Transitions  # the collected random-policy transitions
-    real_samples: int  # environment transitions consumed, charged to the curve
-    gan_history: list = field(default_factory=list)
-    enhancer_history: list = field(default_factory=list)
-    kl_history: list = field(default_factory=list)
-    # synthetic batches that moved the policy; set once the synthetic phase ran
-    useful_synthetic_batches: int = 0
-
-
-def pretrain_pipeline(config, rng: np.random.Generator, params=None) -> PretrainResult:
-    """Collect random experience, train the GAN (and, for egan, the enhancer
-    plus the refinement loop); returns a generator ready for sampling and the
-    real-sample count the curve must be offset by."""
-    if config.mode not in ("gan", "egan"):
-        raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
-    params = params or DEFAULT_PARAMS
-    buffer = experience.collect_random(params, config.pretrain_episodes, rng)
-    stats = experience.compute_stats(buffer)
-    encoded = experience.encode_batch(buffer, stats)
-
-    pair = gan_mod.make_gan(
-        rng,
-        noise_dim=config.noise_dim,
-        g_hidden=config.g_hidden,
-        d_hidden=config.d_hidden,
-        learning_rate=config.gan_learning_rate,
-        batch_size=config.gan_batch_size,
-    )
-    model = None
-    enhancer_history: list[float] = []
-    kl_history: list[float] = []
-    if config.mode == "egan":
-        # built before train_gan, so its init draws come first from rng
-        model = make_enhancer(
-            rng,
-            hidden=config.enhancer_hidden,
-            learning_rate=config.enhancer_learning_rate,
-        )
-    gan_history = gan_mod.train_gan(pair, encoded, config.gan_train_steps, rng)
-    if model is not None:
-        enhancer_history = train_enhancer(
-            model, encoded, config.enhancer_train_steps, rng,
-            batch_size=config.gan_batch_size,
-        )
-        kl_history = egan_refine(
-            pair,
-            model,
-            config.refine_iterations,
-            config.kl_weight,
-            rng,
-            n_samples=config.refine_samples,
-            learning_rate=config.refine_learning_rate,
-        )
-    return PretrainResult(
-        gan=pair,
-        enhancer=model,
-        stats=stats,
-        buffer=buffer,
-        real_samples=len(buffer),
-        gan_history=gan_history,
-        enhancer_history=enhancer_history,
-        kl_history=kl_history,
-    )

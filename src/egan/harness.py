@@ -1,5 +1,8 @@
 """Experiment orchestration, sample accounting, and curve metrics.
 
+This module owns every phase of a run and their order; pretrain_pipeline
+draws all pre-training rng values from one generator, in a fixed order.
+
 The x-axis of every comparison is cumulative REAL environment samples:
 synthetic replay costs zero, pre-training experience is charged as a fixed
 offset before the first training episode.
@@ -45,12 +48,26 @@ class Aggregate:
     std: np.ndarray
 
 
+@dataclass
+class PretrainResult:
+    gan: gan.GanPair
+    enhancer: enhancer.EnhancerModel | None  # None in mode gan
+    stats: experience.NormalizationStats  # of the collected buffer
+    buffer: experience.Transitions  # the collected random-policy transitions
+    real_samples: int  # environment transitions consumed, charged to the curve
+    gan_history: list
+    enhancer_history: list
+    kl_history: list
+    useful_synthetic_batches: int  # synthetic batches that moved the policy
+
+
 def _env_params(config: ExperimentConfig) -> cartpole.EnvParams:
     return replace(cartpole.DEFAULT_PARAMS, max_steps=config.env_max_steps)
 
 
-def _synthetic_batches(pre: enhancer.PretrainResult, config: ExperimentConfig,
-                       rng: np.random.Generator, params: cartpole.EnvParams):
+def _synthetic_batches(pair: gan.GanPair, stats: experience.NormalizationStats,
+                       config: ExperimentConfig, rng: np.random.Generator,
+                       params: cartpole.EnvParams):
     """config.synthetic_batches generated batches of config.gan_batch_size rows.
 
     The generator runs once per SYNTHETIC_CHUNK_BATCHES batches; the noise
@@ -60,22 +77,85 @@ def _synthetic_batches(pre: enhancer.PretrainResult, config: ExperimentConfig,
     size = config.gan_batch_size
     for first in range(0, config.synthetic_batches, SYNTHETIC_CHUNK_BATCHES):
         n = min(SYNTHETIC_CHUNK_BATCHES, config.synthetic_batches - first)
-        chunk = gan.generate(pre.gan, n * size, rng, pre.stats, params)
+        chunk = gan.generate(pair, n * size, rng, stats, params)
         for i in range(n):
             yield chunk.slice(i * size, (i + 1) * size)
+
+
+def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
+                      rng: np.random.Generator,
+                      params: cartpole.EnvParams) -> PretrainResult:
+    """Collect random experience, train the GAN (and, for egan, the enhancer
+    plus the refinement loop), then pre-train the agent on generated batches;
+    returns the models and the real-sample count the curve is offset by."""
+    if config.mode not in ("gan", "egan"):
+        raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
+    buffer = experience.collect_random(params, config.pretrain_episodes, rng)
+    stats = experience.compute_stats(buffer)
+    encoded = experience.encode_batch(buffer, stats)
+
+    pair = gan.make_gan(
+        rng,
+        noise_dim=config.noise_dim,
+        g_hidden=config.g_hidden,
+        d_hidden=config.d_hidden,
+        learning_rate=config.gan_learning_rate,
+        batch_size=config.gan_batch_size,
+    )
+    model = None
+    enhancer_history, kl_history = [], []
+    if config.mode == "egan":
+        # built before train_gan, so its init draws come first from rng
+        model = enhancer.make_enhancer(
+            rng,
+            hidden=config.enhancer_hidden,
+            learning_rate=config.enhancer_learning_rate,
+        )
+    gan_history = gan.train_gan(pair, encoded, config.gan_train_steps, rng)
+    if model is not None:
+        enhancer_history = enhancer.train_enhancer(
+            model, encoded, config.enhancer_train_steps, rng,
+            batch_size=config.gan_batch_size,
+        )
+        kl_history = enhancer.egan_refine(
+            pair,
+            model,
+            config.refine_iterations,
+            config.kl_weight,
+            rng,
+            n_samples=config.refine_samples,
+            learning_rate=config.refine_learning_rate,
+        )
+    del encoded  # freed before the synthetic phase, whose generator chunks set peak RSS
+    useful_synthetic_batches = policy.pretrain_on_synthetic(
+        agent,
+        _synthetic_batches(pair, stats, config, rng, params),
+        learning_rate=config.pretrain_learning_rate,
+    )
+    return PretrainResult(
+        gan=pair,
+        enhancer=model,
+        stats=stats,
+        buffer=buffer,
+        real_samples=len(buffer),
+        gan_history=gan_history,
+        enhancer_history=enhancer_history,
+        kl_history=kl_history,
+        useful_synthetic_batches=useful_synthetic_batches,
+    )
 
 
 def run_experiment(config: ExperimentConfig, return_details: bool = False):
     """One full run of the configured mode; returns its learning curve.
 
-    Mode none trains from scratch; gan/egan first run the pre-training
-    pipeline, update the policy on synthetic batches (zero real samples), and
-    start the curve offset by the pre-training buffer size.  Online episodes
-    run in lockstep groups of pg_update_frequency on the frozen policy, each
-    on its own child of the training SeedSequence; each group acts through
-    one policy.p0_function built at its start.  With return_details=True,
-    also returns the pre-training result (None for mode none) and the
-    trained agent.
+    Mode none trains from scratch; gan/egan first run pretrain_pipeline
+    (zero real samples on the synthetic batches) and start the curve offset
+    by the pre-training buffer size.  Online episodes run in lockstep groups
+    of pg_update_frequency on the frozen policy, each on its own child of the
+    training SeedSequence; each group acts through one policy.p0_function
+    built at its start, and each full group then takes one update (a
+    trailing partial group takes none).  With return_details=True, also
+    returns the pre-training result (None for mode none) and the trained agent.
     """
     validate(config)
     params = _env_params(config)
@@ -85,35 +165,27 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
         hidden=config.policy_hidden,
         learning_rate=config.pg_learning_rate,
         gamma=config.pg_discount,
-        update_frequency=config.pg_update_frequency,
     )
-    offset = 0
     pre = None
     if config.mode in ("gan", "egan"):
-        pretrain_rng = np.random.default_rng(pretrain_ss)
-        pre = enhancer.pretrain_pipeline(config, pretrain_rng, params)
-        offset = pre.real_samples
-        pre.useful_synthetic_batches = policy.pretrain_on_synthetic(
-            agent,
-            _synthetic_batches(pre, config, pretrain_rng, params),
-            learning_rate=config.pretrain_learning_rate,
-        )
+        pre = pretrain_pipeline(config, agent, np.random.default_rng(pretrain_ss), params)
+    offset = pre.real_samples if pre else 0
 
     n_episodes = config.total_episodes()
     rewards = np.empty(n_episodes)
     cumulative = np.empty(n_episodes, dtype=np.int64)
     total = offset
-    # the policy changes only when record_episode completes a group, so each
-    # group of update_frequency episodes runs in lockstep on one frozen policy
-    group = agent.update_frequency
+    group = config.pg_update_frequency
     for start in range(0, n_episodes, group):
         p0 = policy.p0_function(agent.net)
         rngs = [np.random.default_rng(s) for s in train_ss.spawn(min(group, n_episodes - start))]
-        for ep, episode in enumerate(experience.run_episodes(p0, rngs, params), start):
-            policy.record_episode(agent, episode)
+        episodes = experience.run_episodes(p0, rngs, params)
+        for ep, episode in enumerate(episodes, start):
             total += len(episode)
             rewards[ep] = episode.rewards.sum()
             cumulative[ep] = total
+        if len(episodes) == group:
+            policy.update_on_episodes(agent, episodes)
     curve = LearningCurve(config.mode, config.seed, rewards, cumulative, offset)
     if return_details:
         return curve, pre, agent
@@ -185,16 +257,20 @@ def sweep_pretrain_length(
     bin_width: int = 500,
 ) -> list[SweepResult]:
     """Re-run the base configuration at each pre-training length over a shared
-    seed set; aggregate per online episode number and per cumulative sample."""
-    lengths = list(lengths)
+    seed set; aggregate per online episode number and per cumulative sample.
+    Every run's config is validated before the first run starts."""
+    lengths, seeds = list(lengths), list(seeds)
     if not lengths:
         raise UsageError("lengths must be nonempty")
+    if len(seeds) < 2:
+        raise UsageError(f"a sweep aggregates over seeds and needs >= 2, got {len(seeds)}")
+    grid = [[replace(base_config, pretrain_episodes=length, seed=seed) for seed in seeds]
+            for length in lengths]
+    for config in (c for configs in grid for c in configs):
+        validate(config)
     results = []
-    for length in lengths:
-        curves = [
-            run_experiment(replace(base_config, pretrain_episodes=length, seed=seed))
-            for seed in seeds
-        ]
+    for length, configs in zip(lengths, grid):
+        curves = [run_experiment(config) for config in configs]
         rolled = np.array([rolling_average(c.rewards, window) for c in curves])
         results.append(
             SweepResult(

@@ -1,10 +1,11 @@
 """REINFORCE policy-gradient agent with synthetic-replay pre-training.
 
 Updates are plain likelihood-ratio steps: loss = -mean(log pi(a|s) * w).
-For on-policy updates w is the pooled z-scored discounted return; for
-synthetic pre-training w is the z-scored reward channel of one generated
-batch.  Z-scoring a constant batch yields w = 0, so degenerate batches leave
-the parameters untouched instead of erroring.
+For on-policy updates w is the pooled z-scored discounted return of the
+episodes the caller passes (the agent keeps no episode queue); for synthetic
+pre-training w is the z-scored reward channel of one generated batch.
+Z-scoring a constant batch yields w = 0, so degenerate batches leave the
+parameters untouched instead of erroring.
 
 Training goes through nn.forward/nn.backward and the softmax head.  Acting
 does not: for two actions softmax(z0, z1)[0] is the logistic sigmoid of the
@@ -15,13 +16,12 @@ live states for P(action 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .errors import UsageError
-from .experience import Transitions
 
 Z_EPS = 1e-8
 # exp(-gap) overflows float64 once -gap passes about 709.8; P(action 0) at
@@ -34,8 +34,6 @@ class PolicyAgent:
     net: nn.MlpNetwork
     opt: nn.OptimizerState
     gamma: float = 0.99
-    update_frequency: int = 5
-    pending: list[Transitions] = field(default_factory=list)
 
 
 def make_agent(
@@ -46,15 +44,13 @@ def make_agent(
     # after 2000 episodes is 14.3, against 183.9 for adam at the same rate
     optimizer: str = "adam",
     gamma: float = 0.99,
-    update_frequency: int = 5,
-    state_dim: int = 4,
-    n_actions: int = 2,
 ) -> PolicyAgent:
-    sizes = [state_dim, *hidden, n_actions]
+    """A CartPole policy: 4 state inputs, tanh hidden layers, 2-action softmax."""
+    sizes = [4, *hidden, 2]
     acts = ["tanh"] * len(hidden) + ["softmax"]
     net = nn.init_network(sizes, acts, rng)
     opt = nn.make_optimizer(net, optimizer, learning_rate)
-    return PolicyAgent(net=net, opt=opt, gamma=gamma, update_frequency=update_frequency)
+    return PolicyAgent(net=net, opt=opt, gamma=gamma)
 
 
 def p0_function(net: nn.MlpNetwork):
@@ -151,15 +147,6 @@ def update_on_episodes(agent: PolicyAgent, episodes) -> float:
     return policy_gradient_step(agent, states, actions, normalize_weights(returns))
 
 
-def record_episode(agent: PolicyAgent, episode: Transitions) -> float | None:
-    """Accumulate one episode; update (and clear) every update_frequency episodes."""
-    agent.pending.append(episode)
-    if len(agent.pending) < agent.update_frequency:
-        return None
-    episodes, agent.pending = agent.pending, []
-    return update_on_episodes(agent, episodes)
-
-
 def pretrain_on_synthetic(
     agent: PolicyAgent, batches, learning_rate: float | None = None
 ) -> int:
@@ -167,24 +154,20 @@ def pretrain_on_synthetic(
 
     Generated samples are i.i.d. transitions, not episodes, so each batch is
     weighted by its z-scored reward channel; consumes zero real samples.
-    The synthetic phase runs on its own optimizer state (same kind as the
-    agent's) so thousands of noisy batches can use a smaller step size than
-    on-policy training; agent.opt is untouched.  Every non-empty batch takes
+    The steps go through a local agent that shares agent.net and holds its
+    own optimizer state (same kind as agent.opt), so thousands of noisy
+    batches can use a smaller step size than on-policy training and agent.opt
+    is never touched, even when `batches` raises.  Every non-empty batch takes
     a step, but only a batch whose z-scored weights are not all zero can
     change the parameters; returns the number of those batches.
     """
     lr = agent.opt.learning_rate if learning_rate is None else learning_rate
-    pretrain_opt = nn.make_optimizer(agent.net, agent.opt.kind, lr)
-    main_opt = agent.opt
-    agent.opt = pretrain_opt
+    local = PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind, lr))
     n_useful = 0
-    try:
-        for batch in batches:
-            if not len(batch):
-                continue
-            weights = normalize_weights(batch.rewards)
-            policy_gradient_step(agent, batch.states, batch.actions, weights)
-            n_useful += bool(weights.any())
-    finally:
-        agent.opt = main_opt
+    for batch in batches:
+        if not len(batch):
+            continue
+        weights = normalize_weights(batch.rewards)
+        policy_gradient_step(local, batch.states, batch.actions, weights)
+        n_useful += bool(weights.any())
     return n_useful

@@ -4,7 +4,7 @@ import pytest
 from egan import harness
 from egan.cli import main
 
-from test_harness import fixed_reward_batches
+from test_harness import fixed_reward_batches, never_called
 
 TINY_SETS = [
     "--set", "training_episodes=60",
@@ -151,6 +151,22 @@ def test_sweep_writes_curves_and_aggregates(tmp_path):
         assert (out / f"sweep_samples_{length}.csv").exists()
         assert (out / f"len_{length}" / "curve_gan_0.csv").exists()
         assert (out / f"len_{length}" / "curve_gan_1.csv").exists()
+
+
+@pytest.mark.parametrize("lists", [
+    ["--lengths", "a", "--seeds", "0,1"],
+    ["--lengths", "2", "--seeds", "x"],
+    ["--lengths", "2", "--seeds", "0,1.5"],
+    ["--lengths", "2", "--seeds", "3"],
+    ["--lengths", "2", "--seeds", "0,-1"],
+])
+def test_sweep_bad_lists_exit_2_before_any_run(tmp_path, capsys, monkeypatch, lists):
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    code = main(["sweep", "--mode", "gan", "--out", str(tmp_path / "sweep")] + lists
+                + TINY_SETS)
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_same_seed_cli_runs_byte_identical(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egan import enhancer, experience, gan, nn
-from egan.config import ExperimentConfig
 from egan.errors import ShapeError, UsageError
 
 from test_nn import max_rel_err
@@ -250,37 +249,6 @@ class TestRefine:
         assert penalty >= -1e-12
         assert grad.shape == g_out.shape
         assert np.all(grad[:, :5] == 0.0)  # no gradient into the (s, a) half
-
-
-class TestPipeline:
-    def test_gan_mode_skips_enhancer(self):
-        cfg = ExperimentConfig(mode="gan", pretrain_episodes=3, gan_train_steps=20,
-                               enhancer_train_steps=20, refine_samples=100)
-        pre = enhancer.pretrain_pipeline(cfg, np.random.default_rng(0))
-        assert pre.enhancer is None
-        assert pre.kl_history == []
-        assert pre.enhancer_history == []
-        assert len(pre.gan_history) == 20
-
-    def test_egan_mode_trains_everything(self):
-        cfg = ExperimentConfig(mode="egan", pretrain_episodes=3, gan_train_steps=20,
-                               enhancer_train_steps=20, refine_iterations=2,
-                               refine_samples=100)
-        pre = enhancer.pretrain_pipeline(cfg, np.random.default_rng(0))
-        assert pre.enhancer is not None
-        assert len(pre.kl_history) == 2
-        assert len(pre.enhancer_history) == 20
-
-    def test_real_sample_accounting(self):
-        cfg = ExperimentConfig(mode="gan", pretrain_episodes=4, gan_train_steps=10)
-        pre = enhancer.pretrain_pipeline(cfg, np.random.default_rng(1))
-        assert pre.real_samples == len(pre.buffer) > 0
-        assert pre.buffer.dones.sum() == cfg.pretrain_episodes
-
-    def test_mode_none_rejected(self):
-        cfg = ExperimentConfig(mode="none")
-        with pytest.raises(UsageError):
-            enhancer.pretrain_pipeline(cfg, np.random.default_rng(0))
 
 
 def test_kl_history_csv(tmp_path):

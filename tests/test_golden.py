@@ -4,10 +4,17 @@ Every artifact of one tiny run per mode is checked by sha256, except
 `meta_<mode>_<seed>.txt`, whose `out_dir` line names the output directory.
 A refactor must leave every digest unchanged.  A change that deliberately
 alters RNG consumption or floating-point evaluation order updates the digests
-below, and its CHANGES.md entry names the reason.
+below, and its CHANGES.md entry names the reason.  Running this file as a
+script prints the current code's digests in the GOLDEN layout:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -52,12 +59,29 @@ GOLDEN = {
 }
 
 
+def artifact_digests(out_dir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in Path(out_dir).iterdir()
+        if not path.name.startswith("meta_")
+    }
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_artifacts_match_golden_digests(tmp_path, name):
     assert main(["run", "--out", str(tmp_path)] + RUNS[name] + TINY_SETS) == 0
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.iterdir()
-        if not path.name.startswith("meta_")
-    }
-    assert digests == GOLDEN[name]
+    assert artifact_digests(tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):  # the run's summary line
+                assert main(["run", "--out", out] + RUNS[name] + TINY_SETS) == 0
+            digests = artifact_digests(out)
+        print(f'    "{name}": {{')
+        for artifact, digest in sorted(digests.items()):
+            print(f'        "{artifact}": "{digest}",')
+        print("    },")
+    print("}")

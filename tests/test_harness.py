@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import enhancer, experience, gan, harness, nn, policy
+from egan import experience, gan, harness, nn, policy
 from egan.cartpole import EnvParams
 from egan.config import ExperimentConfig
-from egan.errors import CsvParseError, UsageError
+from egan.errors import ConfigError, CsvParseError, UsageError
 from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
 
@@ -161,26 +161,30 @@ class TestRunExperiment:
         cfg = ExperimentConfig(mode="none", seed=6, **{**TINY, "training_episodes": 4})
         curve, _, agent = harness.run_experiment(cfg, return_details=True)
         assert cfg.total_episodes() == 7 and len(curve) == 7
-        assert agent.opt.t == 1
-        assert len(agent.pending) == 2
+        assert agent.opt.t == 1  # the trailing group of 2 takes no step
 
     def test_lockstep_run_equals_serial_replay(self):
         # each episode runs on its own child of the training SeedSequence and
         # the policy changes only between groups, so playing the episodes one
-        # at a time, recording each before the next, gives the same curve
+        # at a time, updating once per pg_update_frequency recorded episodes,
+        # gives the same curve and the same policy
         cfg = ExperimentConfig(mode="none", seed=9, **TINY)
-        curve = harness.run_experiment(cfg)
+        curve, _, trained = harness.run_experiment(cfg, return_details=True)
         _, agent_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         agent = policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden)
-        lengths = []
+        lengths, pending = [], []
         for ss in train_ss.spawn(cfg.total_episodes()):
             episode, = experience.run_episodes(
                 lambda s: nn.forward(agent.net, s)[0][:, 0], [np.random.default_rng(ss)],
                 EnvParams(max_steps=cfg.env_max_steps))
-            policy.record_episode(agent, episode)
             lengths.append(len(episode))
+            pending.append(episode)
+            if len(pending) == cfg.pg_update_frequency:
+                policy.update_on_episodes(agent, pending)
+                pending = []
         assert agent.opt.t == cfg.total_episodes() // cfg.pg_update_frequency > 1
         assert curve.rewards.tolist() == lengths
+        assert np.array_equal(trained.net.params, agent.net.params)
 
     @pytest.mark.parametrize("rewards,useful", [([1.0] * 8, 0), ([1.0, 0.0] * 4, 10)])
     def test_synthetic_phase_counts_useful_batches(self, monkeypatch, rewards, useful):
@@ -191,17 +195,53 @@ class TestRunExperiment:
         assert pre.useful_synthetic_batches == useful
 
 
+class TestPipeline:
+    @staticmethod
+    def pretrain(cfg, seed):
+        agent = policy.make_agent(np.random.default_rng(100 + seed))
+        return harness.pretrain_pipeline(cfg, agent, np.random.default_rng(seed),
+                                         EnvParams(max_steps=cfg.env_max_steps))
+
+    def test_gan_mode_skips_enhancer(self):
+        cfg = ExperimentConfig(mode="gan", pretrain_episodes=3, gan_train_steps=20,
+                               enhancer_train_steps=20, refine_samples=100,
+                               synthetic_batches=2)
+        pre = self.pretrain(cfg, 0)
+        assert pre.enhancer is None
+        assert pre.kl_history == []
+        assert pre.enhancer_history == []
+        assert len(pre.gan_history) == 20
+
+    def test_egan_mode_trains_everything(self):
+        cfg = ExperimentConfig(mode="egan", pretrain_episodes=3, gan_train_steps=20,
+                               enhancer_train_steps=20, refine_iterations=2,
+                               refine_samples=100, synthetic_batches=2)
+        pre = self.pretrain(cfg, 0)
+        assert pre.enhancer is not None
+        assert len(pre.kl_history) == 2
+        assert len(pre.enhancer_history) == 20
+
+    def test_real_sample_accounting(self):
+        cfg = ExperimentConfig(mode="gan", pretrain_episodes=4, gan_train_steps=10,
+                               synthetic_batches=2)
+        pre = self.pretrain(cfg, 1)
+        assert pre.real_samples == len(pre.buffer) > 0
+        assert pre.buffer.dones.sum() == cfg.pretrain_episodes
+
+    def test_mode_none_rejected(self):
+        with pytest.raises(UsageError):
+            self.pretrain(ExperimentConfig(mode="none"), 0)
+
+
 class TestSyntheticBatches:
     @pytest.mark.parametrize("n_batches", [0, 1, 16, 17, 64, 70, 129])
     def test_chunked_generation_equals_per_batch_loop(self, n_batches):
         cfg = ExperimentConfig(mode="gan", synthetic_batches=n_batches)
         pair = gan.make_gan(np.random.default_rng(2))
         stats = experience.NormalizationStats(np.full(4, -0.5), np.full(4, 0.5))
-        pre = enhancer.PretrainResult(gan=pair, enhancer=None, stats=stats,
-                                      buffer=None, real_samples=0)
         params = EnvParams()
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        got = list(harness._synthetic_batches(pre, cfg, rng, params))
+        got = list(harness._synthetic_batches(pair, stats, cfg, rng, params))
         # the reference: one generator call per batch
         ref = [gan.generate(pair, cfg.gan_batch_size, ref_rng, stats, params)
                for _ in range(n_batches)]
@@ -215,7 +255,7 @@ def fixed_reward_batches(rewards):
     """Stands in for the generator: every synthetic batch carries `rewards`."""
     rewards = np.asarray(rewards, dtype=np.float64)
 
-    def batches(pre, config, rng, params):
+    def batches(pair, stats, config, rng, params):
         for _ in range(config.synthetic_batches):
             states = rng.uniform(-0.05, 0.05, size=(rewards.size, 4))
             actions = rng.integers(0, 2, size=rewards.size).astype(np.intp)
@@ -336,3 +376,18 @@ class TestSweep:
     def test_empty_lengths_rejected(self):
         with pytest.raises(UsageError):
             harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [])
+
+    @pytest.mark.parametrize("seeds", [(), (0,)])
+    def test_fewer_than_two_seeds_rejected_before_any_run(self, monkeypatch, seeds):
+        monkeypatch.setattr(harness, "run_experiment", never_called)
+        with pytest.raises(UsageError, match=">= 2"):
+            harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [3], seeds=seeds)
+
+    def test_invalid_seed_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment", never_called)
+        with pytest.raises(ConfigError):
+            harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [3, 5], seeds=(0, -1))
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("a run started before the sweep's arguments were checked")

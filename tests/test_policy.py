@@ -30,7 +30,6 @@ def test_make_agent_defaults_match_config():
     assert agent.opt.learning_rate == config.pg_learning_rate
     assert agent.opt.kind == "adam"
     assert agent.gamma == config.pg_discount
-    assert agent.update_frequency == config.pg_update_frequency
 
 
 def p0_of(agent, states):
@@ -296,16 +295,6 @@ class TestUpdateOnEpisodes:
             agents.append(agent.net.params.copy())
         assert np.allclose(agents[0], agents[1], atol=1e-12)
 
-    def test_record_episode_updates_every_fifth(self):
-        agent = policy.make_agent(np.random.default_rng(8), update_frequency=5)
-        rng = np.random.default_rng(9)
-        for i in range(4):
-            assert policy.record_episode(agent, make_trace(rng, 3)) is None
-        assert len(agent.pending) == 4
-        loss = policy.record_episode(agent, make_trace(rng, 3))
-        assert loss is not None
-        assert agent.pending == []
-
 
 def synthetic_batch(rng, n, rewards):
     return Transitions(
@@ -347,6 +336,22 @@ class TestPretrain:
         batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
         policy.pretrain_on_synthetic(agent, [batch], learning_rate=1e-4)
         assert agent.opt.t == 0  # training-phase moments still fresh
+
+    def test_batch_source_failing_partway_leaves_agent_optimizer(self):
+        agent = policy.make_agent(np.random.default_rng(10))
+        opt = agent.opt
+        rng = np.random.default_rng(11)
+        batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
+        before = agent.net.params.copy()
+
+        def batches():
+            yield batch
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError, match="generator failed"):
+            policy.pretrain_on_synthetic(agent, batches(), learning_rate=1e-4)
+        assert agent.opt is opt and opt.t == 0
+        assert not np.array_equal(agent.net.params, before)  # the first batch stepped
 
 
 def test_normalize_weights_constant_is_zero():
