@@ -85,6 +85,9 @@ def _cmd_sweep(args) -> int:
     seeds = _int_list("--seeds", args.seeds) if args.seeds else list(harness.DEFAULT_SEEDS)
     if len(seeds) < 2:
         raise ConfigError(f"--seeds must name at least 2 seeds to aggregate, got {len(seeds)}")
+    for flag, values in (("--lengths", lengths), ("--seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{flag} repeats an entry: {values}")
     results = harness.sweep_pretrain_length(config, lengths, seeds=seeds)
     for res in results:
         subdir = os.path.join(config.out_dir, f"len_{res.pretrain_episodes}")

@@ -43,7 +43,9 @@ class Transitions:
 
     def slice(self, start: int, stop: int) -> "Transitions":
         """Rows start..stop-1, as views of these columns."""
-        return Transitions(*(getattr(self, f.name)[start:stop] for f in fields(Transitions)))
+        return Transitions(self.states[start:stop], self.actions[start:stop],
+                           self.next_states[start:stop], self.rewards[start:stop],
+                           self.dones[start:stop])
 
     @staticmethod
     def concatenate(parts) -> "Transitions":

@@ -264,6 +264,9 @@ def sweep_pretrain_length(
         raise UsageError("lengths must be nonempty")
     if len(seeds) < 2:
         raise UsageError(f"a sweep aggregates over seeds and needs >= 2, got {len(seeds)}")
+    for name, values in (("lengths", lengths), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise UsageError(f"{name} must not repeat an entry, got {values}")
     grid = [[replace(base_config, pretrain_episodes=length, seed=seed) for seed in seeds]
             for length in lengths]
     for config in (c for configs in grid for c in configs):

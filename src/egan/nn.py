@@ -21,7 +21,16 @@ layer-0 ``dz @ w`` is skipped (no trainer uses the gradient w.r.t. its data).
 
 :func:`forward` converts its input (:func:`input_batch`) only when it is not
 already a 2-D float64 array, and computes every activation in place in the
-layer's pre-activation buffer, so one array is allocated per layer.
+layer's pre-activation buffer, so one array is allocated per layer;
+:func:`backward` likewise converts ``output_gradient`` only when needed.
+
+Row and column reductions call the ufunc's ``reduce`` directly
+(``np.add.reduce``, ``np.maximum.reduce``).  ``ndarray.sum``/``.max`` make
+that same call through Python-level wrappers that cost microseconds per
+call, a large share of a reduction over a 64-row batch, and every training
+step makes several; the results are bit-identical.
+A pickled or deep-copied network rebuilds ``weights``/``biases`` as views of
+its own copy of ``params``.
 """
 
 from __future__ import annotations
@@ -61,6 +70,11 @@ class MlpNetwork:
             biases.append(self.params[end : end + fan_out])
             offset = end + fan_out
         self.weights, self.biases = tuple(weights), tuple(biases)
+
+    def __reduce__(self):
+        # copy and pickle would store weights/biases as arrays of their own,
+        # detached from params; rebuild the views from the copied params
+        return MlpNetwork, (self.layer_sizes, self.activations, self.params)
 
     @property
     def n_layers(self) -> int:
@@ -115,9 +129,9 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
         z += 1.0
         return np.divide(1.0, z, out=z)
     if kind == "softmax":
-        z -= z.max(axis=1, keepdims=True)
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
         np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
+        z /= np.add.reduce(z, axis=1, keepdims=True)
         return z
     if kind == "identity":
         return z
@@ -167,7 +181,9 @@ def backward(
     """
     if len(cache.post) != net.n_layers:
         raise UsageError("cache does not match this network")
-    g = np.atleast_2d(np.asarray(output_gradient, dtype=np.float64))
+    g = output_gradient
+    if not (type(g) is np.ndarray and g.dtype == np.float64 and g.ndim == 2):
+        g = np.atleast_2d(np.asarray(output_gradient, dtype=np.float64))
     if g.shape != cache.post[-1].shape:
         raise UsageError(
             f"output_gradient shape {g.shape} does not match forward output "
@@ -187,13 +203,13 @@ def backward(
         elif act == "sigmoid":
             dz = g * y * (1.0 - y)
         elif act == "softmax":
-            dz = y * (g - (g * y).sum(axis=1, keepdims=True))
+            dz = y * (g - np.add.reduce(g * y, axis=1, keepdims=True))
         else:  # identity
             dz = g
         if params:
             h_prev = cache.inputs if i == 0 else cache.post[i - 1]
             np.matmul(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
-            dz.sum(axis=0, out=grad[start + w.size : end])
+            np.add.reduce(dz, axis=0, out=grad[start + w.size : end])
         if i > 0 or inputs:
             g = dz @ w
         end = start

@@ -1,9 +1,11 @@
 """REINFORCE policy-gradient agent with synthetic-replay pre-training.
 
-Updates are plain likelihood-ratio steps: loss = -mean(log pi(a|s) * w).
-For on-policy updates w is the pooled z-scored discounted return of the
-episodes the caller passes (the agent keeps no episode queue); for synthetic
-pre-training w is the z-scored reward channel of one generated batch.
+Updates are plain likelihood-ratio steps: one optimizer step down the
+gradient of -mean(log pi(a|s) * w).  The loss value itself is never formed
+(nothing reads it), so the update functions return None.  For on-policy
+updates w is the pooled z-scored discounted return of the episodes the
+caller passes (the agent keeps no episode queue); for synthetic pre-training
+w is the z-scored reward channel of one generated batch.
 Z-scoring a constant batch yields w = 0, so degenerate batches leave the
 parameters untouched instead of erroring.
 
@@ -111,30 +113,36 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
 
 def policy_gradient_step(
     agent: PolicyAgent, states: np.ndarray, actions: np.ndarray, weights: np.ndarray
-) -> float:
-    """One optimizer step on loss = -mean(log pi(a_i|s_i) * w_i)."""
-    states = np.atleast_2d(states)
+) -> None:
+    """One optimizer step down the gradient of -mean(log pi(a_i|s_i) * w_i)."""
     actions = np.asarray(actions, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    n = states.shape[0]
     probs, cache = nn.forward(agent.net, states)
-    chosen = nn.clamp_probabilities(probs[np.arange(n), actions])
-    loss = -float((np.log(chosen) * weights).sum() / n)
+    n = probs.shape[0]
+    rows = np.arange(n)
+    chosen = nn.clamp_probabilities(probs[rows, actions])
     # clamp is pass-through for gradients: d log(clip(p))/dp := 1/clip(p)
-    grad_out = np.zeros_like(probs)
-    grad_out[np.arange(n), actions] = -weights / (n * chosen)
+    grad_out = np.zeros(probs.shape)
+    grad_out[rows, actions] = -weights / (n * chosen)
     grads, _ = nn.backward(agent.net, cache, grad_out, inputs=False)
     nn.optimizer_step(agent.net, grads, agent.opt)
-    return loss
 
 
 def normalize_weights(values: np.ndarray) -> np.ndarray:
-    """Z-score with a fixed epsilon; a constant batch maps to all zeros."""
+    """Z-score with a fixed epsilon; a constant batch maps to all zeros.
+
+    The same values as (v - v.mean()) / (v.std() + Z_EPS): the same ufunc
+    reductions ndarray.mean and .std make, without their Python wrappers,
+    and the deviation from the mean is formed once instead of twice.
+    """
     v = np.asarray(values, dtype=np.float64)
-    return (v - v.mean()) / (v.std() + Z_EPS)
+    n = v.size
+    d = v - np.add.reduce(v, axis=None) / n
+    std = np.sqrt(np.add.reduce(d * d, axis=None) / n)
+    return d / (std + Z_EPS)
 
 
-def update_on_episodes(agent: PolicyAgent, episodes) -> float:
+def update_on_episodes(agent: PolicyAgent, episodes) -> None:
     """Pool the episodes, z-score the discounted returns, take one step."""
     episodes = list(episodes)
     if not episodes:
@@ -144,7 +152,7 @@ def update_on_episodes(agent: PolicyAgent, episodes) -> float:
     returns = np.concatenate(
         [discounted_returns(e.rewards, agent.gamma) for e in episodes]
     )
-    return policy_gradient_step(agent, states, actions, normalize_weights(returns))
+    policy_gradient_step(agent, states, actions, normalize_weights(returns))
 
 
 def pretrain_on_synthetic(

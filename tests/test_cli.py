@@ -159,6 +159,9 @@ def test_sweep_writes_curves_and_aggregates(tmp_path):
     ["--lengths", "2", "--seeds", "0,1.5"],
     ["--lengths", "2", "--seeds", "3"],
     ["--lengths", "2", "--seeds", "0,-1"],
+    ["--lengths", "2,2", "--seeds", "0,1"],
+    ["--lengths", "2", "--seeds", "0,0"],
+    ["--lengths", "2,3", "--seeds", "0,1,0"],
 ])
 def test_sweep_bad_lists_exit_2_before_any_run(tmp_path, capsys, monkeypatch, lists):
     monkeypatch.setattr(harness, "run_experiment", never_called)

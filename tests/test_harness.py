@@ -383,6 +383,13 @@ class TestSweep:
         with pytest.raises(UsageError, match=">= 2"):
             harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [3], seeds=seeds)
 
+    @pytest.mark.parametrize("lengths,seeds", [([3, 3], (0, 1)), ([3], (0, 0)),
+                                               ([3, 5], (0, 1, 1))])
+    def test_repeated_entries_rejected_before_any_run(self, monkeypatch, lengths, seeds):
+        monkeypatch.setattr(harness, "run_experiment", never_called)
+        with pytest.raises(UsageError, match="repeat"):
+            harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), lengths, seeds=seeds)
+
     def test_invalid_seed_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(harness, "run_experiment", never_called)
         with pytest.raises(ConfigError):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +395,129 @@ class TestBackwardFlags:
         net, cache, g = setup
         with pytest.raises(TypeError):
             nn.backward(net, cache, g, False)
+
+
+def reference_softmax(z):
+    """nn._activate's softmax through the ndarray method reductions."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def reference_backward(net, cache, output_gradient, *, params=True, inputs=True):
+    """nn.backward with the ndarray method reductions and an unconditional
+    conversion of output_gradient."""
+    g = np.atleast_2d(np.asarray(output_gradient, dtype=np.float64))
+    grad = np.empty_like(net.params) if params else None
+    end = net.params.size
+    for i in range(net.n_layers - 1, -1, -1):
+        w = net.weights[i]
+        start = end - w.size - w.shape[0]
+        y = cache.post[i]
+        act = net.activations[i]
+        if act == "tanh":
+            dz = y * y
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
+        elif act == "sigmoid":
+            dz = g * y * (1.0 - y)
+        elif act == "softmax":
+            dz = y * (g - (g * y).sum(axis=1, keepdims=True))
+        else:
+            dz = g
+        if params:
+            h_prev = cache.inputs if i == 0 else cache.post[i - 1]
+            np.matmul(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
+            dz.sum(axis=0, out=grad[start + w.size : end])
+        if i > 0 or inputs:
+            g = dz @ w
+        end = start
+    return grad, (g if inputs else None)
+
+
+def same_bytes(a, b):
+    # tobytes, not ==: -0.0 against 0.0 must count as a difference
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+REFERENCE_ROWS = [1, 2, 32, 64, 1024]
+FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+class TestReductionsMatchReference:
+    """The ufunc-reduce softmax and backward give the bytes of the ndarray
+    method versions, on the pipeline's net shapes at its batch sizes."""
+
+    @pytest.mark.parametrize("name", sorted(NET_SHAPES))
+    @pytest.mark.parametrize("rows", REFERENCE_ROWS)
+    def test_softmax_activate(self, name, rows):
+        rng = np.random.default_rng(rows)
+        for width in NET_SHAPES[name][0][1:]:
+            z = rng.normal(scale=30.0, size=(rows, width))
+            assert same_bytes(nn._activate("softmax", z.copy()), reference_softmax(z.copy()))
+
+    @pytest.mark.parametrize("name", sorted(NET_SHAPES))
+    @pytest.mark.parametrize("rows", REFERENCE_ROWS)
+    def test_backward(self, name, rows):
+        sizes, acts = NET_SHAPES[name]
+        rng = np.random.default_rng(60 + rows)
+        # each net as the pipeline builds it, and with a softmax head
+        for head in dict.fromkeys([acts[-1], "softmax"]):
+            net = nn.init_network(sizes, acts[:-1] + [head], rng)
+            out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(rows, sizes[0])))
+            g = rng.normal(size=out.shape)
+            for params, inputs in FLAGS:
+                got = nn.backward(net, cache, g, params=params, inputs=inputs)
+                want = reference_backward(net, cache, g, params=params, inputs=inputs)
+                assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    @pytest.mark.parametrize("convert", [
+        lambda g: g.astype(np.float32), lambda g: g.tolist(), lambda g: g[0],
+    ], ids=["float32", "list", "1-d"])
+    def test_backward_converts_other_gradients(self, convert):
+        sizes, acts = NET_SHAPES["pi"]
+        rng = np.random.default_rng(70)
+        net = nn.init_network(sizes, acts, rng)
+        out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(1, sizes[0])))
+        g = convert(rng.normal(size=out.shape))
+        got, want = nn.backward(net, cache, g), reference_backward(net, cache, g)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+class TestCopyAndPickle:
+    """A copied network's weights/biases are views of its own params."""
+
+    @pytest.fixture(params=["deepcopy", "pickle"])
+    def pair(self, request):
+        net = nn.init_network([4, 6, 3], ["tanh", "softmax"], np.random.default_rng(80))
+        if request.param == "deepcopy":
+            return net, copy.deepcopy(net)
+        return net, pickle.loads(pickle.dumps(net))
+
+    def test_views_rebuilt_over_copied_params(self, pair):
+        net, c = pair
+        assert c.layer_sizes == net.layer_sizes and c.activations == net.activations
+        assert same_bytes(c.params, net.params)
+        assert not np.shares_memory(c.params, net.params)
+        for w, b in zip(c.weights, c.biases):
+            assert np.shares_memory(w, c.params) and np.shares_memory(b, c.params)
+
+    def test_forward_follows_optimizer_step(self, pair):
+        net, c = pair
+        original = net.params.copy()
+        x = np.random.default_rng(81).normal(size=(5, 4))
+        before, cache = nn.forward(c, x)
+        before = before.copy()
+        grads, _ = nn.backward(c, cache, np.ones_like(before))
+        nn.optimizer_step(c, grads, nn.make_optimizer(c, "sgd", 0.5))
+        after, _ = nn.forward(c, x)
+        assert not np.array_equal(after, before)
+        assert same_bytes(after, nn.forward(nn.MlpNetwork(c.layer_sizes, c.activations,
+                                                          c.params.copy()), x)[0])
+        assert same_bytes(net.params, original)  # the original is untouched
 
 
 class TestFlatParameters:

@@ -11,7 +11,7 @@ from egan.cartpole import DEFAULT_PARAMS, CartPoleState
 from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
-from test_nn import fd_param_gradient, max_rel_err
+from test_nn import fd_param_gradient, max_rel_err, same_bytes
 
 
 def zero_weight_agent(optimizer="sgd", lr=1e-3):
@@ -352,6 +352,87 @@ class TestPretrain:
             policy.pretrain_on_synthetic(agent, batches(), learning_rate=1e-4)
         assert agent.opt is opt and opt.t == 0
         assert not np.array_equal(agent.net.params, before)  # the first batch stepped
+
+
+def reference_normalize_weights(values):
+    """normalize_weights through ndarray.mean and ndarray.std."""
+    v = np.asarray(values, dtype=np.float64)
+    return (v - v.mean()) / (v.std() + policy.Z_EPS)
+
+
+def reference_policy_gradient_step(agent, states, actions, weights):
+    """policy_gradient_step with its own 2-D conversion and the loss it
+    used to compute and return."""
+    states = np.atleast_2d(states)
+    actions = np.asarray(actions, dtype=np.intp)
+    weights = np.asarray(weights, dtype=np.float64)
+    n = states.shape[0]
+    probs, cache = nn.forward(agent.net, states)
+    chosen = nn.clamp_probabilities(probs[np.arange(n), actions])
+    loss = -float((np.log(chosen) * weights).sum() / n)
+    grad_out = np.zeros_like(probs)
+    grad_out[np.arange(n), actions] = -weights / (n * chosen)
+    grads, _ = nn.backward(agent.net, cache, grad_out, inputs=False)
+    nn.optimizer_step(agent.net, grads, agent.opt)
+    return loss
+
+
+class TestMatchesReference:
+    """The one-pass z-score and the loss-free step give the parent's bytes."""
+
+    @pytest.mark.parametrize("n", range(1, 301))
+    def test_normalize_weights_random(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.normal(size=n), rng.normal(1e8, 3.0, size=n),
+                       rng.integers(0, 2, size=n).astype(np.float64)):
+            assert same_bytes(policy.normalize_weights(values),
+                              reference_normalize_weights(values))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 4.2, 0.1, -0.3, 1e8 + 0.1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 300])
+    def test_normalize_weights_all_equal(self, value, n):
+        values = np.full(n, value)
+        assert same_bytes(policy.normalize_weights(values),
+                          reference_normalize_weights(values))
+
+    def test_normalize_weights_other_inputs(self):
+        for values in ([3, 1, 2], [0.1] * 5, np.arange(12).reshape(3, 4), 2.5):
+            assert same_bytes(policy.normalize_weights(values),
+                              reference_normalize_weights(values))
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("rows", [1, 2, 64, 300])
+    @pytest.mark.parametrize("scale", [1.0, 500.0], ids=["plain", "clamped"])
+    def test_policy_gradient_step(self, optimizer, rows, scale):
+        agents = []
+        for _ in range(2):
+            agent = policy.make_agent(np.random.default_rng(90), optimizer=optimizer,
+                                      learning_rate=1e-2)
+            agent.net.params *= scale  # saturates the softmax at 500
+            agents.append(agent)
+        rng = np.random.default_rng(91 + rows)
+        for _ in range(3):
+            states = rng.uniform(-STATE_BOX, STATE_BOX, size=(rows, 4))
+            actions = rng.integers(0, 2, size=rows)
+            weights = policy.normalize_weights(rng.normal(size=rows))
+            if scale > 1.0:  # the first row takes its least likely action
+                probs = nn.forward(agents[0].net, states)[0]
+                actions[0] = np.argmin(probs[0])
+                assert probs[0, actions[0]] < nn.PROB_EPS
+            assert policy.policy_gradient_step(agents[0], states, actions, weights) is None
+            reference_policy_gradient_step(agents[1], states, actions, weights)
+            got, want = agents[0], agents[1]
+            assert same_bytes(got.net.params, want.net.params)
+            assert got.opt.t == want.opt.t
+            assert same_bytes(got.opt.m, want.opt.m) and same_bytes(got.opt.v, want.opt.v)
+
+    def test_policy_gradient_step_single_state(self):
+        agents = [policy.make_agent(np.random.default_rng(92)) for _ in range(2)]
+        state = CartPoleState(0.1, 0.0, -0.02, 0.0)
+        for agent, step in zip(agents, (policy.policy_gradient_step,
+                                        reference_policy_gradient_step)):
+            step(agent, state, [1], [2.0])
+        assert same_bytes(agents[0].net.params, agents[1].net.params)
 
 
 def test_normalize_weights_constant_is_zero():
