@@ -90,12 +90,6 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"{flag} repeats an entry: {values}")
     results = harness.sweep_pretrain_length(config, lengths, seeds=seeds)
     for res in results:
-        subdir = os.path.join(config.out_dir, f"len_{res.pretrain_episodes}")
-        os.makedirs(subdir, exist_ok=True)  # and out_dir with it
-        for curve in res.curves:
-            harness.save_curve_csv(
-                curve, os.path.join(subdir, harness.curve_filename(curve.mode, curve.seed))
-            )
         ep_path = os.path.join(config.out_dir, f"sweep_episodes_{res.pretrain_episodes}.csv")
         lines = ["episode,mean,std"]
         for i, (m, s) in enumerate(zip(res.episode_mean, res.episode_std)):

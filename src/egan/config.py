@@ -5,6 +5,9 @@ Defaults reproduce the reference hyperparameter table exactly: D/G nets
 at lr 1e-3 with discount 0.99 and update frequency 5, a 500-episode
 pre-training buffer, 5000 training episodes, 6000 synthetic batches, and
 k = 2 refinement iterations.
+
+No key selects a numeric precision: the generator, discriminator and
+enhancer always train in float32 and the policy in float64 (see egan.nn).
 """
 
 from __future__ import annotations

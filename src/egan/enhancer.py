@@ -11,6 +11,10 @@ and of the enhancer's prediction from the generated first half (Q).
 `moment_kl` is that penalty with its gradient w.r.t. P, and `kl_penalty`
 applies it to a generator output batch.  Gradient descent on the penalty
 pulls the generator toward transition-consistent samples.
+
+The enhancer net is float32, like the GAN (gan.DTYPE); train_enhancer casts
+its real rows once.  The moments and the KL are computed in float64 from the
+float32 batches, and the gradient is rounded to the generator's dtype.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ def make_enhancer(
     output_dim: int = 5,  # encoded (s', r)
 ) -> EnhancerModel:
     net = nn.init_network(
-        [input_dim, *hidden, output_dim], ["tanh"] * (len(hidden) + 1), rng
+        [input_dim, *hidden, output_dim], ["tanh"] * (len(hidden) + 1), rng, gan_mod.DTYPE
     )
     return EnhancerModel(net=net, opt=nn.make_optimizer(net, "adam", learning_rate))
 
@@ -66,7 +70,7 @@ def train_enhancer(
     batch_size: int = 64,
 ) -> list[float]:
     """Minimize MSE(E(x1), x2) over minibatches of encoded real samples."""
-    data = np.atleast_2d(np.asarray(encoded, dtype=np.float64))
+    data = np.atleast_2d(np.asarray(encoded, dtype=model.net.params.dtype))
     if data.shape[0] == 0:
         raise UsageError("cannot train the enhancer on an empty dataset")
     batches = nn.Minibatcher(data, batch_size, rng)

@@ -5,6 +5,14 @@ generator descends the non-saturating surrogate -log D(G(z)) of Goodfellow
 et al. 2014 (arXiv:1406.2661), whose gradient stays strong while D still
 rejects G's samples.  Probabilities are clamped before any log; gradients
 pass through the clamp, evaluated at the clamped value.
+
+Both nets are float32 (DTYPE), as is the enhancer (egan.enhancer): a GAN
+round is arithmetic on 64-128-row batches, several times cheaper per element
+in float32.  Every rng draw stays float64 and is rounded after it is drawn
+(the initial weights, the noise), so a run consumes the same rng values as a
+float64 model would; the trainers cast their real rows once, at the model
+boundary.  Generated rows leave as float32, and experience.decode_batch
+widens them to the float64 the policy and the environment use.
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ from . import nn
 from .cartpole import DEFAULT_PARAMS
 from .errors import UsageError
 from .experience import ENCODED_DIM, Transitions, decode_batch
+
+DTYPE = np.float32  # of the generator and discriminator, and of their noise
+
 
 @dataclass
 class GanPair:
@@ -38,10 +49,10 @@ def make_gan(
     batch_size: int = 64,
 ) -> GanPair:
     g = nn.init_network(
-        [noise_dim, *g_hidden, data_dim], ["tanh"] * (len(g_hidden) + 1), rng
+        [noise_dim, *g_hidden, data_dim], ["tanh"] * (len(g_hidden) + 1), rng, DTYPE
     )
     d = nn.init_network(
-        [data_dim, *d_hidden, 1], ["tanh"] * len(d_hidden) + ["sigmoid"], rng
+        [data_dim, *d_hidden, 1], ["tanh"] * len(d_hidden) + ["sigmoid"], rng, DTYPE
     )
     return GanPair(
         g=g,
@@ -54,15 +65,16 @@ def make_gan(
 
 
 def sample_noise(rng: np.random.Generator, batch: int, noise_dim: int) -> np.ndarray:
-    """i.i.d. U(-1, 1) noise, one row per sample."""
+    """i.i.d. U(-1, 1) noise, one row per sample, drawn in float64 and
+    rounded to DTYPE."""
     if batch < 1:
         raise UsageError(f"batch must be >= 1, got {batch}")
-    return rng.uniform(-1.0, 1.0, size=(batch, noise_dim))
+    return rng.uniform(-1.0, 1.0, size=(batch, noise_dim)).astype(DTYPE)
 
 
 def discriminator_step(gan: GanPair, real_batch: np.ndarray, rng: np.random.Generator) -> float:
     """One ascent step on V w.r.t. D (descent on -V); G stays frozen."""
-    real = np.atleast_2d(np.asarray(real_batch, dtype=np.float64))
+    real = np.atleast_2d(np.asarray(real_batch, dtype=gan.d.params.dtype))
     n = real.shape[0]
     if n < 2:
         raise UsageError(f"discriminator batch must have >= 2 rows, got {n}")
@@ -105,7 +117,7 @@ def train_gan(
 
     Returns the (D loss, G loss) of every round.
     """
-    data = np.atleast_2d(np.asarray(encoded_real, dtype=np.float64))
+    data = np.atleast_2d(np.asarray(encoded_real, dtype=gan.d.params.dtype))
     if data.shape[0] == 0:
         raise UsageError("cannot train a GAN on an empty dataset")
     batches = nn.Minibatcher(data, gan.batch_size, rng)
@@ -119,7 +131,7 @@ def train_gan(
 def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator) -> np.ndarray:
     """G(z) for n fresh noise rows; an empty (0, data_dim) array for n = 0."""
     if n == 0:
-        return np.empty((0, gan.g.layer_sizes[-1]))
+        return np.empty((0, gan.g.layer_sizes[-1]), dtype=gan.g.params.dtype)
     out, _ = nn.forward(gan.g, sample_noise(rng, n, gan.noise_dim))
     return out
 

@@ -258,7 +258,10 @@ def sweep_pretrain_length(
 ) -> list[SweepResult]:
     """Re-run the base configuration at each pre-training length over a shared
     seed set; aggregate per online episode number and per cumulative sample.
-    Every run's config is validated before the first run starts."""
+    Every run's config is validated before the first run starts.  Each
+    length's curves are written to <out_dir>/len_<length>/ as soon as its
+    runs finish, before they are aggregated, so a failed aggregation keeps
+    every trained curve."""
     lengths, seeds = list(lengths), list(seeds)
     if not lengths:
         raise UsageError("lengths must be nonempty")
@@ -274,6 +277,11 @@ def sweep_pretrain_length(
     results = []
     for length, configs in zip(lengths, grid):
         curves = [run_experiment(config) for config in configs]
+        curves_dir = os.path.join(base_config.out_dir, f"len_{length}")
+        os.makedirs(curves_dir, exist_ok=True)
+        for curve in curves:
+            path = os.path.join(curves_dir, curve_filename(curve.mode, curve.seed))
+            save_curve_csv(curve, path)
         rolled = np.array([rolling_average(c.rewards, window) for c in curves])
         results.append(
             SweepResult(

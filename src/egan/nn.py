@@ -2,7 +2,16 @@
 
 Everything downstream (policy, generator, discriminator, enhancer) is an
 ``MlpNetwork``: a stack of fully connected layers with a per-layer activation
-tag.  Data is batch-major (rows = samples) and all parameters are float64.
+tag.  Data is batch-major (rows = samples).
+
+The math is dtype-generic: a network computes in the dtype of its ``params``
+(float64 unless :func:`init_network` is given another), :func:`input_batch`
+and :func:`backward` convert what they are handed to that dtype, and
+:func:`make_optimizer` keeps its moments in it.  The policy is float64, like
+the environment it acts in.  The generator, discriminator and enhancer are
+float32 (egan.gan, egan.enhancer): their training is arithmetic on 64-row
+batches, which float32 makes several times cheaper per element (``np.tanh``
+most of all), and nothing they feed needs more than float32's 7 digits.
 
 A network's parameters live in one flat vector, ``params``, laid out layer by
 layer as w0, b0, w1, b1, ... with each weight matrix row-major (fan_out,
@@ -10,7 +19,9 @@ fan_in).  ``weights`` and ``biases`` are tuples of views into that vector, so
 writing into ``net.weights[i][...]`` changes ``params`` and vice versa.
 :func:`backward` returns the parameter gradient as a vector with the same
 layout, and :func:`optimizer_step` updates the whole vector at once; the
-checkpoint format writes the same vector one layer array per line.
+checkpoint format writes the same vector one layer array per line.  It
+records no dtype: every float32 value is written exactly, and
+:func:`load_network` reads it back as that value in float64.
 
 :func:`backward` computes only what its caller keeps.  Its keyword-only flags
 ``params`` and ``inputs`` (both on by default) select the parameter gradient
@@ -20,9 +31,11 @@ and the input gradient; a slot whose flag is off returns ``None``.  With
 layer-0 ``dz @ w`` is skipped (no trainer uses the gradient w.r.t. its data).
 
 :func:`forward` converts its input (:func:`input_batch`) only when it is not
-already a 2-D float64 array, and computes every activation in place in the
-layer's pre-activation buffer, so one array is allocated per layer;
+already a 2-D array of the net's dtype, and computes every activation in
+place in the layer's pre-activation buffer, so one array is allocated per layer;
 :func:`backward` likewise converts ``output_gradient`` only when needed.
+The sigmoid ignores the overflow of ``exp(-z)``, which float32 reaches at
+z < -88.7 (float64 at -709.8): the quotient is then the exact limit 0.
 
 Row and column reductions call the ufunc's ``reduce`` directly
 (``np.add.reduce``, ``np.maximum.reduce``).  ``ndarray.sum``/``.max`` make
@@ -51,7 +64,7 @@ PROB_EPS = 1e-7
 class MlpNetwork:
     layer_sizes: list[int]
     activations: list[str]  # one tag per non-input layer
-    params: np.ndarray  # flat float64 vector: w0, b0, w1, b1, ...
+    params: np.ndarray  # flat vector, the net's dtype: w0, b0, w1, b1, ...
     # views into params, built once; tuples so a view cannot be rebound
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (out, in)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (out,)
@@ -108,10 +121,14 @@ def _check_architecture(layer_sizes, activations) -> tuple[list[int], list[str]]
     return sizes, acts
 
 
-def init_network(layer_sizes, activations, rng: np.random.Generator) -> MlpNetwork:
-    """Xavier-uniform weights, zero biases; deterministic for a seeded rng."""
+def init_network(layer_sizes, activations, rng: np.random.Generator,
+                 dtype=np.float64) -> MlpNetwork:
+    """Xavier-uniform weights, zero biases; deterministic for a seeded rng.
+
+    The weights are drawn in float64 whatever the dtype, so a float32 net
+    consumes the same rng values as a float64 one and holds them rounded."""
     sizes, acts = _check_architecture(layer_sizes, activations)
-    net = MlpNetwork(sizes, acts, np.zeros(_parameter_count(sizes)))
+    net = MlpNetwork(sizes, acts, np.zeros(_parameter_count(sizes), dtype=dtype))
     for w in net.weights:
         fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -125,7 +142,8 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
         return np.tanh(z, out=z)
     if kind == "sigmoid":  # 1 / (1 + exp(-z))
         np.negative(z, out=z)
-        np.exp(z, out=z)
+        with np.errstate(over="ignore"):  # exp -> inf gives 1 / inf = 0
+            np.exp(z, out=z)
         z += 1.0
         return np.divide(1.0, z, out=z)
     if kind == "softmax":
@@ -139,11 +157,12 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
 
 
 def input_batch(net: MlpNetwork, inputs) -> np.ndarray:
-    """inputs as a 2-D float64 batch for net, converted only when needed;
+    """inputs as a 2-D batch in net's dtype, converted only when needed;
     raises ShapeError when its width is not the network's input width."""
     x = inputs
-    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 2):
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    dtype = net.params.dtype
+    if not (type(x) is np.ndarray and x.dtype == dtype and x.ndim == 2):
+        x = np.atleast_2d(np.asarray(inputs, dtype=dtype))
     if x.shape[1] != net.layer_sizes[0]:
         raise ShapeError(
             f"input has {x.shape[1]} columns, network expects {net.layer_sizes[0]}"
@@ -182,8 +201,9 @@ def backward(
     if len(cache.post) != net.n_layers:
         raise UsageError("cache does not match this network")
     g = output_gradient
-    if not (type(g) is np.ndarray and g.dtype == np.float64 and g.ndim == 2):
-        g = np.atleast_2d(np.asarray(output_gradient, dtype=np.float64))
+    dtype = net.params.dtype
+    if not (type(g) is np.ndarray and g.dtype == dtype and g.ndim == 2):
+        g = np.atleast_2d(np.asarray(output_gradient, dtype=dtype))
     if g.shape != cache.post[-1].shape:
         raise UsageError(
             f"output_gradient shape {g.shape} does not match forward output "

@@ -153,6 +153,20 @@ def test_sweep_writes_curves_and_aggregates(tmp_path):
         assert (out / f"len_{length}" / "curve_gan_1.csv").exists()
 
 
+def test_sweep_failed_aggregation_keeps_trained_curves(tmp_path, capsys):
+    # 20 short episodes after pre-training buffers of different sizes: the two
+    # curves share no 500-sample bin, which is found only after both runs
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--mode", "gan", "--lengths", "3", "--seeds", "0,1",
+                 "--out", str(out), "--set", "training_episodes=20",
+                 "--set", "gan_train_steps=20", "--set", "synthetic_batches=2"])
+    assert code == 3
+    assert "curves share no common cumulative-sample range" in capsys.readouterr().err
+    for seed in (0, 1):
+        curve = harness.load_curve_csv(out / "len_3" / f"curve_gan_{seed}.csv")
+        assert len(curve) == 20
+
+
 @pytest.mark.parametrize("lists", [
     ["--lengths", "a", "--seeds", "0,1"],
     ["--lengths", "2", "--seeds", "x"],

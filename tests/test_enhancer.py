@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from egan import enhancer, experience, gan, nn
 from egan.errors import ShapeError, UsageError
 
-from test_nn import max_rel_err
+from test_nn import float64_copy, max_rel_err
 
 
 def reference_moment_kl(p_batch, q_batch):
@@ -180,6 +180,7 @@ class TestTrainEnhancer:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         model = enhancer.make_enhancer(rng, hidden=(4,), input_dim=3, output_dim=2)
+        model.net = float64_copy(model.net)
         x1 = rng.normal(size=(6, 3))
         x2 = rng.normal(size=(6, 2))
 

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from egan import experience, gan, nn
+from egan import enhancer, experience, gan, nn
 from egan.errors import UsageError
 
-from test_nn import max_rel_err
+from test_nn import F32_TOL, float64_copy, max_rel_err
 
 
 def tiny_gan(seed=0, **kwargs):
@@ -12,6 +14,16 @@ def tiny_gan(seed=0, **kwargs):
                     learning_rate=1e-3, batch_size=8)
     defaults.update(kwargs)
     return gan.make_gan(np.random.default_rng(seed), **defaults)
+
+
+def float64_opt(opt):
+    return replace(opt, m=opt.m.astype(np.float64), v=opt.v.astype(np.float64))
+
+
+def float64_pair(pair):
+    """pair with both nets and their Adam moments widened to float64."""
+    return replace(pair, g=float64_copy(pair.g), d=float64_copy(pair.d),
+                   g_opt=float64_opt(pair.g_opt), d_opt=float64_opt(pair.d_opt))
 
 
 class TestNoise:
@@ -74,8 +86,8 @@ class TestDiscriminatorStep:
 
     def test_stacked_pass_matches_two_pass_reference(self, small_encoded):
         # the single pass over real || fake only reorders float sums
-        stacked = gan.make_gan(np.random.default_rng(60))
-        two_pass = gan.make_gan(np.random.default_rng(60))
+        stacked = float64_pair(gan.make_gan(np.random.default_rng(60)))
+        two_pass = float64_pair(gan.make_gan(np.random.default_rng(60)))
         rng_a, rng_b = np.random.default_rng(61), np.random.default_rng(61)
         batches = nn.Minibatcher(small_encoded, 64, np.random.default_rng(62))
         for _ in range(20):
@@ -101,7 +113,7 @@ class TestDiscriminatorStep:
         assert accuracy > 0.9
 
     def test_gradients_match_finite_differences(self):
-        pair = tiny_gan(seed=7)
+        pair = float64_pair(tiny_gan(seed=7))
         rng = np.random.default_rng(8)
         real = rng.normal(size=(6, 4))
         z = gan.sample_noise(rng, 6, 3)
@@ -163,7 +175,7 @@ class TestGeneratorStep:
         assert np.array_equal(pair.g.params, before)
 
     def test_gradients_through_d_match_finite_differences(self):
-        pair = tiny_gan(seed=17)
+        pair = float64_pair(tiny_gan(seed=17))
         z = gan.sample_noise(np.random.default_rng(18), 5, 3)
         n = 5
 
@@ -189,6 +201,69 @@ class TestGeneratorStep:
         _, grad_g_out = nn.backward(pair.d, cache_d, -1.0 / (n * d_out))
         analytic = nn.backward(pair.g, cache_g, grad_g_out)[0]
         assert max_rel_err(analytic, numeric) < 1e-4
+
+
+def assert_float32_close(got, want):
+    """got, computed in float32, within F32_TOL of want (float64) at want's scale."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want)
+    assert np.abs(got - want).max() <= F32_TOL * np.abs(want).max()
+
+
+class TestFloat32MatchesFloat64:
+    """One step of each float32 trainer agrees with the same step on float64
+    copies of its models, within float32 rounding, and draws the same rng
+    values.  The learning rate is 1e-3, so each step moves the parameters by
+    about 100x the tolerance and a wrong update shows."""
+
+    @pytest.fixture
+    def pairs(self):
+        pair = gan.make_gan(np.random.default_rng(100), learning_rate=1e-3)
+        assert pair.g.params.dtype == pair.d.params.dtype == np.float32
+        return pair, float64_pair(pair)
+
+    @staticmethod
+    def _assert_moved_alike(net32, net64, before):
+        assert net32.params.dtype == np.float32
+        assert np.abs(net64.params - before).max() > 100 * F32_TOL * np.abs(before).max()
+        assert_float32_close(net32.params, net64.params)
+
+    def test_discriminator_step(self, pairs, small_encoded):
+        (p32, p64), before = pairs, pairs[1].d.params.copy()
+        rng32, rng64 = np.random.default_rng(101), np.random.default_rng(101)
+        loss32 = gan.discriminator_step(p32, small_encoded[:64], rng32)
+        loss64 = gan.discriminator_step(p64, small_encoded[:64], rng64)
+        assert_float32_close(loss32, loss64)
+        self._assert_moved_alike(p32.d, p64.d, before)
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    def test_generator_step(self, pairs):
+        (p32, p64), before = pairs, pairs[1].g.params.copy()
+        rng32, rng64 = np.random.default_rng(102), np.random.default_rng(102)
+        assert_float32_close(gan.generator_step(p32, rng32), gan.generator_step(p64, rng64))
+        self._assert_moved_alike(p32.g, p64.g, before)
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    def test_train_enhancer_step(self, small_encoded):
+        m32 = enhancer.make_enhancer(np.random.default_rng(103))
+        m64 = enhancer.EnhancerModel(float64_copy(m32.net), float64_opt(m32.opt))
+        before = m64.net.params.copy()
+        rng32, rng64 = np.random.default_rng(104), np.random.default_rng(104)
+        loss32 = enhancer.train_enhancer(m32, small_encoded, 1, rng32)
+        loss64 = enhancer.train_enhancer(m64, small_encoded, 1, rng64)
+        assert_float32_close(loss32, loss64)
+        self._assert_moved_alike(m32.net, m64.net, before)
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    def test_egan_refine_round(self, pairs):
+        (p32, p64), before = pairs, pairs[1].g.params.copy()
+        m32 = enhancer.make_enhancer(np.random.default_rng(105))
+        m64 = enhancer.EnhancerModel(float64_copy(m32.net), float64_opt(m32.opt))
+        rng32, rng64 = np.random.default_rng(106), np.random.default_rng(106)
+        kl32 = enhancer.egan_refine(p32, m32, 1, 1.0, rng32, n_samples=512)
+        kl64 = enhancer.egan_refine(p64, m64, 1, 1.0, rng64, n_samples=512)
+        assert_float32_close(kl32, kl64)
+        self._assert_moved_alike(p32.g, p64.g, before)
+        assert rng32.bit_generator.state == rng64.bit_generator.state
 
 
 class TestTrainGan:

@@ -42,28 +42,28 @@ RUNS = {
 GOLDEN = {
     "egan": {
         "curve_egan_2.csv": "cedd0d5f277b51f650efcfb0cf307d2ebce75bbca059dbc52b0c6cc01c814267",
-        "discriminator_egan_2.txt": "9e36cc0b5dbe2877fc8a0f11c9e6e3bccbe1c99dff19191c6e530b13b71ad465",
-        "enhancer_egan_2.txt": "282714e894278a96f315564941a73f135d4747bbb07b33d3bb975ea29e1729fa",
-        "gan_losses_egan_2.csv": "ad88e6427d3cb997dfbf1ce502fd2ef32a060f410084bcf2d7781e22c07cb2bb",
-        "generator_egan_2.txt": "f1f47887f0685e4c0db6f88a77526e63a83cddcbee3afaf6efc7844e2ae7f15d",
-        "kl_history_egan_2.csv": "4f9d1d632c31b4e1150019295e3478938ad5f9daf4c551900b9e634002205c1d",
-        "policy_egan_2.txt": "014f4178fed13860438973aa6b74bb3c5df5ee90ac157558808dc5cdd2368827",
+        "discriminator_egan_2.txt": "cf6f5c719356795ba7d83653cba2585a09e03c815bca0c4544ededb818c12527",
+        "enhancer_egan_2.txt": "d6e256c3ca73ea13e6762463ca46f1ba02f207c5d160304d9a329f4ce66ffc16",
+        "gan_losses_egan_2.csv": "7c244ef307421172e6178257f0cb82c141ec254ebce02cd545b3ad1ac695370f",
+        "generator_egan_2.txt": "61228c39c69950336c661b0ab7057e208f77e292995c3dfe80f5257694683f1b",
+        "kl_history_egan_2.csv": "89ff94ae9dab4c73cb6729736fe11349d9670e22873887eb871e125414d2fcb8",
+        "policy_egan_2.txt": "fd1eb275443e57db37fc1a2aeca16dbe733c6fb617aa5e70cdcdb6bf6a2e18b0",
     },
     "egan_b32": {
         "curve_egan_3.csv": "6fc10536413490f80c677f58e06902f158c3e1db25b62b4868a25f7597e44f34",
-        "discriminator_egan_3.txt": "8f042e65f8f51aa30189bb5590080b490dc5dedf8594600db42847fd3bfac64d",
-        "enhancer_egan_3.txt": "dbe68719df32d437b00f807c65ac6008a688021610c970398fb27f10b6b9aa49",
-        "gan_losses_egan_3.csv": "75511549c4dc78b1ddda50550ccad99bca4b80161b66462d6ae67f8017f10aec",
-        "generator_egan_3.txt": "6069bba67567412dc0f5bdbf7e92c496fbe16f1a2408cadaa72529e898ac5054",
-        "kl_history_egan_3.csv": "35814d6ebdf50b185b6cebcc0618ae0cfecdb3faa060ff294eed809bd102eba3",
-        "policy_egan_3.txt": "8e5ecd5814b47c415a7457055638527cd0a9732fadec7a3d69ae3f4252522455",
+        "discriminator_egan_3.txt": "9f939343999259cce8621b0110dbf8eb57f735746b29ba2b4e6657bfda8abe27",
+        "enhancer_egan_3.txt": "f681f6a87e37664a71aa9ed04fb30447dec7580496dc4505e00a7d49faad9b6f",
+        "gan_losses_egan_3.csv": "ffd9280662f4ed7e6b65712b563e4552e020437371f31604f96055ca1c264f62",
+        "generator_egan_3.txt": "bef3a0994153a66648df36e19e4c048bee499333e980acad3bc568f70bbb9b2e",
+        "kl_history_egan_3.csv": "bc06eda6a72f883d5a494a1e1961efcf9d6605f421e7bcccbbb8e02da4eed65f",
+        "policy_egan_3.txt": "9599b41a01d5b9595fbef558e3ceb190c645074180ec54ef5510d806b46e7b75",
     },
     "gan": {
         "curve_gan_4.csv": "f71e8250db296fc61cf475313f07ba83596a00ee826163ef0684af343f734e0c",
-        "discriminator_gan_4.txt": "7be4c0be12e699ce3b734918126ee8b3cdadc682a1a568cfe5d0d74814812d8b",
-        "gan_losses_gan_4.csv": "da3288df39443b61f66581e0b00a163808dd29050931ec615c8f3d7137eedd64",
-        "generator_gan_4.txt": "ed3b782383bb92f3c42bfd6b2d4796036a2a94b1f49a2a579a5a37a8ea720358",
-        "policy_gan_4.txt": "a82f4f34d747601ee6daa7a0fd3cae746785feaaed22f951409854d3da117b66",
+        "discriminator_gan_4.txt": "92f23f49be58155dffd28816b585cbeef7d2b330edbf00f0177fea33f3e3e11b",
+        "gan_losses_gan_4.csv": "964f1da97adf8f3296741973aa3939ac7650f58fb856c9102380596075a92047",
+        "generator_gan_4.txt": "db22fec39554c6513c3f131036f40a7f6dadfb80e1d8fcc3fe4e7c0943c177e2",
+        "policy_gan_4.txt": "1b25b123fe173e3f8805a700238961f78e881c3c8b4fc5c8a842bb51db7e370d",
     },
     "none": {
         "curve_none_5.csv": "8a069f45bb3b04f8f8a9b0717fa69fd85d7364cced00225a92ae9db8643f9f2e",

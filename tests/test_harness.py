@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from egan import experience, gan, harness, nn, policy
 from egan.cartpole import EnvParams
-from egan.config import ExperimentConfig
+from egan.config import ExperimentConfig, apply_overrides
 from egan.errors import ConfigError, CsvParseError, UsageError
 from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
 
 from test_experience import assert_same
+from test_golden import TINY_SETS
 
 
 def make_curve(rewards, offset=0, mode="none", seed=0):
@@ -233,6 +235,29 @@ class TestPipeline:
             self.pretrain(ExperimentConfig(mode="none"), 0)
 
 
+# sha256 of the json (sorted keys) of the pre-training rng's bit_generator
+# state after pretrain_pipeline, at the golden runs' tiny config, recorded
+# with float64 models: changing the models' precision must leave every rng
+# draw of a run as it was
+PRETRAIN_RNG_DIGESTS = {
+    ("egan", 2): "48fcbd500f4de4ae2096f0fa2fa68fa33bf5686421f518754b078068e52ba6b8",
+    ("gan", 4): "ab436ac9ef89c9d7befcb3244b5f3bebba0a976eb9f34dc4c6e8ebade60fa004",
+}
+
+
+@pytest.mark.parametrize("mode,seed", sorted(PRETRAIN_RNG_DIGESTS))
+def test_pretrain_rng_consumption_pinned(mode, seed):
+    overrides = dict(item.split("=") for item in TINY_SETS[1::2])
+    cfg = apply_overrides(ExperimentConfig(mode=mode, seed=seed), overrides)
+    pretrain_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
+    agent = policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden,
+                              learning_rate=cfg.pg_learning_rate, gamma=cfg.pg_discount)
+    rng = np.random.default_rng(pretrain_ss)
+    harness.pretrain_pipeline(cfg, agent, rng, harness._env_params(cfg))
+    state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+    assert hashlib.sha256(state).hexdigest() == PRETRAIN_RNG_DIGESTS[(mode, seed)]
+
+
 class TestSyntheticBatches:
     @pytest.mark.parametrize("n_batches", [0, 1, 16, 17, 64, 70, 129])
     def test_chunked_generation_equals_per_batch_loop(self, n_batches):
@@ -352,8 +377,8 @@ class TestReport:
 
 
 class TestSweep:
-    def test_singleton_length(self):
-        cfg = ExperimentConfig(mode="gan", **TINY)
+    def test_singleton_length(self, tmp_path):
+        cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path), **TINY)
         results = harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1), bin_width=50)
         assert len(results) == 1
         res = results[0]
@@ -365,9 +390,14 @@ class TestSweep:
             ExperimentConfig(mode="gan", seed=0, **TINY)
         )
         assert np.array_equal(res.curves[0].rewards, direct.rewards)
+        # and their curves are on disk under out_dir/len_<length>
+        saved = harness.find_curves(tmp_path / "len_3")["gan"]
+        assert [c.seed for c in saved] == [0, 1]
+        assert np.array_equal(saved[0].cumulative_samples, direct.cumulative_samples)
 
-    def test_longer_pretraining_shifts_offset(self):
-        cfg = ExperimentConfig(mode="gan", **{**TINY, "training_episodes": 10})
+    def test_longer_pretraining_shifts_offset(self, tmp_path):
+        cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path),
+                               **{**TINY, "training_episodes": 10})
         results = harness.sweep_pretrain_length(cfg, [2, 20], seeds=(0, 1),
                                                 bin_width=20)
         short, long = results

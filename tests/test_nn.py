@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def fd_param_gradient(net, inputs, loss_weights, h=1e-5):
 def max_rel_err(a, b, floor=1e-8):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def float64_copy(net):
+    """net with its parameters widened to float64.  The nn math is
+    dtype-generic, so a check that needs float64 resolution (finite
+    differences, 1e-12 agreement) runs a float32 net's code on this copy."""
+    return nn.MlpNetwork(net.layer_sizes, net.activations, net.params.astype(np.float64))
+
+
+# Float32 against float64 on the same inputs, relative to the float64
+# result's scale: a bound set from float32's epsilon (about 7.6e-6), far
+# above the rounding of the nets' 5-60-wide sums and far below a step that
+# went wrong or ran in a lower precision.
+F32_TOL = 64 * float(np.finfo(np.float32).eps)
 
 
 class TestInit:
@@ -618,7 +633,97 @@ class TestDeterminismProperty:
         assert np.array_equal(results[0], results[1])
 
 
+class TestFloat32Networks:
+    """A float32 net draws its weights like a float64 one and stays float32
+    through forward, backward and both optimizers."""
+
+    @pytest.mark.parametrize("name", sorted(NET_SHAPES))
+    def test_init_rounds_the_float64_draws(self, name):
+        sizes, acts = NET_SHAPES[name]
+        rng64, rng32 = np.random.default_rng(90), np.random.default_rng(90)
+        net64 = nn.init_network(sizes, acts, rng64)
+        net32 = nn.init_network(sizes, acts, rng32, np.float32)
+        assert same_bytes(net32.params, net64.params.astype(np.float32))
+        assert all(a.dtype == np.float32 for a in (*net32.weights, *net32.biases))
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_every_array_stays_float32(self, kind):
+        sizes, acts = NET_SHAPES["d"]
+        rng = np.random.default_rng(91)
+        net = nn.init_network(sizes, acts, rng, np.float32)
+        opt = nn.make_optimizer(net, kind, 1e-3)
+        if kind == "adam":
+            assert opt.m.dtype == opt.v.dtype == np.float32
+        out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(64, sizes[0])))
+        assert out.dtype == cache.inputs.dtype == np.float32
+        assert all(h.dtype == np.float32 for h in cache.post)
+        grad, grad_in = nn.backward(net, cache, rng.normal(size=out.shape))
+        assert grad.dtype == grad_in.dtype == np.float32
+        nn.optimizer_step(net, grad, opt)
+        assert net.params.dtype == np.float32
+        for a in (*net.weights, *net.biases):
+            assert np.shares_memory(a, net.params)
+
+    @pytest.mark.parametrize("name", sorted(NET_SHAPES))
+    def test_forward_and_backward_match_float64_copy(self, name):
+        sizes, acts = NET_SHAPES[name]
+        rng = np.random.default_rng(92)
+        net = nn.init_network(sizes, acts, rng, np.float32)
+        x = rng.uniform(-1.0, 1.0, size=(64, sizes[0])).astype(np.float32)
+        out32, cache32 = nn.forward(net, x)
+        out64, cache64 = nn.forward(float64_copy(net), x)
+        g = rng.normal(size=out32.shape).astype(np.float32)
+        got = nn.backward(net, cache32, g)
+        want = nn.backward(float64_copy(net), cache64, g)
+        for a, b in ((out32, out64), *zip(got, want)):
+            assert np.abs(a - b).max() <= F32_TOL * np.abs(b).max()
+
+
+class TestSigmoidRange:
+    """exp(-z) overflows below z = -88.7 in float32 and -709.8 in float64;
+    the sigmoid still returns its limit there, and warns of nothing."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturates_at_large_pre_activations(self, dtype):
+        z = np.array([[-1e4], [-1e3], [-100.0], [0.0], [100.0], [1e3], [1e4]], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nn._activate("sigmoid", z.copy())
+        assert out.dtype == dtype
+        assert out[0, 0] == 0.0 and out[-1, 0] == 1.0 and out[3, 0] == 0.5
+        assert np.all(np.diff(out[:, 0]) >= 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_through_a_sigmoid_head(self, dtype):
+        net = nn.init_network([1, 1], ["sigmoid"], np.random.default_rng(0), dtype)
+        net.weights[0][...] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = nn.forward(net, np.array([[-1e4], [1e4]]))
+        assert out.tolist() == [[0.0], [1.0]]
+
+    @pytest.mark.parametrize("dtype,limit", [(np.float32, 88.0), (np.float64, 709.0)])
+    def test_unchanged_where_exp_is_finite(self, dtype, limit):
+        # the bytes of the plain formula, so float64 results did not move
+        z = np.random.default_rng(93).uniform(-limit, limit, size=(4096, 1)).astype(dtype)
+        z[:3, 0] = (-limit, 0.0, limit)
+        assert same_bytes(nn._activate("sigmoid", z.copy()), 1.0 / (1.0 + np.exp(-z)))
+
+
 class TestCheckpointFormat:
+    def test_float32_round_trip_exact(self, tmp_path):
+        net = nn.init_network([4, 6, 3], ["tanh", "softmax"], np.random.default_rng(21),
+                              np.float32)
+        path = tmp_path / "net.txt"
+        nn.save_network(net, path)
+        assert path.read_text().splitlines()[0] == "mlp v1 4,6,3 tanh,softmax"
+        loaded = nn.load_network(path)
+        assert loaded.layer_sizes == net.layer_sizes
+        assert loaded.activations == net.activations
+        assert np.array_equal(loaded.params, net.params)
+        assert same_bytes(loaded.params.astype(np.float32), net.params)
+
     def test_round_trip_exact(self, tmp_path):
         net = nn.init_network([4, 6, 3], ["tanh", "softmax"], np.random.default_rng(21))
         path = tmp_path / "net.txt"
