@@ -10,7 +10,14 @@ x2 = (normalized s_{t+1}, reward code), every channel mapped into [-1, 1]:
 * reward: r -> (r - 0.5) * 2.
 
 The done flag is not part of x; decoding reconstructs it geometrically from
-the successor state.  Encoding and decoding are column operations.
+the successor state.  Encoding and decoding are column operations.  A real
+row is done only when its successor is terminal, so a row that an episode
+cap cut short reads as a non-failure in both places.
+
+Episodes act in log-odds space (run_episodes): a policy hands over the
+log-odds g of action 1, each step compares g with a logistic threshold made
+once per episode from its uniform draws, and no probability is formed, so
+the rollout loop has no sigmoid, no exp and no overflow clamp.
 """
 
 from __future__ import annotations
@@ -63,39 +70,50 @@ class NormalizationStats:
     state_max: np.ndarray
 
 
-def run_episodes(probs_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Transitions]:
+def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Transitions]:
     """Roll out one episode per generator, stepping the live ones together.
 
-    Each step calls probs_fn once on the live states stacked to (k_live, 4)
-    for P(action 0); probs_fn None is the uniform policy, p0 = 0.5 with no
-    state stack.  Episode i takes action int(u_t >= p0) with u drawn from
-    rngs[i] after its reset, so an episode does not depend on its group.  The
-    dynamics stay scalar: at a few episodes, k scalar steps beat one (k, 4)
-    numpy step.  An episode ends on a terminal state or at params.max_steps.
+    Acting is in log-odds space.  Each step calls logit_fn once on the live
+    states stacked to (k_live, 4) for g, the log-odds of action 1.  Episode
+    i takes action 1 iff g >= c_t, where c = logistic_thresholds(u) is made
+    once from the params.max_steps uniforms u that rngs[i] draws after its
+    reset.  In exact arithmetic that is the rule u_t >= sigmoid(-g), so no
+    step needs a sigmoid; u == 0 gives c = +inf (action 0 for every finite
+    g) and a NaN logit takes action 0.  logit_fn None is the uniform policy,
+    action 1 iff u_t >= 0.5, with no state stack: its logit is 0 and its
+    threshold 0.5 - u, whose sign is exact.  An episode does not depend on
+    its group.  The dynamics stay scalar: at a few episodes, k scalar steps
+    beat one (k, 4) numpy step.  An episode ends on a terminal state or at
+    params.max_steps; its last row is done only in the first case, since a
+    cap-truncated episode did not fail.
 
-    Each live episode is one record (path, draws, actions, rewards), and the
-    states are stacked by _stack, a flat np.fromiter over the state tuples:
-    the same float64 values np.array gives, without its per-row sequence
-    probing, so every column is bit-identical to np.array stacking.
+    Each live episode is one record (path, thresholds, actions, rewards),
+    and the states are stacked by _stack, a flat np.fromiter over the state
+    tuples: the same float64 values np.array gives, without its per-row
+    sequence probing, so every column is bit-identical to np.array stacking.
     cartpole.step is looked up once per call, not once per step, so a wrapper
     installed on the module attribute before the call still sees every step.
     """
     step = cartpole.step
     paths = [[cartpole.reset(rng, params)] for rng in rngs]
-    draws = [rng.random(params.max_steps).tolist() for rng in rngs]
-    episodes = [(path, draw, [], []) for path, draw in zip(paths, draws)]
+    draws = [rng.random(params.max_steps) for rng in rngs]
+    if logit_fn is None:
+        thresholds = [np.subtract(0.5, u).tolist() for u in draws]
+    else:
+        thresholds = logistic_thresholds(np.array(draws)).tolist()
+    episodes = [(path, c, [], []) for path, c in zip(paths, thresholds)]
     live = episodes
     for t in range(params.max_steps):
         if not live:
             break
-        if probs_fn is None:
-            p0 = [0.5] * len(live)
+        if logit_fn is None:
+            logits = [0.0] * len(live)
         else:
-            p0 = probs_fn(_stack([episode[0][-1] for episode in live])).tolist()
+            logits = logit_fn(_stack([episode[0][-1] for episode in live])).tolist()
         still = []
-        for episode, p in zip(live, p0):
-            path, draw, actions, rewards = episode
-            action = 1 if draw[t] >= p else 0
+        for episode, g in zip(live, logits):
+            path, c, actions, rewards = episode
+            action = 1 if g >= c[t] else 0
             state, reward, done = step(path[-1], action, params)
             path.append(state)
             actions.append(action)
@@ -103,7 +121,19 @@ def run_episodes(probs_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
             if not done:
                 still.append(episode)
         live = still
-    return [_episode(path, actions, rewards) for path, _, actions, rewards in episodes]
+    cut = {id(episode) for episode in live}  # still running at the cap
+    return [_episode(episode, id(episode) not in cut) for episode in episodes]
+
+
+def logistic_thresholds(u) -> np.ndarray:
+    """c = log((1 - u) / u), elementwise, as log1p(-u) - log(u).
+
+    For u ~ U[0, 1), g >= c happens with probability sigmoid(g): the
+    two-action case of the Gumbel-max trick (Maddison, Tarlow & Minka 2014).
+    u == 0 gives c = +inf, silently, so only g = +inf takes action 1 there.
+    """
+    with np.errstate(divide="ignore"):
+        return np.log1p(-u) - np.log(u)
 
 
 def _stack(states) -> np.ndarray:
@@ -112,11 +142,12 @@ def _stack(states) -> np.ndarray:
     return np.fromiter(chain.from_iterable(states), np.float64, 4 * k).reshape(k, 4)
 
 
-def _episode(visited, actions, rewards) -> Transitions:
+def _episode(record, terminal: bool) -> Transitions:
+    visited, _, actions, rewards = record
     path = _stack(visited)
     path.flags.writeable = False  # states and next_states are views of it
     dones = np.zeros(len(actions), dtype=bool)
-    dones[-1] = True  # an episode stops only on a terminal state or at the cap
+    dones[-1] = terminal  # False when the cap cut the episode short
     return Transitions(
         states=path[:-1],
         actions=np.array(actions, dtype=np.intp),

@@ -5,7 +5,10 @@ draws all pre-training rng values from one generator, in a fixed order.
 
 The x-axis of every comparison is cumulative REAL environment samples:
 synthetic replay costs zero, pre-training experience is charged as a fixed
-offset before the first training episode.
+offset before the first training episode.  The online phase acts through
+the policy's log-odds (policy.logit_function) and never forms a
+probability: a Bernoulli(sigmoid(g)) action is g >= log((1 - u) / u), so
+the per-step sigmoid would be pure cost.
 """
 
 from __future__ import annotations
@@ -152,9 +155,11 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
     (zero real samples on the synthetic batches) and start the curve offset
     by the pre-training buffer size.  Online episodes run in lockstep groups
     of pg_update_frequency on the frozen policy, each on its own child of the
-    training SeedSequence; each group acts through one policy.p0_function
-    built at its start, and each full group then takes one update (a
-    trailing partial group takes none).  With return_details=True, also
+    training SeedSequence; each group acts through one policy.logit_function
+    built at its start, in log-odds space (experience.run_episodes compares
+    each logit with a threshold drawn once per episode, so no step forms a
+    probability), and each full group then takes one update (a trailing
+    partial group takes none).  With return_details=True, also
     returns the pre-training result (None for mode none) and the trained agent.
     """
     validate(config)
@@ -177,9 +182,9 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
     total = offset
     group = config.pg_update_frequency
     for start in range(0, n_episodes, group):
-        p0 = policy.p0_function(agent.net)
+        logit = policy.logit_function(agent.net)
         rngs = [np.random.default_rng(s) for s in train_ss.spawn(min(group, n_episodes - start))]
-        episodes = experience.run_episodes(p0, rngs, params)
+        episodes = experience.run_episodes(logit, rngs, params)
         for ep, episode in enumerate(episodes, start):
             total += len(episode)
             rewards[ep] = episode.rewards.sum()

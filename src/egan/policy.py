@@ -10,10 +10,14 @@ Z-scoring a constant batch yields w = 0, so degenerate batches leave the
 parameters untouched instead of erroring.
 
 Training goes through nn.forward/nn.backward and the softmax head.  Acting
-does not: for two actions softmax(z0, z1)[0] is the logistic sigmoid of the
-logit gap z0 - z1, so p0_function folds the head into one column once per
-frozen policy, and experience.run_episodes calls it once per step on the
-live states for P(action 0).
+does not, and acts in log-odds space: for two actions the softmax draws
+action 1 with probability sigmoid(g), g = z1 - z0, and a Bernoulli(sigmoid(g))
+draw is the comparison g >= log((1 - u) / u) for u ~ U[0, 1) (the two-action
+Gumbel-max trick).  So logit_function folds the head into one column once per
+frozen policy, experience.run_episodes calls it once per step on the live
+states and compares each g with a threshold made from the episode's draws.
+No probability is ever formed on that path, so it needs no sigmoid, no exp
+and no overflow clamp.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from . import nn
 from .errors import UsageError
 
 Z_EPS = 1e-8
-# exp(-gap) overflows float64 once -gap passes about 709.8; P(action 0) at
-# -gap = 700 is below 1e-304 already
-MAX_NEG_LOGIT_GAP = 700.0
 
 
 @dataclass
@@ -55,42 +56,43 @@ def make_agent(
     return PolicyAgent(net=net, opt=opt, gamma=gamma)
 
 
-def p0_function(net: nn.MlpNetwork):
-    """states -> P(action 0) of the policy net as its parameters are now.
+def logit_function(net: nn.MlpNetwork):
+    """states -> g = z1 - z0, the log-odds of action 1, of the policy net as
+    its parameters are now.
 
     The net must be tanh hidden layers (any number, none included) under a
     2-output softmax head.  The hidden layers are copied as they are; the
-    head becomes the single column wd = w[0] - w[1], bd = b[0] - b[1], and
-    P(action 0) = 1 / (1 + exp(-(h @ wd + bd))).  That agrees with
-    nn.forward's softmax column to rounding, with no ForwardCache and no
-    second column.  A wrong input width raises ShapeError as nn.forward does.
+    head becomes the single column wd = w[1] - w[0], bd = b[1] - b[0], and
+    g = h @ wd + bd.  It agrees with log p1 - log p0 of nn.forward's softmax
+    to rounding, with no ForwardCache, no second column and no sigmoid.  The
+    caller acts by comparing g with a logistic threshold (see the module
+    docstring), so g needs no overflow clamp: infinite and NaN logits act
+    deterministically.  A wrong input width raises ShapeError as nn.forward
+    does.
     """
     if net.activations[-1] != "softmax" or net.layer_sizes[-1] != 2:
         raise UsageError(
-            f"p0_function needs a 2-output softmax head, got "
+            f"logit_function needs a 2-output softmax head, got "
             f"{net.layer_sizes[-1]} {net.activations[-1]} outputs"
         )
     if any(act != "tanh" for act in net.activations[:-1]):
-        raise UsageError(f"p0_function needs tanh hidden layers, got {net.activations[:-1]}")
+        raise UsageError(f"logit_function needs tanh hidden layers, got {net.activations[:-1]}")
     hidden = [(w.copy(), b.copy()) for w, b in zip(net.weights[:-1], net.biases[:-1])]
     w_last, b_last = net.weights[-1], net.biases[-1]
-    # -wd and -bd, exact negations, so exp needs no np.negative
-    neg_wd, neg_bd = w_last[1] - w_last[0], float(b_last[1] - b_last[0])
+    # bd as a 0-d array: adding it skips the per-call scalar conversion
+    wd, bd = w_last[1] - w_last[0], np.array(b_last[1] - b_last[0])
 
-    def p0(states) -> np.ndarray:
+    def logit(states) -> np.ndarray:
         h = nn.input_batch(net, states)
-        for w, b in hidden:  # the arithmetic of nn.forward's tanh layers
-            z = h @ w.T
+        for w, b in hidden:  # nn.forward's tanh layers, bit for bit; np.dot
+            z = np.dot(h, w.T)  # costs less per call than the @ operator
             z += b
             h = np.tanh(z, out=z)
-        neg_gap = np.dot(h, neg_wd)
-        neg_gap += neg_bd
-        np.minimum(neg_gap, MAX_NEG_LOGIT_GAP, out=neg_gap)
-        np.exp(neg_gap, out=neg_gap)
-        neg_gap += 1.0
-        return np.divide(1.0, neg_gap, out=neg_gap)
+        g = np.dot(h, wd)
+        g += bd
+        return g
 
-    return p0
+    return logit
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:

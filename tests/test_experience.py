@@ -115,7 +115,9 @@ def test_collect_requires_episodes():
 
 def reference_collect_random(params, n_episodes, rng) -> Transitions:
     """The per-step rollout collect_random replaced: one rng.spawn(1) child
-    per episode, and every step a 1-row state stack and an np.full p0."""
+    per episode, and every step a 1-row state stack and an np.full p0.  The
+    last row is done only when the step reported a terminal successor, not
+    when the cap cut the episode short."""
     parts = []
     for _ in range(n_episodes):
         child, = rng.spawn(1)
@@ -134,7 +136,7 @@ def reference_collect_random(params, n_episodes, rng) -> Transitions:
                 break
         visited = np.array(path)
         dones = np.zeros(len(actions), dtype=bool)
-        dones[-1] = True
+        dones[-1] = done
         parts.append(Transitions(visited[:-1], np.array(actions, dtype=np.intp),
                                  visited[1:], np.array(rewards), dones))
     return Transitions.concatenate(parts)
@@ -159,7 +161,8 @@ def test_buffer_transitions_replay_exactly(small_buffer):
 
 
 def uniform(states):
-    return np.full(len(states), 0.5)
+    """The uniform policy as log-odds: g = 0 in every state."""
+    return np.zeros(len(states))
 
 
 def rngs_from(seed, k):
@@ -172,8 +175,10 @@ def test_episode_reward_sum_equals_length():
 
 
 def test_constant_action_topples_quickly():
-    # p0 = 1 > every uniform draw, so the episode always pushes left
-    episode, = experience.run_episodes(lambda s: np.ones(len(s)), [np.random.default_rng(11)])
+    # g = -1e300 is below every threshold a draw in [0, 1) gives (the lowest
+    # is about -36.7), so the episode always pushes left
+    episode, = experience.run_episodes(lambda s: np.full(len(s), -1e300),
+                                       [np.random.default_rng(11)])
     assert len(episode) < 200
     assert np.all(episode.actions == 0)
     assert episode.dones[-1]
@@ -189,16 +194,26 @@ def test_episode_determinism():
 
 
 def test_episode_cap_marks_done():
-    # tiny cap so even a random policy reaches it
+    # tiny cap so even a random policy reaches it; the cap truncates the
+    # episode, the pole has not fallen, so no row is done
     params = replace(DEFAULT_PARAMS, max_steps=3)
     episode, = experience.run_episodes(uniform, [np.random.default_rng(5)], params)
     assert len(episode) == 3
-    assert episode.dones.tolist() == [False, False, True]
+    assert not cartpole.is_terminal(CartPoleState(*episode.next_states[-1].tolist()))
+    assert episode.dones.tolist() == [False, False, False]
+
+
+def forward_logit(net):
+    """log p1 - log p0 of nn.forward's softmax, which policy.logit_function
+    stands in for."""
+    def logit(states):
+        probs = nn.forward(net, states)[0]
+        return np.log(probs[:, 1]) - np.log(probs[:, 0])
+    return logit
 
 
 def frozen_policy(seed=3):
-    agent = policy.make_agent(np.random.default_rng(seed))
-    return lambda states: nn.forward(agent.net, states)[0][:, 0]
+    return forward_logit(policy.make_agent(np.random.default_rng(seed)).net)
 
 
 def test_slice_rows_are_views():
@@ -215,8 +230,8 @@ def test_slice_rows_are_views():
 
 class TestRunEpisodes:
     def test_one_group_equals_serial_groups(self):
-        # compare Transitions, never probabilities: the forward of k rows can
-        # differ from k one-row forwards in the last bits, an action cannot
+        # compare Transitions, never logits: the forward of k rows can differ
+        # from k one-row forwards in the last bits, an action cannot
         probs = frozen_policy()
         together = experience.run_episodes(probs, rngs_from(21, 5))
         serial = [experience.run_episodes(probs, [rng])[0] for rng in rngs_from(21, 5)]
@@ -227,11 +242,11 @@ class TestRunEpisodes:
     def test_one_forward_per_step_on_live_states(self):
         seen = []
 
-        def probs(states):
+        def logits(states):
             seen.append(states.shape)
-            return np.full(len(states), 0.5)
+            return np.zeros(len(states))
 
-        episodes = experience.run_episodes(probs, rngs_from(8, 5))
+        episodes = experience.run_episodes(logits, rngs_from(8, 5))
         lengths = [len(e) for e in episodes]
         assert len(seen) == max(lengths)
         assert [shape[0] for shape in seen] == [
@@ -244,15 +259,22 @@ class TestRunEpisodes:
         episodes = experience.run_episodes(uniform, rngs_from(2, 12), params)
         lengths = [len(e) for e in episodes]
         assert max(lengths) == 25 and min(lengths) < 25
+        truncated = 0
         for e in episodes:
-            assert e.dones[-1] and not e.dones[:-1].any()
-            # an episode ends on a terminal state unless the cap cut it short
+            assert not e.dones[:-1].any()
+            # an episode ends on a terminal state unless the cap cut it short,
+            # and only a terminal last row is done
             last = CartPoleState(*e.next_states[-1].tolist())
             assert cartpole.is_terminal(last) or len(e) == 25
+            assert e.dones[-1] == cartpole.is_terminal(last)
+            truncated += not e.dones[-1]
             assert np.array_equal(e.states[1:], e.next_states[:-1])
+        assert truncated > 0
 
     def test_action_frequency_follows_probability(self):
-        episodes = experience.run_episodes(lambda s: np.full(len(s), 0.3), rngs_from(6, 100))
+        # P(action 1) = 0.7, so P(action 0) = 0.3
+        episodes = experience.run_episodes(lambda s: np.full(len(s), np.log(0.7 / 0.3)),
+                                           rngs_from(6, 100))
         actions = np.concatenate([e.actions for e in episodes])
         assert actions.size > 1000
         assert abs(np.mean(actions == 0) - 0.3) < 0.03
@@ -268,10 +290,14 @@ class TestRunEpisodes:
 
 def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
     """The lockstep loop run_episodes replaced, kept verbatim: np.array over
-    the CartPoleState NamedTuples, and per-episode (action, reward) pairs."""
+    the CartPoleState NamedTuples, per-episode (action, reward) pairs, and
+    action int(u >= p0) for probs_fn's P(action 0).  Only its done rule
+    follows run_episodes: the last row is done only on a terminal successor,
+    not when the cap cut the episode short."""
     paths = [[cartpole.reset(rng, params)] for rng in rngs]
     draws = [rng.random(params.max_steps).tolist() for rng in rngs]
     steps = [[] for _ in rngs]
+    terminal = [False for _ in rngs]
     live = list(range(len(paths)))
     for t in range(params.max_steps):
         if not live:
@@ -286,29 +312,46 @@ def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
             state, reward, done = cartpole.step(paths[i][-1], action, params)
             paths[i].append(state)
             steps[i].append((action, reward))
+            terminal[i] = done
             if not done:
                 still.append(i)
         live = still
     episodes = []
-    for visited, taken in zip(paths, steps):
+    for visited, taken, done in zip(paths, steps, terminal):
         actions, rewards = zip(*taken)
         path = np.array(visited)
         dones = np.zeros(len(actions), dtype=bool)
-        dones[-1] = True
+        dones[-1] = done
         episodes.append(Transitions(path[:-1], np.array(actions, dtype=np.intp),
                                     path[1:], np.array(rewards), dones))
     return episodes
 
 
+def sigmoid_of(logit_fn):
+    """states -> P(action 0) = sigmoid(-g) with the arithmetic of the
+    probability function logit_function replaced: exp clamped at 700."""
+    def p0(states):
+        g = logit_fn(states)
+        return 1.0 / (1.0 + np.exp(np.minimum(g, 700.0)))
+    return p0
+
+
 class TestRunEpisodesMatchesReference:
     @pytest.mark.parametrize("cap", [1, 25, 100, 200])
     @pytest.mark.parametrize("k", [1, 5, 7])
-    @pytest.mark.parametrize("frozen", [True, False], ids=["p0", "uniform"])
-    def test_same_columns(self, frozen, k, cap):
+    @pytest.mark.parametrize("scale", [1.0, None, 5.0], ids=["p0", "uniform", "p0x5"])
+    def test_same_columns(self, scale, k, cap):
+        # the log-odds rule g >= log((1 - u) / u) against the probability
+        # rule u >= sigmoid(-g), on one policy at two parameter scales
         params = replace(DEFAULT_PARAMS, max_steps=cap)
-        probs = policy.p0_function(policy.make_agent(np.random.default_rng(3)).net)
-        probs_fn = probs if frozen else None
-        got = experience.run_episodes(probs_fn, rngs_from(40 + k, k), params)
+        if scale is None:
+            logit_fn = probs_fn = None
+        else:
+            agent = policy.make_agent(np.random.default_rng(3))
+            agent.net.params *= scale
+            logit_fn = policy.logit_function(agent.net)
+            probs_fn = sigmoid_of(logit_fn)
+        got = experience.run_episodes(logit_fn, rngs_from(40 + k, k), params)
         want = reference_run_episodes(probs_fn, rngs_from(40 + k, k), params)
         assert len(got) == len(want) == k
         for a, b in zip(got, want):
@@ -327,6 +370,114 @@ class TestRunEpisodesMatchesReference:
         monkeypatch.setattr(cartpole, "step", counted)
         episodes = experience.run_episodes(None, rngs_from(13, 7))
         assert len(calls) == sum(len(e) for e in episodes) > 7
+
+
+def probability_rule(g, u):
+    """The acting rule run_episodes replaced: action 1 iff u >= P(action 0),
+    with P(action 0) = 1 / (1 + exp(min(g, 700)))."""
+    return u >= 1.0 / (1.0 + np.exp(np.minimum(g, 700.0)))
+
+
+def log_odds_rule(g, u):
+    """run_episodes' rule: action 1 iff g >= log((1 - u) / u)."""
+    return g >= experience.logistic_thresholds(u)
+
+
+def rng_draws_near(u, n):
+    """n multiples of 2**-53 on each side of u (and u), clipped to [0, 1)."""
+    k = np.round(u * 2.0**53) + np.arange(-n, n + 1)
+    return np.unique(np.clip(k, 0, 2.0**53 - 1)) * 2.0**-53
+
+
+# draws of rng.random at its ends and its middle: multiples of 2**-53 in [0, 1)
+EDGE_DRAWS = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+
+
+class StubGenerator:
+    """Resets to the upright state and hands out fixed uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def constant_logit_actions(g, draws):
+    """The actions of one episode acting on logit g everywhere (g None: the
+    uniform policy), one step per draw."""
+    params = replace(DEFAULT_PARAMS, max_steps=len(draws))
+    logit_fn = None if g is None else lambda s: np.full(len(s), g)
+    episode, = experience.run_episodes(logit_fn, [StubGenerator(draws)], params)
+    return episode.actions.tolist()
+
+
+class TestLogOddsRule:
+    """The log-odds rule acts as the probability rule it replaced."""
+
+    def test_random_pairs_decide_alike(self):
+        rng = np.random.default_rng(31)
+        n = 1_000_000
+        u = rng.random(n)  # the draws run_episodes makes, multiples of 2**-53
+        g = np.concatenate([rng.normal(0.0, 4.0, n // 2), rng.normal(0.0, 30.0, n - n // 2)])
+        assert np.array_equal(log_odds_rule(g, u), probability_rule(g, u))
+
+    @pytest.mark.parametrize("magnitude", [0.0, 36.0, 700.0, 1e300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_saturated_logits_decide_alike(self, magnitude, sign):
+        # every draw within 2000 of either end of [0, 1) and of 0.5, where
+        # the saturated probabilities and their thresholds live
+        u = np.concatenate([rng_draws_near(0.0, 2000), rng_draws_near(0.5, 2000),
+                            rng_draws_near(1.0, 2000), np.random.default_rng(0).random(10_000)])
+        g = np.full(u.size, sign * magnitude)
+        assert np.array_equal(log_odds_rule(g, u), probability_rule(g, u))
+
+    def test_disagreements_stay_within_ulp_band(self):
+        # u stepped one ulp at a time from the old rule's P(action 0) = p: the
+        # two rules round differently, so they may disagree right at p, but
+        # only within 2 * (1 + |g|) ulps of it
+        g = np.concatenate([np.linspace(-40.0, 40.0, 801),
+                            np.random.default_rng(8).normal(0.0, 10.0, 400)])
+        p = 1.0 / (1.0 + np.exp(np.minimum(g, 700.0)))
+        band = 2.0 * (1.0 + np.abs(g))
+        reach = 100
+        assert band.max() < reach
+        widest = np.zeros(g.size)
+        for direction in (0.0, 1.0):
+            u = p.copy()
+            for k in range(1, reach + 1):
+                u = np.nextafter(u, direction)
+                inside = (u > 0.0) & (u < 1.0)
+                differ = inside & (log_odds_rule(g, u) != probability_rule(g, u))
+                widest[differ] = k
+        assert (widest <= band).all()
+        assert widest.max() > 0  # the two rules do round differently
+
+    @pytest.mark.parametrize("g", [0.0, 36.0, -36.0, 700.0, 1e300, -1e300, 5e-324])
+    def test_zero_draw_takes_action_0_for_finite_logits(self, g):
+        # u == 0.0 gives an infinite threshold and no divide-by-zero warning
+        assert constant_logit_actions(g, [0.0] * 6) == [0] * 6
+
+    @pytest.mark.parametrize("g,expected", [
+        (1e300, [0, 1, 1, 1, 1, 1]),
+        (np.inf, [1, 1, 1, 1, 1, 1]),
+        (-1e300, [0, 0, 0, 0, 0, 0]),
+        (-np.inf, [0, 0, 0, 0, 0, 0]),
+        (np.nan, [0, 0, 0, 0, 0, 0]),
+    ])
+    def test_extreme_and_nan_logits_act_deterministically(self, g, expected):
+        # draws at both ends of [0, 1) and its middle; only g = +inf beats the
+        # +inf threshold of u == 0, and every comparison with NaN is false
+        assert constant_logit_actions(g, EDGE_DRAWS) == expected
+
+    @pytest.mark.parametrize("draw", sorted({*rng_draws_near(0.5, 3).tolist(), *EDGE_DRAWS}))
+    def test_uniform_policy_is_the_half_threshold(self, draw):
+        # logit_fn None decides u >= 0.5 bit for bit, at and next to 0.5
+        assert constant_logit_actions(None, [draw]) == [int(draw >= 0.5)]
 
 
 class TestEncoding:

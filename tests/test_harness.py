@@ -13,7 +13,7 @@ from egan.errors import ConfigError, CsvParseError, UsageError
 from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
 
-from test_experience import assert_same
+from test_experience import assert_same, forward_logit
 from test_golden import TINY_SETS
 
 
@@ -177,7 +177,7 @@ class TestRunExperiment:
         lengths, pending = [], []
         for ss in train_ss.spawn(cfg.total_episodes()):
             episode, = experience.run_episodes(
-                lambda s: nn.forward(agent.net, s)[0][:, 0], [np.random.default_rng(ss)],
+                forward_logit(agent.net), [np.random.default_rng(ss)],
                 EnvParams(max_steps=cfg.env_max_steps))
             lengths.append(len(episode))
             pending.append(episode)

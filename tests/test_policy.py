@@ -11,6 +11,7 @@ from egan.cartpole import DEFAULT_PARAMS, CartPoleState
 from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
+from test_experience import EDGE_DRAWS, forward_logit
 from test_nn import fd_param_gradient, max_rel_err, same_bytes
 
 
@@ -32,44 +33,63 @@ def test_make_agent_defaults_match_config():
     assert agent.gamma == config.pg_discount
 
 
-def p0_of(agent, states):
-    """P(action 0) as the online phase computes it: the policy's p0_function."""
-    return policy.p0_function(agent.net)(states)
+def logit_of(agent, states):
+    """Log-odds of action 1 as the online phase computes them: the policy's
+    logit_function."""
+    return policy.logit_function(agent.net)(states)
 
 
-def forward_p0(net):
-    """The softmax column of nn.forward, which p0_function stands in for."""
-    return lambda states: nn.forward(net, states)[0][:, 0]
-
-
-# |p0_function - softmax column| on identical inputs; both round the logit gap
-P0_BOUND = 16 * 2.0**-53
+# |logit_function - (log p1 - log p0)| <= LOGIT_BOUND * (1 + |g|) on identical
+# inputs: both round z1 - z0, and the softmax adds an exp, a divide and two
+# logs; the worst case over STATE_BOX below is about 45 * 2**-53
+LOGIT_BOUND = 128 * 2.0**-53
 # the CartPole box: position and angle to their limits, velocities past what
 # random-policy episodes reach
 STATE_BOX = np.array([DEFAULT_PARAMS.x_limit, 3.0, DEFAULT_PARAMS.theta_limit, 3.5])
 
 
 class TestP0Function:
+    """policy.logit_function, the acting function of the online phase: the
+    log-odds g = z1 - z0 that replaced p0_function's P(action 0)."""
+
     @pytest.mark.parametrize("hidden", [(32,), (16, 16), ()])
     @pytest.mark.parametrize("scale", [1.0, 5.0])
     def test_agrees_with_softmax_column(self, hidden, scale):
         agent = policy.make_agent(np.random.default_rng(0), hidden=hidden)
         agent.net.params *= scale
         states = np.random.default_rng(1).uniform(-STATE_BOX, STATE_BOX, size=(10_000, 4))
-        got = policy.p0_function(agent.net)(states)
+        got = policy.logit_function(agent.net)(states)
         assert got.shape == (10_000,)
-        assert np.abs(got - forward_p0(agent.net)(states)).max() <= P0_BOUND
+        err = np.abs(got - forward_logit(agent.net)(states))
+        assert (err <= LOGIT_BOUND * (1.0 + np.abs(got))).all()
+
+    @pytest.mark.parametrize("hidden", [(32,), (16, 16), ()])
+    @pytest.mark.parametrize("rows", [1, 5, 1000])
+    def test_hidden_layers_are_forward_bit_for_bit(self, hidden, rows):
+        # g = h @ wd + bd on the last hidden activations nn.forward caches
+        agent = policy.make_agent(np.random.default_rng(2), hidden=hidden)
+        agent.net.params *= 3.0
+        states = np.random.default_rng(3).uniform(-STATE_BOX, STATE_BOX, size=(rows, 4))
+        cache = nn.forward(agent.net, states)[1]
+        h = cache.post[-2] if hidden else cache.inputs
+        w, b = agent.net.weights[-1], agent.net.biases[-1]
+        want = np.dot(h, w[1] - w[0]) + (b[1] - b[0])
+        assert same_bytes(policy.logit_function(agent.net)(states), want)
 
     @pytest.mark.parametrize("hidden", [(32,), ()])
     @pytest.mark.parametrize("gap,expected", [(1000.0, 1.0), (-1000.0, 0.0)])
     def test_saturated_gap_without_warning(self, hidden, gap, expected):
+        # gap = z0 - z1, expected = P(action 0); neither the logit nor the
+        # thresholds overflow, and every draw in (0, 1) acts as expected
         agent = policy.make_agent(np.random.default_rng(0), hidden=hidden)
         agent.net.weights[-1][:] = 0.0
         agent.net.biases[-1][:] = [gap / 2, -gap / 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p0 = policy.p0_function(agent.net)(np.zeros((3, 4)))
-        assert np.abs(p0 - expected).max() <= P0_BOUND
+            g = policy.logit_function(agent.net)(np.zeros((3, 4)))
+            c = experience.logistic_thresholds(np.array(EDGE_DRAWS[1:]))
+        assert (g == -gap).all()
+        assert ((g[0] >= c) == (expected == 0.0)).all()
 
     @pytest.mark.parametrize("sizes,acts", [
         ([4, 8, 3], ["tanh", "softmax"]),
@@ -79,27 +99,27 @@ class TestP0Function:
     def test_rejects_other_architectures(self, sizes, acts):
         net = nn.init_network(sizes, acts, np.random.default_rng(0))
         with pytest.raises(UsageError):
-            policy.p0_function(net)
+            policy.logit_function(net)
 
     def test_wrong_width_raises_shape_error(self):
-        p0 = policy.p0_function(policy.make_agent(np.random.default_rng(0)).net)
+        logit = policy.logit_function(policy.make_agent(np.random.default_rng(0)).net)
         with pytest.raises(ShapeError):
-            p0(np.zeros((2, 5)))
+            logit(np.zeros((2, 5)))
 
     def test_reads_the_parameters_it_was_built_from(self):
         agent = policy.make_agent(np.random.default_rng(0))
         states = np.random.default_rng(1).uniform(-STATE_BOX, STATE_BOX, size=(8, 4))
-        p0 = policy.p0_function(agent.net)
-        before = p0(states)
+        logit = policy.logit_function(agent.net)
+        before = logit(states)
         agent.net.params += 0.5
-        assert np.array_equal(p0(states), before)
+        assert np.array_equal(logit(states), before)
 
     def test_online_run_equals_forward_driven_run(self, monkeypatch):
         cfg = ExperimentConfig(mode="none", seed=0, training_episodes=200,
                                pretrain_episodes=100, env_max_steps=200)
         assert cfg.total_episodes() == 300
         curve, _, agent = harness.run_experiment(cfg, return_details=True)
-        monkeypatch.setattr(policy, "p0_function", forward_p0)
+        monkeypatch.setattr(policy, "logit_function", forward_logit)
         ref_curve, _, ref_agent = harness.run_experiment(cfg, return_details=True)
         assert np.array_equal(curve.rewards, ref_curve.rewards)
         assert np.array_equal(agent.net.params, ref_agent.net.params)
@@ -107,7 +127,7 @@ class TestP0Function:
 
 
 class TestSelectAction:
-    """Actions come from experience.run_episodes: action = int(u >= p0)."""
+    """Actions come from experience.run_episodes: action 1 iff g >= log((1 - u) / u)."""
 
     def test_zero_weights_give_uniform_probabilities(self):
         agent = zero_weight_agent()
@@ -120,16 +140,17 @@ class TestSelectAction:
         agent = policy.make_agent(np.random.default_rng(0), hidden=())
         agent.net.weights[0][:] = 0.0
         agent.net.weights[0][0, 0] = 1.0
-        p0 = p0_of(agent, [1.0, 0.0, 0.0, 0.0])[0]
-        assert p0 == pytest.approx(0.7310585786300049, abs=1e-9)
+        g = logit_of(agent, [1.0, 0.0, 0.0, 0.0])[0]
+        assert g == pytest.approx(-1.0, abs=1e-15)
+        assert 1.0 / (1.0 + np.exp(g)) == pytest.approx(0.7310585786300049, abs=1e-9)
 
     def test_empirical_frequency_matches_probabilities(self):
-        # a bias-only policy with p0 = sigmoid(1) in every state
+        # a bias-only policy with g = -1, so p0 = sigmoid(1), in every state
         agent = policy.make_agent(np.random.default_rng(0), hidden=())
         agent.net.weights[0][:] = 0.0
         agent.net.biases[0][:] = [1.0, 0.0]
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(77).spawn(300)]
-        episodes = experience.run_episodes(lambda s: p0_of(agent, s), rngs)
+        episodes = experience.run_episodes(lambda s: logit_of(agent, s), rngs)
         actions = np.concatenate([e.actions for e in episodes])
         assert actions.size > 3000
         assert abs(np.mean(actions == 0) - 0.7310585786300049) < 0.02
@@ -139,7 +160,7 @@ class TestSelectAction:
 
         def play():
             rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(5)]
-            return experience.run_episodes(lambda s: p0_of(agent, s), rngs)
+            return experience.run_episodes(lambda s: logit_of(agent, s), rngs)
 
         for a, b in zip(play(), play()):
             assert np.array_equal(a.actions, b.actions)
@@ -270,12 +291,13 @@ class TestUpdateOnEpisodes:
         agent = policy.make_agent(np.random.default_rng(4), optimizer="sgd",
                                   learning_rate=1e-2)
         state = CartPoleState(0.1, 0.0, -0.02, 0.0)
-        before = 1.0 - p0_of(agent, state)[0]
+        # the log-odds of action 1 rise exactly when its probability does
+        before = logit_of(agent, state)[0]
         policy.policy_gradient_step(
             agent, np.array([state]), np.array([1], dtype=np.intp),
             np.array([2.0])
         )
-        after = 1.0 - p0_of(agent, state)[0]
+        after = logit_of(agent, state)[0]
         assert after > before
 
     def test_update_invariant_to_return_shift(self):
