@@ -1,5 +1,7 @@
 """Command-line entry points: run / sweep / report.
 
+The CLI parses arguments, dispatches to egan.harness and prints; the tables
+it saves go through harness.write_csv like every other CSV artifact.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -10,7 +12,7 @@ import math
 import os
 import sys
 
-from . import enhancer, gan, harness, nn
+from . import harness, nn
 from .config import ExperimentConfig, apply_overrides, config_to_text, load_config, validate
 from .errors import ConfigError
 
@@ -40,15 +42,14 @@ def _write_run_artifacts(config: ExperimentConfig, curve, pre, agent, out_dir) -
         fh.write(config_to_text(config))
     nn.save_network(agent.net, os.path.join(out_dir, f"policy_{tag}.txt"))
     if pre is not None:
-        gan.save_loss_history(
-            pre.gan_history, os.path.join(out_dir, f"gan_losses_{tag}.csv")
-        )
+        d_loss, g_loss = zip(*pre.gan_history)  # gan_train_steps >= 1 rounds
+        harness.write_csv(os.path.join(out_dir, f"gan_losses_{tag}.csv"), "step,d_loss,g_loss",
+                          range(len(d_loss)), d_loss, g_loss)
         nn.save_network(pre.gan.g, os.path.join(out_dir, f"generator_{tag}.txt"))
         nn.save_network(pre.gan.d, os.path.join(out_dir, f"discriminator_{tag}.txt"))
         if pre.enhancer is not None:
-            enhancer.save_kl_history(
-                pre.kl_history, os.path.join(out_dir, f"kl_history_{tag}.csv")
-            )
+            harness.write_csv(os.path.join(out_dir, f"kl_history_{tag}.csv"), "iter,kl",
+                              range(1, len(pre.kl_history) + 1), pre.kl_history)
             nn.save_network(
                 pre.enhancer.net, os.path.join(out_dir, f"enhancer_{tag}.txt")
             )
@@ -80,26 +81,8 @@ def _int_list(flag: str, text: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     lengths = _int_list("--lengths", args.lengths)
-    if not lengths:
-        raise ConfigError("--lengths must name at least one pre-training length")
     seeds = _int_list("--seeds", args.seeds) if args.seeds else list(harness.DEFAULT_SEEDS)
-    if len(seeds) < 2:
-        raise ConfigError(f"--seeds must name at least 2 seeds to aggregate, got {len(seeds)}")
-    for flag, values in (("--lengths", lengths), ("--seeds", seeds)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{flag} repeats an entry: {values}")
-    results = harness.sweep_pretrain_length(config, lengths, seeds=seeds)
-    for res in results:
-        ep_path = os.path.join(config.out_dir, f"sweep_episodes_{res.pretrain_episodes}.csv")
-        lines = ["episode,mean,std"]
-        for i, (m, s) in enumerate(zip(res.episode_mean, res.episode_std)):
-            lines.append(f"{i + 1},{m!r},{s!r}")
-        with open(ep_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        harness.save_aggregate_csv(
-            res.samples,
-            os.path.join(config.out_dir, f"sweep_samples_{res.pretrain_episodes}.csv"),
-        )
+    for res in harness.sweep_pretrain_length(config, lengths, seeds=seeds):
         print(
             f"pretrain_episodes={res.pretrain_episodes} seeds={len(res.curves)} "
             f"final_mean_rolling={res.episode_mean[-1]:.1f}"

@@ -166,11 +166,3 @@ def egan_refine(
         grads, _ = nn.backward(gan.g, cache, kl_weight * grad, inputs=False)
         nn.optimizer_step(gan.g, grads, opt)
     return history
-
-
-def save_kl_history(history, path) -> None:
-    lines = ["iter,kl"]
-    for i, kl in enumerate(history, start=1):
-        lines.append(f"{i},{kl!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

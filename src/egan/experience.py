@@ -32,7 +32,6 @@ from .cartpole import EnvParams, DEFAULT_PARAMS
 from .errors import UsageError
 
 ENCODED_DIM = 10
-HALF_DIM = 5
 
 
 @dataclass(frozen=True, eq=False)

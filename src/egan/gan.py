@@ -142,11 +142,3 @@ def generate(gan: GanPair, n: int, rng: np.random.Generator, stats,
     return decode_batch(
         generate_encoded(gan, n, rng), stats, params or DEFAULT_PARAMS
     )
-
-
-def save_loss_history(history, path) -> None:
-    lines = ["step,d_loss,g_loss"]
-    for i, (d_loss, g_loss) in enumerate(history):
-        lines.append(f"{i},{d_loss!r},{g_loss!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -9,6 +9,12 @@ offset before the first training episode.  The online phase acts through
 the policy's log-odds (policy.logit_function) and never forms a
 probability: a Bernoulli(sigmoid(g)) action is g >= log((1 - u) / u), so
 the per-step sigmoid would be pure cost.
+
+write_csv is the one formatter of every CSV cell the package writes: the
+curve, aggregate, sweep and report tables here, and the loss and KL
+histories egan.cli saves.  A float cell is the repr of a Python float, an
+integer cell its digits and a string cell the string itself; no numpy scalar
+is ever formatted, so every number cell parses back with int() or float().
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import cartpole, enhancer, experience, gan, policy
 from .config import ExperimentConfig, validate
-from .errors import CsvParseError, UsageError
+from .errors import ConfigError, CsvParseError, UsageError
 
 DEFAULT_SEEDS = tuple(range(10))
 CURVE_HEADER = "episode,reward,cumulative_samples"
@@ -61,7 +67,7 @@ class PretrainResult:
     gan_history: list
     enhancer_history: list
     kl_history: list
-    useful_synthetic_batches: int  # synthetic batches that moved the policy
+    useful_synthetic_batches: int  # synthetic batches with non-zero weights
 
 
 def _env_params(config: ExperimentConfig) -> cartpole.EnvParams:
@@ -263,40 +269,44 @@ def sweep_pretrain_length(
 ) -> list[SweepResult]:
     """Re-run the base configuration at each pre-training length over a shared
     seed set; aggregate per online episode number and per cumulative sample.
-    Every run's config is validated before the first run starts.  Each
-    length's curves are written to <out_dir>/len_<length>/ as soon as its
-    runs finish, before they are aggregated, so a failed aggregation keeps
-    every trained curve."""
+    The lists and every run's config are checked before the first run
+    starts.  Each length's curves are written to <out_dir>/len_<length>/ as
+    soon as its runs finish, before they are aggregated, so a failed
+    aggregation keeps every trained curve; its sweep_episodes_<length>.csv
+    and sweep_samples_<length>.csv follow as soon as it is aggregated."""
     lengths, seeds = list(lengths), list(seeds)
     if not lengths:
-        raise UsageError("lengths must be nonempty")
+        raise ConfigError("lengths must be nonempty")
     if len(seeds) < 2:
-        raise UsageError(f"a sweep aggregates over seeds and needs >= 2, got {len(seeds)}")
+        raise ConfigError(f"a sweep aggregates over seeds and needs >= 2, got {len(seeds)}")
     for name, values in (("lengths", lengths), ("seeds", seeds)):
         if len(set(values)) != len(values):
-            raise UsageError(f"{name} must not repeat an entry, got {values}")
+            raise ConfigError(f"{name} must not repeat an entry, got {values}")
     grid = [[replace(base_config, pretrain_episodes=length, seed=seed) for seed in seeds]
             for length in lengths]
     for config in (c for configs in grid for c in configs):
         validate(config)
+    out_dir = base_config.out_dir
     results = []
     for length, configs in zip(lengths, grid):
         curves = [run_experiment(config) for config in configs]
-        curves_dir = os.path.join(base_config.out_dir, f"len_{length}")
+        curves_dir = os.path.join(out_dir, f"len_{length}")
         os.makedirs(curves_dir, exist_ok=True)
         for curve in curves:
             path = os.path.join(curves_dir, curve_filename(curve.mode, curve.seed))
             save_curve_csv(curve, path)
         rolled = np.array([rolling_average(c.rewards, window) for c in curves])
-        results.append(
-            SweepResult(
-                pretrain_episodes=length,
-                episode_mean=rolled.mean(axis=0),
-                episode_std=rolled.std(axis=0),
-                samples=aggregate_runs(curves, bin_width=bin_width, window=window),
-                curves=curves,
-            )
+        res = SweepResult(
+            pretrain_episodes=length,
+            episode_mean=rolled.mean(axis=0),
+            episode_std=rolled.std(axis=0),
+            samples=aggregate_runs(curves, bin_width=bin_width, window=window),
+            curves=curves,
         )
+        write_csv(os.path.join(out_dir, f"sweep_episodes_{length}.csv"), "episode,mean,std",
+                  np.arange(1, res.episode_mean.size + 1), res.episode_mean, res.episode_std)
+        save_aggregate_csv(res.samples, os.path.join(out_dir, f"sweep_samples_{length}.csv"))
+        results.append(res)
     return results
 
 
@@ -304,18 +314,25 @@ def sweep_pretrain_length(
 # CSV artifacts
 
 
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length columns as CSV rows under `header`.
+
+    Each column goes through tolist(), so its cells are Python ints, floats
+    or strings; str() of a Python float is its repr, the shortest text that
+    reads back as the same float.
+    """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
 def curve_filename(mode: str, seed: int) -> str:
     return f"curve_{mode}_{seed}.csv"
 
 
 def save_curve_csv(curve: LearningCurve, path) -> None:
-    lines = [CURVE_HEADER]
-    rewards = curve.rewards.tolist()
-    cumulative = curve.cumulative_samples.tolist()
-    for i in range(len(curve)):
-        lines.append(f"{i + 1},{rewards[i]!r},{int(cumulative[i])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, CURVE_HEADER, np.arange(1, len(curve) + 1), curve.rewards,
+              curve.cumulative_samples)
 
 
 def load_curve_csv(path) -> LearningCurve:
@@ -349,11 +366,7 @@ def load_curve_csv(path) -> LearningCurve:
 
 
 def save_aggregate_csv(agg: Aggregate, path) -> None:
-    lines = ["samples_bin,mean,std"]
-    for b, m, s in zip(agg.bins.tolist(), agg.mean.tolist(), agg.std.tolist()):
-        lines.append(f"{int(b)},{m!r},{s!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "samples_bin,mean,std", agg.bins, agg.mean, agg.std)
 
 
 def find_curves(runs_dir) -> dict[str, list[LearningCurve]]:
@@ -414,9 +427,6 @@ def write_report(runs_dir, r_star: float, window: int = 100,
                 save_aggregate_csv(agg, os.path.join(runs_dir, f"aggregate_{mode}.csv"))
         median, iqr = threshold_summary(curves, r_star, window)
         rows.append((mode, median, iqr))
-    lines = ["mode,median_samples_to_threshold,iqr"]
-    for mode, median, iqr in rows:
-        lines.append(f"{mode},{median!r},{iqr!r}")
-    with open(os.path.join(runs_dir, "report.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(runs_dir, "report.csv"), "mode,median_samples_to_threshold,iqr",
+              *zip(*rows))
     return rows

@@ -6,8 +6,8 @@ gradient of -mean(log pi(a|s) * w).  The loss value itself is never formed
 updates w is the pooled z-scored discounted return of the episodes the
 caller passes (the agent keeps no episode queue); for synthetic pre-training
 w is the z-scored reward channel of one generated batch.
-Z-scoring a constant batch yields w = 0, so degenerate batches leave the
-parameters untouched instead of erroring.
+Z-scoring a constant batch yields w = 0, so a degenerate batch gives a zero
+gradient instead of erroring (an Adam step on it still applies the moments).
 
 Training goes through nn.forward/nn.backward and the softmax head.  Acting
 does not, and acts in log-odds space: for two actions the softmax draws
@@ -168,8 +168,10 @@ def pretrain_on_synthetic(
     own optimizer state (same kind as agent.opt), so thousands of noisy
     batches can use a smaller step size than on-policy training and agent.opt
     is never touched, even when `batches` raises.  Every non-empty batch takes
-    a step, but only a batch whose z-scored weights are not all zero can
-    change the parameters; returns the number of those batches.
+    a step; returns the number of batches whose z-scored weights are not all
+    zero.  That is not the number of steps that moved the policy: with Adam, a
+    constant-reward batch after one of those still moves it through the
+    moments.  A count of 0 does mean the parameters are unchanged.
     """
     lr = agent.opt.learning_rate if learning_rate is None else learning_rate
     local = PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind, lr))

@@ -3,6 +3,7 @@ import pytest
 
 from egan import harness
 from egan.cli import main
+from egan.errors import UsageError
 
 from test_harness import fixed_reward_batches, never_called
 
@@ -147,10 +148,58 @@ def test_sweep_writes_curves_and_aggregates(tmp_path):
     ] + TINY_SETS)
     assert code == 0
     for length in (2, 4):
-        assert (out / f"sweep_episodes_{length}.csv").exists()
         assert (out / f"sweep_samples_{length}.csv").exists()
-        assert (out / f"len_{length}" / "curve_gan_0.csv").exists()
-        assert (out / f"len_{length}" / "curve_gan_1.csv").exists()
+        curves = harness.find_curves(out / f"len_{length}")["gan"]
+        assert [c.seed for c in curves] == [0, 1]
+        # the episode table is exactly the mean and std of the saved curves' rolling averages
+        rolled = np.array([harness.rolling_average(c.rewards) for c in curves])
+        table = np.loadtxt(out / f"sweep_episodes_{length}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], np.arange(1, rolled.shape[1] + 1))
+        assert np.array_equal(table[:, 1], rolled.mean(axis=0))
+        assert np.array_equal(table[:, 2], rolled.std(axis=0))
+
+
+def test_sweep_failed_aggregation_keeps_finished_lengths_tables(tmp_path, monkeypatch):
+    aggregate_runs, calls = harness.aggregate_runs, []
+
+    def fail_on_second_length(curves, **kwargs):
+        calls.append(curves)
+        if len(calls) == 2:
+            raise UsageError("aggregation failed")
+        return aggregate_runs(curves, **kwargs)
+
+    monkeypatch.setattr(harness, "aggregate_runs", fail_on_second_length)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
+                 "--out", str(out)] + TINY_SETS)
+    assert code == 3
+    assert (out / "sweep_episodes_2.csv").exists()
+    assert (out / "sweep_samples_2.csv").exists()
+    assert not (out / "sweep_episodes_4.csv").exists()
+
+
+def test_every_csv_cell_reads_back_as_a_number(tmp_path):
+    runs = tmp_path / "runs"
+    for mode, seed in (("none", "0"), ("none", "1"), ("gan", "0"), ("egan", "0")):
+        assert main(["run", "--mode", mode, "--seed", seed, "--out", str(runs)]
+                    + TINY_SETS) == 0
+    assert main(["report", "--runs", str(runs), "--threshold", "20", "--window", "10"]) == 0
+    assert main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
+                 "--out", str(tmp_path / "sweep")] + TINY_SETS) == 0
+    tables = sorted(tmp_path.rglob("*.csv"))
+    assert {p.name for p in tables} >= {
+        "curve_egan_0.csv", "gan_losses_egan_0.csv", "kl_history_egan_0.csv",
+        "aggregate_none.csv", "report.csv", "sweep_episodes_2.csv", "sweep_samples_2.csv"}
+    for path in tables:
+        header, *rows = path.read_text().splitlines()
+        assert rows, path
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == header.count(",") + 1, (path, row)
+            if path.name == "report.csv":
+                assert cells.pop(0) in ("none", "gan", "egan")
+            for cell in cells:
+                float(cell)  # an int's digits parse as a float too
 
 
 def test_sweep_failed_aggregation_keeps_trained_curves(tmp_path, capsys):

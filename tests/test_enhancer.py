@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import enhancer, experience, gan, nn
+from egan import enhancer, experience, gan, harness, nn
 from egan.errors import ShapeError, UsageError
 
 from test_nn import float64_copy, max_rel_err
@@ -254,5 +254,5 @@ class TestRefine:
 
 def test_kl_history_csv(tmp_path):
     path = tmp_path / "kl.csv"
-    enhancer.save_kl_history([2.5, 1.25], path)
+    harness.write_csv(path, "iter,kl", range(1, 3), [np.float64(2.5), np.float32(1.25)])
     assert path.read_text().splitlines() == ["iter,kl", "1,2.5", "2,1.25"]

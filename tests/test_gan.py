@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from egan import enhancer, experience, gan, nn
+from egan import enhancer, experience, gan, harness, nn
 from egan.errors import UsageError
 
 from test_nn import F32_TOL, float64_copy, max_rel_err
@@ -343,7 +343,7 @@ class TestGenerate:
 
 def test_loss_history_csv(tmp_path):
     path = tmp_path / "losses.csv"
-    gan.save_loss_history([(1.5, 0.5), (1.25, 0.75)], path)
+    harness.write_csv(path, "step,d_loss,g_loss", range(2), [1.5, 1.25], (0.5, 0.75))
     lines = path.read_text().splitlines()
     assert lines[0] == "step,d_loss,g_loss"
     assert lines[1] == "0,1.5,0.5"

@@ -404,20 +404,20 @@ class TestSweep:
         assert min(c.offset for c in long.curves) > max(c.offset for c in short.curves)
 
     def test_empty_lengths_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError, match="nonempty"):
             harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [])
 
     @pytest.mark.parametrize("seeds", [(), (0,)])
     def test_fewer_than_two_seeds_rejected_before_any_run(self, monkeypatch, seeds):
         monkeypatch.setattr(harness, "run_experiment", never_called)
-        with pytest.raises(UsageError, match=">= 2"):
+        with pytest.raises(ConfigError, match=">= 2"):
             harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [3], seeds=seeds)
 
     @pytest.mark.parametrize("lengths,seeds", [([3, 3], (0, 1)), ([3], (0, 0)),
                                                ([3, 5], (0, 1, 1))])
     def test_repeated_entries_rejected_before_any_run(self, monkeypatch, lengths, seeds):
         monkeypatch.setattr(harness, "run_experiment", never_called)
-        with pytest.raises(UsageError, match="repeat"):
+        with pytest.raises(ConfigError, match="repeat"):
             harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), lengths, seeds=seeds)
 
     def test_invalid_seed_rejected_before_any_run(self, monkeypatch):

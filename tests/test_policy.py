@@ -352,6 +352,18 @@ class TestPretrain:
         assert policy.pretrain_on_synthetic(agent, [batch, flat]) == 1
         assert not np.array_equal(agent.net.params, before)
 
+    def test_flat_batch_after_varied_still_moves_parameters(self):
+        # the count is of batches with non-zero weights: a flat batch's step
+        # is zero gradient, but Adam's moments from the varied batch still move it
+        rng = np.random.default_rng(11)
+        varied = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
+        flat = synthetic_batch(rng, 16, np.ones(16))
+        agent, reference = (policy.make_agent(np.random.default_rng(10), optimizer="adam")
+                            for _ in range(2))
+        assert policy.pretrain_on_synthetic(agent, [varied, flat], learning_rate=1e-3) == 1
+        policy.pretrain_on_synthetic(reference, [varied], learning_rate=1e-3)
+        assert not np.array_equal(agent.net.params, reference.net.params)
+
     def test_agent_optimizer_state_untouched(self):
         agent = policy.make_agent(np.random.default_rng(10), optimizer="adam")
         rng = np.random.default_rng(11)
