@@ -61,8 +61,8 @@ def _cmd_run(args) -> int:
     curve, pre, agent = harness.run_experiment(config, return_details=True)
     path = _write_run_artifacts(config, curve, pre, agent, config.out_dir)
     if pre is not None and config.synthetic_batches and not pre.useful_synthetic_batches:
-        print(f"warning: all {config.synthetic_batches} synthetic batches had constant "
-              "rewards; pre-training left the policy unchanged", file=sys.stderr)
+        print(f"warning: none of the {config.synthetic_batches} synthetic batches moved "
+              "the policy; pre-training left it unchanged", file=sys.stderr)
     final = harness.rolling_average(curve.rewards)[-1]
     print(
         f"mode={config.mode} seed={config.seed} episodes={len(curve)} "
@@ -85,7 +85,8 @@ def _cmd_sweep(args) -> int:
     for res in harness.sweep_pretrain_length(config, lengths, seeds=seeds):
         print(
             f"pretrain_episodes={res.pretrain_episodes} seeds={len(res.curves)} "
-            f"final_mean_rolling={res.episode_mean[-1]:.1f}"
+            f"final_mean_rolling={res.episode_mean[-1]:.1f}",
+            flush=True,
         )
     return 0
 

@@ -3,11 +3,11 @@
 This module holds the enhancer model and the refinement only; egan.harness
 collects the data they train on and runs them in order.
 The enhancer is a regression MLP from the encoded (state, action) half of a
-sample to the encoded (next state, reward) half; an encoded row is split at
-the net's input width.  Once trained on real data it acts as a fixed oracle
-of the environment dynamics: generated pairs are scored by the KL divergence
-between the per-dimension Gaussian moments of the generated second half (P)
-and of the enhancer's prediction from the generated first half (Q).
+sample to its encoded next state; an encoded row is split at the net's input
+width, experience.SA_DIM.  Once trained on real data it acts as a fixed
+oracle of the environment dynamics: generated pairs are scored by the KL
+divergence between the per-dimension Gaussian moments of the generated next
+states (P) and of the enhancer's prediction from the generated (s, a) (Q).
 `moment_kl` is that penalty with its gradient w.r.t. P, and `kl_penalty`
 applies it to a generator output batch.  Gradient descent on the penalty
 pulls the generator toward transition-consistent samples.
@@ -26,6 +26,7 @@ import numpy as np
 from . import gan as gan_mod
 from . import nn
 from .errors import ShapeError, UsageError
+from .experience import ENCODED_DIM, SA_DIM
 
 VARIANCE_FLOOR = 1e-6
 
@@ -40,12 +41,10 @@ def make_enhancer(
     rng: np.random.Generator,
     hidden=(60, 60),
     learning_rate: float = 1e-3,
-    input_dim: int = 5,  # encoded (s, a)
-    output_dim: int = 5,  # encoded (s', r)
 ) -> EnhancerModel:
-    net = nn.init_network(
-        [input_dim, *hidden, output_dim], ["tanh"] * (len(hidden) + 1), rng, gan_mod.DTYPE
-    )
+    """An encoded (s, a) -> encoded s' net: SA_DIM inputs, tanh layers throughout."""
+    sizes = [SA_DIM, *hidden, ENCODED_DIM - SA_DIM]
+    net = nn.init_network(sizes, ["tanh"] * (len(hidden) + 1), rng, gan_mod.DTYPE)
     return EnhancerModel(net=net, opt=nn.make_optimizer(net, "adam", learning_rate))
 
 
@@ -122,8 +121,8 @@ def moment_kl(p_batch: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarr
 def kl_penalty(model: EnhancerModel):
     """The refinement penalty of a generator output batch: g_out -> (KL, d KL/d g_out).
 
-    The KL compares the generated (s', r) half with the enhancer's prediction
-    from the generated (s, a) half; the (s, a) half gets no gradient.
+    The KL compares the generated s' columns with the enhancer's prediction
+    from the generated (s, a) columns; the (s, a) columns get no gradient.
     """
 
     k = model.net.layer_sizes[0]

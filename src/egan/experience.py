@@ -1,18 +1,19 @@
-"""Experience collection and the 10-dim encoded representation.
+"""Experience collection and the 9-dim encoded representation.
 
 Every layer passes transitions as one struct-of-arrays, `Transitions`: row i
 is the transition (s_t, a, s_{t+1}, r, done).  For the GAN a row is encoded
-as a vector x = x1 || x2 with x1 = (normalized s_t, action code) and
-x2 = (normalized s_{t+1}, reward code), every channel mapped into [-1, 1]:
+as a vector x = x1 || x2 with x1 = (normalized s_t, action code), SA_DIM
+wide, and x2 = normalized s_{t+1}, every channel mapped into [-1, 1]:
 
 * states: per-dimension min-max scaling from the collected transitions,
-* action: 0 -> -1, 1 -> +1,
-* reward: r -> (r - 0.5) * 2.
+* action: 0 -> -1, 1 -> +1.
 
-The done flag is not part of x; decoding reconstructs it geometrically from
-the successor state.  Encoding and decoding are column operations.  A real
-row is done only when its successor is terminal, so a row that an episode
-cap cut short reads as a non-failure in both places.
+Only this module knows that layout; the GAN and the enhancer read its widths
+ENCODED_DIM and SA_DIM.  Neither reward nor done is part of x: CartPole pays
+1.0 on every step, so decoding sets every reward to 1.0, and it reconstructs
+done geometrically from the successor state.  Encoding and decoding are
+column operations.  A real row is done only when its successor is terminal,
+so a row that an episode cap cut short reads as a non-failure in both places.
 
 Episodes act in log-odds space (run_episodes): a policy hands over the
 log-odds g of action 1, each step compares g with a logistic threshold made
@@ -29,9 +30,10 @@ import numpy as np
 
 from . import cartpole
 from .cartpole import EnvParams, DEFAULT_PARAMS
-from .errors import UsageError
+from .errors import ShapeError, UsageError
 
-ENCODED_DIM = 10
+ENCODED_DIM = 9  # (scaled s, action code, scaled s')
+SA_DIM = 5  # the (scaled s, action code) prefix
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,12 +193,11 @@ def _unscale(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
 
 
 def encode_batch(transitions: Transitions, stats: NormalizationStats) -> np.ndarray:
-    """Transitions -> (n, 10); zero-range state dims pass through unscaled."""
+    """Transitions -> (n, 9); zero-range state dims pass through unscaled."""
     out = np.empty((len(transitions), ENCODED_DIM))
     out[:, 0:4] = _scale(transitions.states, stats)
     out[:, 4] = np.where(transitions.actions == 1, 1.0, -1.0)
-    out[:, 5:9] = _scale(transitions.next_states, stats)
-    out[:, 9] = (transitions.rewards - 0.5) * 2.0
+    out[:, SA_DIM:] = _scale(transitions.next_states, stats)
     return out
 
 
@@ -205,19 +206,21 @@ def decode_batch(
     stats: NormalizationStats,
     params: EnvParams = DEFAULT_PARAMS,
 ) -> Transitions:
-    """Total inverse of encode_batch: any (n, 10) array becomes n transitions.
+    """Total inverse of encode_batch: any (n, 9) array becomes n transitions.
 
-    Action thresholds at 0 (ties go to action 1), the reward code rounds to
-    0 or 1 (ties go to 1), done is inferred from the successor state leaving
-    the bounds.
+    Action thresholds at 0 (ties go to action 1), every reward is 1.0, done
+    is inferred from the successor state leaving the bounds.  Any other
+    width raises ShapeError.
     """
     x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    next_states = _unscale(x[:, 5:9], stats)
+    if x.shape[1] != ENCODED_DIM:
+        raise ShapeError(f"encoded rows must have {ENCODED_DIM} columns, got {x.shape[1]}")
+    next_states = _unscale(x[:, SA_DIM:], stats)
     return Transitions(
         states=_unscale(x[:, 0:4], stats),
         actions=(x[:, 4] >= 0.0).astype(np.intp),
         next_states=next_states,
-        rewards=(x[:, 9] / 2.0 + 0.5 >= 0.5).astype(np.float64),
+        rewards=np.ones(x.shape[0]),
         dones=(np.abs(next_states[:, 0]) > params.x_limit)
         | (np.abs(next_states[:, 2]) > params.theta_limit),
     )

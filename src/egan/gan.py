@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .cartpole import DEFAULT_PARAMS
 from .errors import UsageError
-from .experience import ENCODED_DIM, Transitions, decode_batch
+from .experience import ENCODED_DIM
 
 DTYPE = np.float32  # of the generator and discriminator, and of their noise
 
@@ -135,10 +134,3 @@ def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator) -> np.ndarr
     out, _ = nn.forward(gan.g, sample_noise(rng, n, gan.noise_dim))
     return out
 
-
-def generate(gan: GanPair, n: int, rng: np.random.Generator, stats,
-             params=None) -> Transitions:
-    """Draw n noise vectors and decode G(z) into transitions (none for n = 0)."""
-    return decode_batch(
-        generate_encoded(gan, n, rng), stats, params or DEFAULT_PARAMS
-    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +68,7 @@ class PretrainResult:
     gan_history: list
     enhancer_history: list
     kl_history: list
-    useful_synthetic_batches: int  # synthetic batches with non-zero weights
+    useful_synthetic_batches: int  # synthetic batches with terminal and non-terminal rows
 
 
 def _env_params(config: ExperimentConfig) -> cartpole.EnvParams:
@@ -81,12 +82,13 @@ def _synthetic_batches(pair: gan.GanPair, stats: experience.NormalizationStats,
 
     The generator runs once per SYNTHETIC_CHUNK_BATCHES batches; the noise
     is drawn in order either way, so the batches and the rng state after
-    them equal one gan.generate call per batch.
+    them equal one generate-and-decode call per batch.
     """
     size = config.gan_batch_size
     for first in range(0, config.synthetic_batches, SYNTHETIC_CHUNK_BATCHES):
         n = min(SYNTHETIC_CHUNK_BATCHES, config.synthetic_batches - first)
-        chunk = gan.generate(pair, n * size, rng, stats, params)
+        encoded = gan.generate_encoded(pair, n * size, rng)
+        chunk = experience.decode_batch(encoded, stats, params)
         for i in range(n):
             yield chunk.slice(i * size, (i + 1) * size)
 
@@ -266,14 +268,15 @@ def sweep_pretrain_length(
     seeds=DEFAULT_SEEDS,
     window: int = 100,
     bin_width: int = 500,
-) -> list[SweepResult]:
+) -> Iterator[SweepResult]:
     """Re-run the base configuration at each pre-training length over a shared
     seed set; aggregate per online episode number and per cumulative sample.
-    The lists and every run's config are checked before the first run
-    starts.  Each length's curves are written to <out_dir>/len_<length>/ as
-    soon as its runs finish, before they are aggregated, so a failed
-    aggregation keeps every trained curve; its sweep_episodes_<length>.csv
-    and sweep_samples_<length>.csv follow as soon as it is aggregated."""
+    The lists and every run's config are checked in this call; the runs go
+    one length at a time as the returned iterator is consumed.  A length's
+    curves are written to <out_dir>/len_<length>/ before they are aggregated,
+    so a failed aggregation keeps every trained curve; its
+    sweep_episodes_<length>.csv and sweep_samples_<length>.csv follow, and
+    then its SweepResult is yielded."""
     lengths, seeds = list(lengths), list(seeds)
     if not lengths:
         raise ConfigError("lengths must be nonempty")
@@ -287,27 +290,29 @@ def sweep_pretrain_length(
     for config in (c for configs in grid for c in configs):
         validate(config)
     out_dir = base_config.out_dir
-    results = []
-    for length, configs in zip(lengths, grid):
-        curves = [run_experiment(config) for config in configs]
-        curves_dir = os.path.join(out_dir, f"len_{length}")
-        os.makedirs(curves_dir, exist_ok=True)
-        for curve in curves:
-            path = os.path.join(curves_dir, curve_filename(curve.mode, curve.seed))
-            save_curve_csv(curve, path)
-        rolled = np.array([rolling_average(c.rewards, window) for c in curves])
-        res = SweepResult(
-            pretrain_episodes=length,
-            episode_mean=rolled.mean(axis=0),
-            episode_std=rolled.std(axis=0),
-            samples=aggregate_runs(curves, bin_width=bin_width, window=window),
-            curves=curves,
-        )
-        write_csv(os.path.join(out_dir, f"sweep_episodes_{length}.csv"), "episode,mean,std",
-                  np.arange(1, res.episode_mean.size + 1), res.episode_mean, res.episode_std)
-        save_aggregate_csv(res.samples, os.path.join(out_dir, f"sweep_samples_{length}.csv"))
-        results.append(res)
-    return results
+
+    def results():
+        for length, configs in zip(lengths, grid):
+            curves = [run_experiment(config) for config in configs]
+            curves_dir = os.path.join(out_dir, f"len_{length}")
+            os.makedirs(curves_dir, exist_ok=True)
+            for curve in curves:
+                path = os.path.join(curves_dir, curve_filename(curve.mode, curve.seed))
+                save_curve_csv(curve, path)
+            rolled = np.array([rolling_average(c.rewards, window) for c in curves])
+            res = SweepResult(
+                pretrain_episodes=length,
+                episode_mean=rolled.mean(axis=0),
+                episode_std=rolled.std(axis=0),
+                samples=aggregate_runs(curves, bin_width=bin_width, window=window),
+                curves=curves,
+            )
+            write_csv(os.path.join(out_dir, f"sweep_episodes_{length}.csv"), "episode,mean,std",
+                      np.arange(1, res.episode_mean.size + 1), res.episode_mean, res.episode_std)
+            save_aggregate_csv(res.samples, os.path.join(out_dir, f"sweep_samples_{length}.csv"))
+            yield res
+
+    return results()
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +396,12 @@ def _quantile(sorted_values: np.ndarray, q: float) -> float:
 
 
 def threshold_summary(curves, r_star: float, window: int = 100) -> tuple[float, float]:
-    """(median, IQR) of samples-to-threshold; unreached runs count as inf."""
-    values = np.sort(
-        np.array(
-            [
-                float(v) if (v := samples_to_threshold(c, r_star, window)) is not None
-                else np.inf
-                for c in curves
-            ]
-        )
-    )
-    median = _quantile(values, 0.5)
-    iqr = _quantile(values, 0.75) - _quantile(values, 0.25)
-    return median, iqr
+    """(median, IQR) of samples-to-threshold; unreached runs count as inf, and
+    equal quartiles, both unreached included, give an IQR of 0.0."""
+    reached = (samples_to_threshold(c, r_star, window) for c in curves)
+    values = np.sort([np.inf if v is None else float(v) for v in reached])
+    lower, upper = _quantile(values, 0.25), _quantile(values, 0.75)
+    return _quantile(values, 0.5), 0.0 if lower == upper else upper - lower
 
 
 def write_report(runs_dir, r_star: float, window: int = 100,

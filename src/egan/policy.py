@@ -5,9 +5,10 @@ gradient of -mean(log pi(a|s) * w).  The loss value itself is never formed
 (nothing reads it), so the update functions return None.  For on-policy
 updates w is the pooled z-scored discounted return of the episodes the
 caller passes (the agent keeps no episode queue); for synthetic pre-training
-w is the z-scored reward channel of one generated batch.
-Z-scoring a constant batch yields w = 0, so a degenerate batch gives a zero
-gradient instead of erroring (an Adam step on it still applies the moments).
+w is the z-scored 1 - done of one generated batch.
+Z-scoring a constant batch yields w = 0, so a batch that lacks a terminal or
+a non-terminal row gives a zero gradient instead of erroring (an Adam step on
+it still applies the moments).
 
 Training goes through nn.forward/nn.backward and the softmax head.  Acting
 does not, and acts in log-odds space: for two actions the softmax draws
@@ -162,16 +163,18 @@ def pretrain_on_synthetic(
 ) -> int:
     """One bandit-style update per batch of generated Transitions.
 
-    Generated samples are i.i.d. transitions, not episodes, so each batch is
-    weighted by its z-scored reward channel; consumes zero real samples.
+    Generated samples are i.i.d. transitions, not episodes, and every reward
+    is 1.0, so each row is weighted by the z-scored 1 - done of its batch: a
+    step favours the actions that did not end in a failure.
     The steps go through a local agent that shares agent.net and holds its
     own optimizer state (same kind as agent.opt), so thousands of noisy
     batches can use a smaller step size than on-policy training and agent.opt
     is never touched, even when `batches` raises.  Every non-empty batch takes
-    a step; returns the number of batches whose z-scored weights are not all
-    zero.  That is not the number of steps that moved the policy: with Adam, a
-    constant-reward batch after one of those still moves it through the
-    moments.  A count of 0 does mean the parameters are unchanged.
+    a step; returns the number of batches that hold both a terminal and a
+    non-terminal row, the ones whose weights are not all zero.  That is not
+    the number of steps that moved the policy: with Adam, a batch without a
+    terminal row after one of those still moves it through the moments.  A
+    count of 0 does mean the parameters are unchanged.
     """
     lr = agent.opt.learning_rate if learning_rate is None else learning_rate
     local = PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind, lr))
@@ -179,7 +182,7 @@ def pretrain_on_synthetic(
     for batch in batches:
         if not len(batch):
             continue
-        weights = normalize_weights(batch.rewards)
+        weights = normalize_weights(~batch.dones)
         policy_gradient_step(local, batch.states, batch.actions, weights)
         n_useful += bool(weights.any())
     return n_useful

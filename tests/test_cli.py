@@ -5,7 +5,7 @@ from egan import harness
 from egan.cli import main
 from egan.errors import UsageError
 
-from test_harness import fixed_reward_batches, never_called
+from test_harness import fixed_done_batches, never_called
 
 TINY_SETS = [
     "--set", "training_episodes=60",
@@ -159,7 +159,7 @@ def test_sweep_writes_curves_and_aggregates(tmp_path):
         assert np.array_equal(table[:, 2], rolled.std(axis=0))
 
 
-def test_sweep_failed_aggregation_keeps_finished_lengths_tables(tmp_path, monkeypatch):
+def test_sweep_failed_aggregation_keeps_finished_lengths_tables(tmp_path, capsys, monkeypatch):
     aggregate_runs, calls = harness.aggregate_runs, []
 
     def fail_on_second_length(curves, **kwargs):
@@ -173,6 +173,7 @@ def test_sweep_failed_aggregation_keeps_finished_lengths_tables(tmp_path, monkey
     code = main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
                  "--out", str(out)] + TINY_SETS)
     assert code == 3
+    assert capsys.readouterr().out.startswith("pretrain_episodes=2 seeds=2 ")
     assert (out / "sweep_episodes_2.csv").exists()
     assert (out / "sweep_samples_2.csv").exists()
     assert not (out / "sweep_episodes_4.csv").exists()
@@ -245,10 +246,9 @@ def test_same_seed_cli_runs_byte_identical(tmp_path):
     assert c1 == c2
 
 
-@pytest.mark.parametrize("rewards,warned", [([1.0] * 8, True), ([1.0, 0.0] * 4, False)])
-def test_constant_synthetic_rewards_warn_on_stderr(tmp_path, capsys, monkeypatch,
-                                                   rewards, warned):
-    monkeypatch.setattr(harness, "_synthetic_batches", fixed_reward_batches(rewards))
+@pytest.mark.parametrize("dones,warned", [([False] * 8, True), ([False] * 7 + [True], False)])
+def test_unmoved_policy_warns_on_stderr(tmp_path, capsys, monkeypatch, dones, warned):
+    monkeypatch.setattr(harness, "_synthetic_batches", fixed_done_batches(dones))
     code = main(["run", "--mode", "gan", "--seed", "0", "--out", str(tmp_path)] + TINY_SETS)
     out, err = capsys.readouterr()
     assert code == 0
@@ -256,4 +256,4 @@ def test_constant_synthetic_rewards_warn_on_stderr(tmp_path, capsys, monkeypatch
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == warned
     if warned:
-        assert "all 5 synthetic batches had constant rewards" in warnings[0]
+        assert "none of the 5 synthetic batches moved the policy" in warnings[0]

@@ -163,8 +163,12 @@ class TestTrainEnhancer:
         )
         assert mse < baseline
 
+    def test_net_maps_encoded_sa_to_next_state(self):
+        model = enhancer.make_enhancer(np.random.default_rng(0), hidden=(7, 3))
+        assert list(model.net.layer_sizes) == [experience.SA_DIM, 7, 3, 4] == [5, 7, 3, 4]
+
     def test_constant_dataset_drives_mse_to_zero(self):
-        row = np.concatenate([np.full(5, 0.2), np.full(5, -0.4)])
+        row = np.concatenate([np.full(5, 0.2), np.full(4, -0.4)])
         data = np.tile(row, (64, 1))
         model = enhancer.make_enhancer(np.random.default_rng(7), hidden=(8,))
         losses = enhancer.train_enhancer(model, data, 3000, np.random.default_rng(8))
@@ -174,15 +178,15 @@ class TestTrainEnhancer:
     def test_empty_dataset_rejected(self):
         model = enhancer.make_enhancer(np.random.default_rng(0))
         with pytest.raises(UsageError):
-            enhancer.train_enhancer(model, np.empty((0, 10)), 5,
+            enhancer.train_enhancer(model, np.empty((0, 9)), 5,
                                     np.random.default_rng(0))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
-        model = enhancer.make_enhancer(rng, hidden=(4,), input_dim=3, output_dim=2)
+        model = enhancer.make_enhancer(rng, hidden=(4,))
         model.net = float64_copy(model.net)
-        x1 = rng.normal(size=(6, 3))
-        x2 = rng.normal(size=(6, 2))
+        x1 = rng.normal(size=(6, 5))
+        x2 = rng.normal(size=(6, 4))
 
         def loss_at(vec):
             model.net.params[...] = vec

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from egan import cartpole, experience, nn, policy
 from egan.cartpole import CartPoleState, DEFAULT_PARAMS
-from egan.errors import UsageError
+from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
 
@@ -29,8 +29,8 @@ def assert_same(t1: Transitions, t2: Transitions):
 
 
 # Per-row reference codec: the row-at-a-time encode/decode the column
-# operations replaced, kept verbatim so encode_batch/decode_batch can be held
-# to bit-equality with it.
+# operations replaced, on the 9-column (s, a, s') row, so
+# encode_batch/decode_batch can be held to bit-equality with it.
 
 def _ref_scale(values, stats):
     lo, hi = stats.state_min, stats.state_max
@@ -46,12 +46,11 @@ def _ref_unscale(values, stats):
     return np.where(ok, (values + 1.0) / 2.0 * span + lo, values)
 
 
-def reference_encode(s, a, s_next, r, stats):
-    x = np.empty(10)
+def reference_encode(s, a, s_next, stats):
+    x = np.empty(9)
     x[0:4] = _ref_scale(np.array(s), stats)
     x[4] = 1.0 if a == 1 else -1.0
     x[5:9] = _ref_scale(np.array(s_next), stats)
-    x[9] = (r - 0.5) * 2.0
     return x
 
 
@@ -60,16 +59,13 @@ def reference_decode(x, stats, params=DEFAULT_PARAMS):
     s_t = CartPoleState(*_ref_unscale(x[0:4], stats).tolist())
     a = 1 if x[4] >= 0.0 else 0
     s_next = CartPoleState(*_ref_unscale(x[5:9], stats).tolist())
-    raw_r = min(max(x[9] / 2.0 + 0.5, 0.0), 1.0)
-    r = 1.0 if raw_r >= 0.5 else 0.0
     done = cartpole.is_terminal(s_next, params)
-    return s_t, a, s_next, r, done
+    return s_t, a, s_next, 1.0, done
 
 
 def reference_encode_batch(t: Transitions, stats):
-    rows = zip(t.states.tolist(), t.actions.tolist(), t.next_states.tolist(),
-               t.rewards.tolist())
-    return np.array([reference_encode(s, a, s2, r, stats) for s, a, s2, r in rows])
+    rows = zip(t.states.tolist(), t.actions.tolist(), t.next_states.tolist())
+    return np.array([reference_encode(s, a, s2, stats) for s, a, s2 in rows])
 
 
 def reference_decode_batch(xs, stats, params=DEFAULT_PARAMS) -> Transitions:
@@ -507,9 +503,18 @@ class TestEncoding:
         assert np.array_equal(back.actions, small_buffer.actions)
         assert np.array_equal(back.rewards, small_buffer.rewards)
 
-    def test_reward_channel_mapping(self, small_buffer):
+    def test_decoded_rows_have_reward_one(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
-        assert experience.encode_batch(small_buffer, stats)[0, 9] == 1.0  # r = 1.0 -> +1
+        xs = np.random.default_rng(5).uniform(-3.0, 3.0, size=(500, experience.ENCODED_DIM))
+        t = experience.decode_batch(xs, stats)
+        assert t.rewards.dtype == np.float64
+        assert np.array_equal(t.rewards, np.ones(500))
+
+    @pytest.mark.parametrize("width", [experience.ENCODED_DIM - 1, experience.ENCODED_DIM + 1])
+    def test_decode_rejects_other_widths(self, small_buffer, width):
+        stats = experience.compute_stats(small_buffer)
+        with pytest.raises(ShapeError, match="9 columns"):
+            experience.decode_batch(np.zeros((3, width)), stats)
 
     def test_decode_action_threshold(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
@@ -521,21 +526,21 @@ class TestEncoding:
 
     def test_decode_all_zero_vector(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
-        t = experience.decode_batch(np.zeros(10), stats)
+        t = experience.decode_batch(np.zeros(9), stats)
         mid = (stats.state_min + stats.state_max) / 2.0
         assert np.allclose(t.states[0], mid, atol=1e-12)
         assert t.actions[0] == 1  # tie at exactly 0 breaks upward
-        assert t.rewards[0] == 1.0  # channel 0 -> raw 0.5 -> rounds up
+        assert t.rewards[0] == 1.0
 
     def test_decode_is_total_outside_unit_box(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
-        t = experience.decode_batch(np.full(10, 3.5), stats)
+        t = experience.decode_batch(np.full(9, 3.5), stats)
         assert np.all(np.isfinite(t.states))
-        assert t.rewards[0] in (0.0, 1.0)
+        assert t.rewards[0] == 1.0
 
     def test_decode_infers_done_geometrically(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
-        x = np.zeros(10)
+        x = np.zeros(9)
         x[5] = 100.0  # push decoded next-state x far outside the track
         assert experience.decode_batch(x, stats).dones[0]
 
@@ -587,10 +592,8 @@ class TestReferenceCodec:
         stats = (zero_range_stats(small_buffer) if zero_range
                  else experience.compute_stats(small_buffer))
         rng = np.random.default_rng(17)
-        xs = rng.uniform(-1.5, 1.5, size=(2000, 10))
+        xs = rng.uniform(-1.5, 1.5, size=(2000, 9))
         xs[::7, 4] = 0.0  # action code exactly on the threshold
-        xs[::11, 9] = 0.0  # reward code exactly on the threshold
-        xs[::13, 9] = -1e-20  # rounds to the threshold in x / 2 + 0.5
         assert_same(
             experience.decode_batch(xs, stats), reference_decode_batch(xs, stats)
         )
@@ -600,7 +603,7 @@ class TestReferenceCodec:
         stats = (zero_range_stats(small_buffer) if zero_range
                  else experience.compute_stats(small_buffer))
         rng = np.random.default_rng(18)
-        xs = rng.uniform(-1.5, 1.5, size=(2000, 10))
+        xs = rng.uniform(-1.5, 1.5, size=(2000, 9))
         xs[::7, 4] = 0.0
         t = experience.decode_batch(xs, stats)
         assert np.array_equal(

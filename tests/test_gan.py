@@ -26,6 +26,11 @@ def float64_pair(pair):
                    g_opt=float64_opt(pair.g_opt), d_opt=float64_opt(pair.d_opt))
 
 
+def generate(pair, n, rng, stats):
+    """n generated rows decoded into Transitions, as the synthetic phase does."""
+    return experience.decode_batch(gan.generate_encoded(pair, n, rng), stats)
+
+
 class TestNoise:
     def test_entries_in_open_interval(self):
         z = gan.sample_noise(np.random.default_rng(0), 1000, 16)
@@ -268,14 +273,15 @@ class TestFloat32MatchesFloat64:
 
 class TestTrainGan:
     def test_history_length(self, small_encoded):
-        pair = tiny_gan(data_dim=10, noise_dim=4)
+        pair = tiny_gan(data_dim=experience.ENCODED_DIM, noise_dim=4)
         hist = gan.train_gan(pair, small_encoded, 25, np.random.default_rng(1))
         assert len(hist) == 25
 
     def test_empty_data_rejected(self):
-        pair = tiny_gan(data_dim=10)
+        pair = tiny_gan(data_dim=experience.ENCODED_DIM)
         with pytest.raises(UsageError):
-            gan.train_gan(pair, np.empty((0, 10)), 5, np.random.default_rng(0))
+            gan.train_gan(pair, np.empty((0, experience.ENCODED_DIM)), 5,
+                          np.random.default_rng(0))
 
     def test_deterministic(self, small_encoded):
         results = []
@@ -290,7 +296,7 @@ class TestTrainGan:
         stats = experience.compute_stats(small_buffer)
         pair = gan.make_gan(np.random.default_rng(41), noise_dim=16)
         gan.train_gan(pair, small_encoded, 2000, np.random.default_rng(42))
-        fake = gan.generate(pair, 1000, np.random.default_rng(43), stats)
+        fake = generate(pair, 1000, np.random.default_rng(43), stats)
         lo, hi = stats.state_min, stats.state_max
         margin = 0.05 * (hi - lo)  # 10% total box expansion
         inside = np.ones(len(fake), dtype=bool)
@@ -302,7 +308,7 @@ class TestTrainGan:
         stats = experience.compute_stats(small_buffer)
         pair = gan.make_gan(np.random.default_rng(51), noise_dim=16)
         gan.train_gan(pair, small_encoded, 2000, np.random.default_rng(52))
-        fake = gan.generate(pair, 4000, np.random.default_rng(53), stats)
+        fake = generate(pair, 4000, np.random.default_rng(53), stats)
         real_freq = small_buffer.actions.mean()
         fake_freq = fake.actions.mean()
         assert abs(real_freq - fake_freq) <= 0.10
@@ -310,29 +316,29 @@ class TestTrainGan:
 
 class TestGenerate:
     def test_zero_count_empty(self, small_buffer):
-        pair = tiny_gan(data_dim=10)
+        pair = tiny_gan(data_dim=experience.ENCODED_DIM)
         rng = np.random.default_rng(0)
         stats = experience.compute_stats(small_buffer)
-        fake = gan.generate(pair, 0, rng, stats)
+        fake = generate(pair, 0, rng, stats)
         assert len(fake) == 0
         assert fake.states.shape == fake.next_states.shape == (0, 4)
         # no draw consumed: the next generation matches a fresh stream
-        after = gan.generate(pair, 3, rng, stats)
-        fresh = gan.generate(pair, 3, np.random.default_rng(0), stats)
+        after = generate(pair, 3, rng, stats)
+        fresh = generate(pair, 3, np.random.default_rng(0), stats)
         assert np.array_equal(after.states, fresh.states)
 
     def test_output_count(self, small_buffer):
         pair = gan.make_gan(np.random.default_rng(0), noise_dim=4)
         stats = experience.compute_stats(small_buffer)
-        fake = gan.generate(pair, 37, np.random.default_rng(1), stats)
+        fake = generate(pair, 37, np.random.default_rng(1), stats)
         assert len(fake) == 37
 
     def test_outputs_decode_to_quadruplets(self, small_buffer):
         pair = gan.make_gan(np.random.default_rng(0), noise_dim=4)
         stats = experience.compute_stats(small_buffer)
-        fake = gan.generate(pair, 10, np.random.default_rng(1), stats)
+        fake = generate(pair, 10, np.random.default_rng(1), stats)
         assert set(fake.actions.tolist()) <= {0, 1}
-        assert set(fake.rewards.tolist()) <= {0.0, 1.0}
+        assert set(fake.rewards.tolist()) == {1.0}
         assert np.all(np.isfinite(fake.states))
 
     def test_generator_outputs_in_tanh_range(self):

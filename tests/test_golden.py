@@ -41,7 +41,8 @@ COMMANDS = {
     # are batched can pass the 64-row digests and still move these
     "egan_b32": [["run", "--mode", "egan", "--seed", "3", "--set", "gan_batch_size=32"]],
     "sweep": [["sweep", "--mode", "gan", "--lengths", "2,4", "--seeds", "0,1"]],
-    # a threshold mode none never reaches in 60 episodes: the report's inf and nan
+    # a threshold mode none never reaches in 60 episodes: the report's inf
+    # median and its 0.0 IQR of two unreached quartiles
     "report": [["run", "--mode", "none", "--seed", "0"],
                ["run", "--mode", "none", "--seed", "1"],
                ["run", "--mode", "gan", "--seed", "4"],
@@ -52,28 +53,28 @@ OUT_FLAG = {"run": "--out", "sweep": "--out", "report": "--runs"}
 GOLDEN = {
     "egan": {
         "curve_egan_2.csv": "cedd0d5f277b51f650efcfb0cf307d2ebce75bbca059dbc52b0c6cc01c814267",
-        "discriminator_egan_2.txt": "cf6f5c719356795ba7d83653cba2585a09e03c815bca0c4544ededb818c12527",
-        "enhancer_egan_2.txt": "d6e256c3ca73ea13e6762463ca46f1ba02f207c5d160304d9a329f4ce66ffc16",
-        "gan_losses_egan_2.csv": "7c244ef307421172e6178257f0cb82c141ec254ebce02cd545b3ad1ac695370f",
-        "generator_egan_2.txt": "61228c39c69950336c661b0ab7057e208f77e292995c3dfe80f5257694683f1b",
-        "kl_history_egan_2.csv": "89ff94ae9dab4c73cb6729736fe11349d9670e22873887eb871e125414d2fcb8",
-        "policy_egan_2.txt": "fd1eb275443e57db37fc1a2aeca16dbe733c6fb617aa5e70cdcdb6bf6a2e18b0",
+        "discriminator_egan_2.txt": "f40f1a433610a18aa3f275e1f44796df5438eb22e37499aed51c600ee2aeacb7",
+        "enhancer_egan_2.txt": "a7c815f8eeaa365dc34bd0348ce778f95bb587e96a9b2dbda4f5cbf4bee9a2bd",
+        "gan_losses_egan_2.csv": "ea0c5ba4fe4d2b5c982e4756e983f3d5811b513a4abd8093c6dcdf7537bcd563",
+        "generator_egan_2.txt": "8b45feb4e57147f068ac9a3f3d1d32cfbb95b2cd54539ae99654171bad86d4fa",
+        "kl_history_egan_2.csv": "5c273aa8383367a4490204f1408d99729ffaab07ff03700dad86dd963aa3755d",
+        "policy_egan_2.txt": "ab67a627ac9324a381c170253cc9925f89255b6d512e9f393a536cb57c22716e",
     },
     "egan_b32": {
         "curve_egan_3.csv": "6fc10536413490f80c677f58e06902f158c3e1db25b62b4868a25f7597e44f34",
-        "discriminator_egan_3.txt": "9f939343999259cce8621b0110dbf8eb57f735746b29ba2b4e6657bfda8abe27",
-        "enhancer_egan_3.txt": "f681f6a87e37664a71aa9ed04fb30447dec7580496dc4505e00a7d49faad9b6f",
-        "gan_losses_egan_3.csv": "ffd9280662f4ed7e6b65712b563e4552e020437371f31604f96055ca1c264f62",
-        "generator_egan_3.txt": "bef3a0994153a66648df36e19e4c048bee499333e980acad3bc568f70bbb9b2e",
-        "kl_history_egan_3.csv": "bc06eda6a72f883d5a494a1e1961efcf9d6605f421e7bcccbbb8e02da4eed65f",
-        "policy_egan_3.txt": "9599b41a01d5b9595fbef558e3ceb190c645074180ec54ef5510d806b46e7b75",
+        "discriminator_egan_3.txt": "b3fdc4d75197b2ce5befc9482a583e9208adfd9bf98e9384504d2fe2fba032e4",
+        "enhancer_egan_3.txt": "39b2de9efcfdf8bf60e8b45a5c1f6482191fd06094735559afc290887fa2182d",
+        "gan_losses_egan_3.csv": "7bc3936e4182a4caac5c6cd6ed579f8b8f266a4440605dd3a796c8a4fecdf72a",
+        "generator_egan_3.txt": "6ef8b514c0ef149c0cf8ac2c104caec7ee80a9836d33d9f2496bb000c2a4a587",
+        "kl_history_egan_3.csv": "c8467dd2d108f43213fdbbc0a069667690e3d93bd91f022e57ce994696efb034",
+        "policy_egan_3.txt": "a55cb39c69154b36481ca1dece70840741564e649798b27e74e9358f506c6990",
     },
     "gan": {
         "curve_gan_4.csv": "f71e8250db296fc61cf475313f07ba83596a00ee826163ef0684af343f734e0c",
-        "discriminator_gan_4.txt": "92f23f49be58155dffd28816b585cbeef7d2b330edbf00f0177fea33f3e3e11b",
-        "gan_losses_gan_4.csv": "964f1da97adf8f3296741973aa3939ac7650f58fb856c9102380596075a92047",
-        "generator_gan_4.txt": "db22fec39554c6513c3f131036f40a7f6dadfb80e1d8fcc3fe4e7c0943c177e2",
-        "policy_gan_4.txt": "1b25b123fe173e3f8805a700238961f78e881c3c8b4fc5c8a842bb51db7e370d",
+        "discriminator_gan_4.txt": "07f90d4b5cc233d84947c4ad487fd0f17052bb4bc7abe1d49b1fe7255858b9bd",
+        "gan_losses_gan_4.csv": "553a7a3a78f53f671cf5be7dff6415a5b3fc5c5eadba239e0af6dd4d68b28452",
+        "generator_gan_4.txt": "4e5204cd07ea3807079d37bf4a377d3fef08585054ba0b8853065f55bc0c6dc4",
+        "policy_gan_4.txt": "fb02dd820e4e113737f34d4564c5fcb31840c14cf6521c0a59bfd27a2f33ab79",
     },
     "none": {
         "curve_none_5.csv": "8a069f45bb3b04f8f8a9b0717fa69fd85d7364cced00225a92ae9db8643f9f2e",
@@ -84,22 +85,22 @@ GOLDEN = {
         "curve_gan_4.csv": "f71e8250db296fc61cf475313f07ba83596a00ee826163ef0684af343f734e0c",
         "curve_none_0.csv": "5032173d15e364c98ba2d11c9737c9ae128292e6e7b25504aab07640d2e3e0a1",
         "curve_none_1.csv": "44cd0f580b13ed3a7c07f458aef8bffee46e5cfc413b6048266e8acd57f03ab8",
-        "discriminator_gan_4.txt": "92f23f49be58155dffd28816b585cbeef7d2b330edbf00f0177fea33f3e3e11b",
-        "gan_losses_gan_4.csv": "964f1da97adf8f3296741973aa3939ac7650f58fb856c9102380596075a92047",
-        "generator_gan_4.txt": "db22fec39554c6513c3f131036f40a7f6dadfb80e1d8fcc3fe4e7c0943c177e2",
-        "policy_gan_4.txt": "1b25b123fe173e3f8805a700238961f78e881c3c8b4fc5c8a842bb51db7e370d",
+        "discriminator_gan_4.txt": "07f90d4b5cc233d84947c4ad487fd0f17052bb4bc7abe1d49b1fe7255858b9bd",
+        "gan_losses_gan_4.csv": "553a7a3a78f53f671cf5be7dff6415a5b3fc5c5eadba239e0af6dd4d68b28452",
+        "generator_gan_4.txt": "4e5204cd07ea3807079d37bf4a377d3fef08585054ba0b8853065f55bc0c6dc4",
+        "policy_gan_4.txt": "fb02dd820e4e113737f34d4564c5fcb31840c14cf6521c0a59bfd27a2f33ab79",
         "policy_none_0.txt": "a6c3e2edba0e751aa67c9885268068e3fea1e0527077764b7ed5926d174697ea",
         "policy_none_1.txt": "1974e88ef70b4c0537ba5b3b18aa6c0b92dc098d8a23630bba0ed91953b471eb",
-        "report.csv": "d6c992ed58af76815063eaedcce7460557fb6bcf2663ff9cace2fd191ffd84ee",
+        "report.csv": "1f2f2e23410fd3528fa3dd224d71012d523d5e03d8fec47d144902c340c63160",
     },
     "sweep": {
-        "len_2/curve_gan_0.csv": "d02f16fa935a747a52b3056fead5d788db178e7c1a9e6cf65804afd80c86e507",
-        "len_2/curve_gan_1.csv": "0522858b5b646c3ac85212cf5a5511e9fb7d1fc21c66da7e07f5097a96143548",
+        "len_2/curve_gan_0.csv": "b0104540fc98426e89ae20e353ca450bcf9fd29e545b634060c68ccd84408765",
+        "len_2/curve_gan_1.csv": "caeac77df3280f7e1dbb78bec0df75713323458fb57c80e70f3051459c4a4588",
         "len_4/curve_gan_0.csv": "d8dd63e20bc3a707b594f22594f65ceaff2be16dd425ed316e9a4cf24f742806",
         "len_4/curve_gan_1.csv": "e062bb69f954e445062fbb163e4cc174fa7799fbdeb8ea07da5ff1293660ece7",
-        "sweep_episodes_2.csv": "ed062c636e38ce35421f27c98d68cd0da64a8704df9d4d93e2f618fafec784c1",
+        "sweep_episodes_2.csv": "6cdc85f6c73160aa285aaddc84b3b3c5ba6c55e39f11a4177cb6d9fb9cd81eab",
         "sweep_episodes_4.csv": "6cdc85f6c73160aa285aaddc84b3b3c5ba6c55e39f11a4177cb6d9fb9cd81eab",
-        "sweep_samples_2.csv": "cc94f3ed85c9502b36372fb1d628178776dcd3c8529420201342f056ccd86d4b",
+        "sweep_samples_2.csv": "f199dbe8f29e417ff79299bf1122a10083e26274422b4642b421a9ff8639c15a",
         "sweep_samples_4.csv": "3e66a8acb28dbee0e71e0a0b032fa1676f38579e26fbcc6ba2741f27fc554f47",
     },
 }

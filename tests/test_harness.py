@@ -188,9 +188,10 @@ class TestRunExperiment:
         assert curve.rewards.tolist() == lengths
         assert np.array_equal(trained.net.params, agent.net.params)
 
-    @pytest.mark.parametrize("rewards,useful", [([1.0] * 8, 0), ([1.0, 0.0] * 4, 10)])
-    def test_synthetic_phase_counts_useful_batches(self, monkeypatch, rewards, useful):
-        monkeypatch.setattr(harness, "_synthetic_batches", fixed_reward_batches(rewards))
+    @pytest.mark.parametrize("dones,useful", [([False] * 8, 0), ([True] * 8, 0),
+                                              ([False] * 7 + [True], 10)])
+    def test_synthetic_phase_counts_useful_batches(self, monkeypatch, dones, useful):
+        monkeypatch.setattr(harness, "_synthetic_batches", fixed_done_batches(dones))
         cfg = ExperimentConfig(mode="gan", seed=4, **TINY)
         _, pre, _ = harness.run_experiment(cfg, return_details=True)
         assert cfg.synthetic_batches == 10
@@ -237,11 +238,12 @@ class TestPipeline:
 
 # sha256 of the json (sorted keys) of the pre-training rng's bit_generator
 # state after pretrain_pipeline, at the golden runs' tiny config, recorded
-# with float64 models: changing the models' precision must leave every rng
-# draw of a run as it was
+# with the 9-column encoded row (generator [16, 40, 20, 9], discriminator
+# [9, 40, 20, 1], enhancer [5, 60, 60, 4]): a change of the models' precision
+# or of a speed path must leave every rng draw of a run as it was
 PRETRAIN_RNG_DIGESTS = {
-    ("egan", 2): "48fcbd500f4de4ae2096f0fa2fa68fa33bf5686421f518754b078068e52ba6b8",
-    ("gan", 4): "ab436ac9ef89c9d7befcb3244b5f3bebba0a976eb9f34dc4c6e8ebade60fa004",
+    ("egan", 2): "13be80f909cc36b0f58d3c35cb83343a70f014ef5f4fb021a7d86bf697408a62",
+    ("gan", 4): "4788950e8c2e252bb0f761a9cadf547949c105ac4c7ea2631b65a874fc3aae25",
 }
 
 
@@ -258,6 +260,23 @@ def test_pretrain_rng_consumption_pinned(mode, seed):
     assert hashlib.sha256(state).hexdigest() == PRETRAIN_RNG_DIGESTS[(mode, seed)]
 
 
+@pytest.mark.slow
+def test_default_pretraining_moves_the_policy():
+    """At the default pre-training config the synthetic phase has batches with
+    non-zero weights, so the online phase starts from a different policy than
+    a fresh agent's."""
+    cfg = ExperimentConfig(mode="gan", seed=0, training_episodes=5)
+    pretrain_ss, agent_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
+    pretrained, fresh = (
+        policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden,
+                          learning_rate=cfg.pg_learning_rate, gamma=cfg.pg_discount)
+        for _ in range(2))
+    pre = harness.pretrain_pipeline(cfg, pretrained, np.random.default_rng(pretrain_ss),
+                                    harness._env_params(cfg))
+    assert pre.useful_synthetic_batches > 0
+    assert not np.array_equal(pretrained.net.params, fresh.net.params)
+
+
 class TestSyntheticBatches:
     @pytest.mark.parametrize("n_batches", [0, 1, 16, 17, 64, 70, 129])
     def test_chunked_generation_equals_per_batch_loop(self, n_batches):
@@ -268,7 +287,8 @@ class TestSyntheticBatches:
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = list(harness._synthetic_batches(pair, stats, cfg, rng, params))
         # the reference: one generator call per batch
-        ref = [gan.generate(pair, cfg.gan_batch_size, ref_rng, stats, params)
+        ref = [experience.decode_batch(gan.generate_encoded(pair, cfg.gan_batch_size, ref_rng),
+                                       stats, params)
                for _ in range(n_batches)]
         assert len(got) == n_batches
         for batch, expected in zip(got, ref):
@@ -276,16 +296,15 @@ class TestSyntheticBatches:
         assert rng.random() == ref_rng.random()
 
 
-def fixed_reward_batches(rewards):
-    """Stands in for the generator: every synthetic batch carries `rewards`."""
-    rewards = np.asarray(rewards, dtype=np.float64)
+def fixed_done_batches(dones):
+    """Stands in for the generator: every synthetic batch carries `dones`."""
+    dones = np.asarray(dones, dtype=bool)
 
     def batches(pair, stats, config, rng, params):
         for _ in range(config.synthetic_batches):
-            states = rng.uniform(-0.05, 0.05, size=(rewards.size, 4))
-            actions = rng.integers(0, 2, size=rewards.size).astype(np.intp)
-            yield Transitions(states, actions, states, rewards,
-                              np.zeros(rewards.size, dtype=bool))
+            states = rng.uniform(-0.05, 0.05, size=(dones.size, 4))
+            actions = rng.integers(0, 2, size=dones.size).astype(np.intp)
+            yield Transitions(states, actions, states, np.ones(dones.size), dones)
 
     return batches
 
@@ -371,6 +390,15 @@ class TestReport:
         rows = harness.write_report(tmp_path, 120.0)
         assert rows[0][1] == float("inf")
 
+    def test_all_unreached_iqr_is_zero(self):
+        curves = [make_curve(np.full(150, 10.0), seed=seed) for seed in (0, 1)]
+        assert harness.threshold_summary(curves, 120.0) == (float("inf"), 0.0)
+
+    def test_unreached_upper_quartile_iqr_is_inf(self):
+        curves = [make_curve(np.full(150, 150.0), seed=seed) for seed in range(3)]
+        curves.append(make_curve(np.full(150, 10.0), seed=3))
+        assert harness.threshold_summary(curves, 120.0) == (150.0, float("inf"))
+
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             harness.write_report(tmp_path, 120.0)
@@ -379,7 +407,7 @@ class TestReport:
 class TestSweep:
     def test_singleton_length(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path), **TINY)
-        results = harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1), bin_width=50)
+        results = list(harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1), bin_width=50))
         assert len(results) == 1
         res = results[0]
         assert res.pretrain_episodes == 3
@@ -398,8 +426,8 @@ class TestSweep:
     def test_longer_pretraining_shifts_offset(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path),
                                **{**TINY, "training_episodes": 10})
-        results = harness.sweep_pretrain_length(cfg, [2, 20], seeds=(0, 1),
-                                                bin_width=20)
+        results = list(harness.sweep_pretrain_length(cfg, [2, 20], seeds=(0, 1),
+                                                     bin_width=20))
         short, long = results
         assert min(c.offset for c in long.curves) > max(c.offset for c in short.curves)
 

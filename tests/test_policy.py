@@ -318,14 +318,18 @@ class TestUpdateOnEpisodes:
         assert np.allclose(agents[0], agents[1], atol=1e-12)
 
 
-def synthetic_batch(rng, n, rewards):
+def synthetic_batch(rng, n, dones):
     return Transitions(
         states=rng.uniform(-0.5, 0.5, size=(n, 4)),
         actions=rng.integers(0, 2, size=n).astype(np.intp),
         next_states=np.zeros((n, 4)),
-        rewards=np.asarray(rewards[:n], dtype=np.float64),
-        dones=np.zeros(n, dtype=bool),
+        rewards=np.ones(n),
+        dones=np.asarray(dones[:n], dtype=bool),
     )
+
+
+ONE_TERMINAL = np.array([False] * 15 + [True])
+NO_TERMINAL = np.zeros(16, dtype=bool)
 
 
 class TestPretrain:
@@ -335,29 +339,51 @@ class TestPretrain:
         assert policy.pretrain_on_synthetic(agent, []) == 0
         assert np.array_equal(agent.net.params, before)
 
-    def test_constant_reward_batch_is_noop(self):
+    @pytest.mark.parametrize("dones", [NO_TERMINAL, ~NO_TERMINAL],
+                             ids=["no_terminal", "all_terminal"])
+    def test_batch_without_both_kinds_of_row_is_noop(self, dones):
         agent = policy.make_agent(np.random.default_rng(10))
         rng = np.random.default_rng(11)
         before = agent.net.params.copy()
-        batch = synthetic_batch(rng, 16, np.ones(16))
+        batch = synthetic_batch(rng, 16, dones)
         assert policy.pretrain_on_synthetic(agent, [batch, batch]) == 0
         assert np.array_equal(agent.net.params, before)
 
-    def test_varied_rewards_update_parameters(self):
+    def test_one_terminal_row_updates_parameters(self):
         agent = policy.make_agent(np.random.default_rng(10))
         rng = np.random.default_rng(11)
         before = agent.net.params.copy()
-        batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
-        flat = synthetic_batch(rng, 16, np.ones(16))
-        assert policy.pretrain_on_synthetic(agent, [batch, flat]) == 1
+        batch = synthetic_batch(rng, 16, ONE_TERMINAL)
+        assert policy.pretrain_on_synthetic(agent, [batch]) == 1
         assert not np.array_equal(agent.net.params, before)
 
-    def test_flat_batch_after_varied_still_moves_parameters(self):
-        # the count is of batches with non-zero weights: a flat batch's step
-        # is zero gradient, but Adam's moments from the varied batch still move it
+    def test_counts_batches_with_a_terminal_row(self):
         rng = np.random.default_rng(11)
-        varied = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
-        flat = synthetic_batch(rng, 16, np.ones(16))
+        kinds = [ONE_TERMINAL, NO_TERMINAL, ONE_TERMINAL[::-1], ~NO_TERMINAL, ONE_TERMINAL]
+        batches = [synthetic_batch(rng, 16, dones) for dones in kinds]
+        agent = policy.make_agent(np.random.default_rng(10))
+        assert policy.pretrain_on_synthetic(agent, batches) == 3
+
+    def test_terminal_rows_weigh_against_their_actions(self):
+        # one step at a tiny learning rate lowers the probability of the action
+        # taken in the terminal row and raises it in the non-terminal rows
+        rng = np.random.default_rng(11)
+        batch = synthetic_batch(rng, 16, ONE_TERMINAL)
+        agent = policy.make_agent(np.random.default_rng(10), optimizer="sgd")
+        chosen = np.arange(16), batch.actions
+        before = nn.forward(agent.net, batch.states)[0][chosen]
+        policy.pretrain_on_synthetic(agent, [batch], learning_rate=1e-3)
+        after = nn.forward(agent.net, batch.states)[0][chosen]
+        assert after[-1] < before[-1]
+        assert np.mean(after[:-1] > before[:-1]) > 0.5
+
+    def test_flat_batch_after_varied_still_moves_parameters(self):
+        # the count is of batches with non-zero weights: a batch without a
+        # terminal row is a zero gradient, but Adam's moments from the batch
+        # with one still move it
+        rng = np.random.default_rng(11)
+        varied = synthetic_batch(rng, 16, ONE_TERMINAL)
+        flat = synthetic_batch(rng, 16, NO_TERMINAL)
         agent, reference = (policy.make_agent(np.random.default_rng(10), optimizer="adam")
                             for _ in range(2))
         assert policy.pretrain_on_synthetic(agent, [varied, flat], learning_rate=1e-3) == 1
@@ -367,7 +393,7 @@ class TestPretrain:
     def test_agent_optimizer_state_untouched(self):
         agent = policy.make_agent(np.random.default_rng(10), optimizer="adam")
         rng = np.random.default_rng(11)
-        batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
+        batch = synthetic_batch(rng, 16, ONE_TERMINAL)
         policy.pretrain_on_synthetic(agent, [batch], learning_rate=1e-4)
         assert agent.opt.t == 0  # training-phase moments still fresh
 
@@ -375,7 +401,7 @@ class TestPretrain:
         agent = policy.make_agent(np.random.default_rng(10))
         opt = agent.opt
         rng = np.random.default_rng(11)
-        batch = synthetic_batch(rng, 16, np.array([1.0] * 8 + [0.0] * 8))
+        batch = synthetic_batch(rng, 16, ONE_TERMINAL)
         before = agent.net.params.copy()
 
         def batches():
