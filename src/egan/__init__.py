@@ -8,9 +8,9 @@ transition-consistency network refines the generator with a moment-matching
 KL penalty (``enhancer.moment_kl``); the resulting samples pre-train a
 REINFORCE agent, each row weighted by whether it ends in a failure, before
 the agent touches the real environment.
-``egan.harness`` owns that schedule (``pretrain_pipeline``,
-``run_experiment``).  ``egan run``, ``egan sweep`` and ``egan report``
-(``egan.cli``) are the entry points.
+``egan.harness`` owns that schedule (``run_experiment``, which returns one
+``Run``) and every file it writes (``write_run``).  ``egan run``, ``egan
+sweep`` and ``egan report`` (``egan.cli``) are the entry points.
 """
 
 __version__ = "0.1.0"

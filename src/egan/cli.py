@@ -1,7 +1,7 @@
 """Command-line entry points: run / sweep / report.
 
-The CLI parses arguments, dispatches to egan.harness and prints; the tables
-it saves go through harness.write_csv like every other CSV artifact.
+The CLI parses arguments, dispatches to egan.harness and prints; harness
+makes the output directories before any training and writes every file.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
-from . import harness, nn
-from .config import ExperimentConfig, apply_overrides, config_to_text, load_config, validate
+from . import harness
+from .config import ExperimentConfig, apply_overrides, load_config, validate
 from .errors import ConfigError
 
 
@@ -33,41 +32,18 @@ def _build_config(args) -> ExperimentConfig:
     return config
 
 
-def _write_run_artifacts(config: ExperimentConfig, curve, pre, agent, out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    tag = f"{config.mode}_{config.seed}"
-    curve_path = os.path.join(out_dir, harness.curve_filename(config.mode, config.seed))
-    harness.save_curve_csv(curve, curve_path)
-    with open(os.path.join(out_dir, f"meta_{tag}.txt"), "w") as fh:
-        fh.write(config_to_text(config))
-    nn.save_network(agent.net, os.path.join(out_dir, f"policy_{tag}.txt"))
-    if pre is not None:
-        d_loss, g_loss = zip(*pre.gan_history)  # gan_train_steps >= 1 rounds
-        harness.write_csv(os.path.join(out_dir, f"gan_losses_{tag}.csv"), "step,d_loss,g_loss",
-                          range(len(d_loss)), d_loss, g_loss)
-        nn.save_network(pre.gan.g, os.path.join(out_dir, f"generator_{tag}.txt"))
-        nn.save_network(pre.gan.d, os.path.join(out_dir, f"discriminator_{tag}.txt"))
-        if pre.enhancer is not None:
-            harness.write_csv(os.path.join(out_dir, f"kl_history_{tag}.csv"), "iter,kl",
-                              range(1, len(pre.kl_history) + 1), pre.kl_history)
-            nn.save_network(
-                pre.enhancer.net, os.path.join(out_dir, f"enhancer_{tag}.txt")
-            )
-    return curve_path
-
-
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    curve, pre, agent = harness.run_experiment(config, return_details=True)
-    path = _write_run_artifacts(config, curve, pre, agent, config.out_dir)
+    harness.make_out_dir(config.out_dir)
+    run = harness.run_experiment(config)
+    path = harness.write_run(run, config)
+    curve, pre, _ = run
     if pre is not None and config.synthetic_batches and not pre.useful_synthetic_batches:
         print(f"warning: none of the {config.synthetic_batches} synthetic batches moved "
               "the policy; pre-training left it unchanged", file=sys.stderr)
     final = harness.rolling_average(curve.rewards)[-1]
-    print(
-        f"mode={config.mode} seed={config.seed} episodes={len(curve)} "
-        f"offset={curve.offset} final_rolling_reward={final:.1f} -> {path}"
-    )
+    print(f"mode={config.mode} seed={config.seed} episodes={len(curve)} "
+          f"offset={curve.offset} final_rolling_reward={final:.1f} -> {path}")
     return 0
 
 

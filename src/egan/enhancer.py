@@ -72,11 +72,11 @@ def train_enhancer(
     data = np.atleast_2d(np.asarray(encoded, dtype=model.net.params.dtype))
     if data.shape[0] == 0:
         raise UsageError("cannot train the enhancer on an empty dataset")
-    batches = nn.Minibatcher(data, batch_size, rng)
+    batches = nn.minibatches(data, batch_size, rng)
     k = model.net.layer_sizes[0]
     losses = []
     for _ in range(n_steps):
-        batch = batches.next()
+        batch = next(batches)
         x1, x2 = batch[:, :k], batch[:, k:]
         pred, cache = nn.forward(model.net, x1)
         diff = pred - x2
@@ -152,8 +152,6 @@ def egan_refine(
     batch before that round's update.  Uses a dedicated Adam state so the
     refinement step size is independent of the adversarial learning rate.
     """
-    if k < 1:
-        return []
     opt = nn.make_optimizer(gan.g, "adam", learning_rate)
     penalty = kl_penalty(model)
     history = []

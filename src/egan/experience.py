@@ -14,11 +14,7 @@ ENCODED_DIM and SA_DIM.  Neither reward nor done is part of x: CartPole pays
 done geometrically from the successor state.  Encoding and decoding are
 column operations.  A real row is done only when its successor is terminal,
 so a row that an episode cap cut short reads as a non-failure in both places.
-
-Episodes act in log-odds space (run_episodes): a policy hands over the
-log-odds g of action 1, each step compares g with a logistic threshold made
-once per episode from its uniform draws, and no probability is formed, so
-the rollout loop has no sigmoid, no exp and no overflow clamp.
+Episodes act in log-odds space; run_episodes gives the rule.
 """
 
 from __future__ import annotations

@@ -119,12 +119,10 @@ def train_gan(
     data = np.atleast_2d(np.asarray(encoded_real, dtype=gan.d.params.dtype))
     if data.shape[0] == 0:
         raise UsageError("cannot train a GAN on an empty dataset")
-    batches = nn.Minibatcher(data, gan.batch_size, rng)
-    history = []
-    for _ in range(n_steps):
-        d_loss = discriminator_step(gan, batches.next(), rng)
-        history.append((d_loss, generator_step(gan, rng)))
-    return history
+    batches = nn.minibatches(data, gan.batch_size, rng)
+    # a tuple display evaluates left to right: the D step comes first
+    return [(discriminator_step(gan, next(batches), rng), generator_step(gan, rng))
+            for _ in range(n_steps)]
 
 
 def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator) -> np.ndarray:

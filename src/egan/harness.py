@@ -1,20 +1,19 @@
-"""Experiment orchestration, sample accounting, and curve metrics.
+"""Experiment orchestration, sample accounting, curve metrics and artifacts.
 
 This module owns every phase of a run and their order; pretrain_pipeline
 draws all pre-training rng values from one generator, in a fixed order.
+run_experiment returns one Run record.  This module names every file the
+package writes: write_run a run's, sweep_pretrain_length a sweep's and
+write_report a report's.  The online phase acts in log-odds (egan.policy).
 
 The x-axis of every comparison is cumulative REAL environment samples:
 synthetic replay costs zero, pre-training experience is charged as a fixed
-offset before the first training episode.  The online phase acts through
-the policy's log-odds (policy.logit_function) and never forms a
-probability: a Bernoulli(sigmoid(g)) action is g >= log((1 - u) / u), so
-the per-step sigmoid would be pure cost.
+offset, the size of its buffer, before the first training episode.
 
-write_csv is the one formatter of every CSV cell the package writes: the
-curve, aggregate, sweep and report tables here, and the loss and KL
-histories egan.cli saves.  A float cell is the repr of a Python float, an
-integer cell its digits and a string cell the string itself; no numpy scalar
-is ever formatted, so every number cell parses back with int() or float().
+write_csv is the one formatter of every CSV cell the package writes.  A
+float cell is the repr of a Python float, an integer cell its digits and a
+string cell the string itself; no numpy scalar is ever formatted, so every
+number cell parses back with int() or float().
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import cartpole, enhancer, experience, gan, policy
-from .config import ExperimentConfig, validate
+from . import cartpole, enhancer, experience, gan, nn, policy
+from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, CsvParseError, UsageError
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -63,8 +63,7 @@ class PretrainResult:
     gan: gan.GanPair
     enhancer: enhancer.EnhancerModel | None  # None in mode gan
     stats: experience.NormalizationStats  # of the collected buffer
-    buffer: experience.Transitions  # the collected random-policy transitions
-    real_samples: int  # environment transitions consumed, charged to the curve
+    buffer: experience.Transitions  # the random-policy transitions, charged to the curve
     gan_history: list
     enhancer_history: list
     kl_history: list
@@ -98,7 +97,7 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
                       params: cartpole.EnvParams) -> PretrainResult:
     """Collect random experience, train the GAN (and, for egan, the enhancer
     plus the refinement loop), then pre-train the agent on generated batches;
-    returns the models and the real-sample count the curve is offset by."""
+    returns the models and the buffer whose size the curve is offset by."""
     if config.mode not in ("gan", "egan"):
         raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
     buffer = experience.collect_random(params, config.pretrain_episodes, rng)
@@ -148,7 +147,6 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
         enhancer=model,
         stats=stats,
         buffer=buffer,
-        real_samples=len(buffer),
         gan_history=gan_history,
         enhancer_history=enhancer_history,
         kl_history=kl_history,
@@ -156,19 +154,23 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
     )
 
 
-def run_experiment(config: ExperimentConfig, return_details: bool = False):
-    """One full run of the configured mode; returns its learning curve.
+class Run(NamedTuple):
+    """Everything one run produced; write_run saves it."""
+    curve: LearningCurve
+    pretrain: PretrainResult | None  # None in mode none
+    agent: policy.PolicyAgent  # the trained policy
+
+
+def run_experiment(config: ExperimentConfig) -> Run:
+    """One full run of the configured mode.
 
     Mode none trains from scratch; gan/egan first run pretrain_pipeline
     (zero real samples on the synthetic batches) and start the curve offset
     by the pre-training buffer size.  Online episodes run in lockstep groups
     of pg_update_frequency on the frozen policy, each on its own child of the
     training SeedSequence; each group acts through one policy.logit_function
-    built at its start, in log-odds space (experience.run_episodes compares
-    each logit with a threshold drawn once per episode, so no step forms a
-    probability), and each full group then takes one update (a trailing
-    partial group takes none).  With return_details=True, also
-    returns the pre-training result (None for mode none) and the trained agent.
+    built at its start (log-odds acting, see egan.policy), and each full
+    group then takes one update (a trailing partial group takes none).
     """
     validate(config)
     params = _env_params(config)
@@ -182,7 +184,7 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
     pre = None
     if config.mode in ("gan", "egan"):
         pre = pretrain_pipeline(config, agent, np.random.default_rng(pretrain_ss), params)
-    offset = pre.real_samples if pre else 0
+    offset = len(pre.buffer) if pre else 0
 
     n_episodes = config.total_episodes()
     rewards = np.empty(n_episodes)
@@ -199,10 +201,7 @@ def run_experiment(config: ExperimentConfig, return_details: bool = False):
             cumulative[ep] = total
         if len(episodes) == group:
             policy.update_on_episodes(agent, episodes)
-    curve = LearningCurve(config.mode, config.seed, rewards, cumulative, offset)
-    if return_details:
-        return curve, pre, agent
-    return curve
+    return Run(LearningCurve(config.mode, config.seed, rewards, cumulative, offset), pre, agent)
 
 
 def rolling_average(rewards, window: int = 100) -> np.ndarray:
@@ -271,12 +270,13 @@ def sweep_pretrain_length(
 ) -> Iterator[SweepResult]:
     """Re-run the base configuration at each pre-training length over a shared
     seed set; aggregate per online episode number and per cumulative sample.
-    The lists and every run's config are checked in this call; the runs go
-    one length at a time as the returned iterator is consumed.  A length's
-    curves are written to <out_dir>/len_<length>/ before they are aggregated,
-    so a failed aggregation keeps every trained curve; its
-    sweep_episodes_<length>.csv and sweep_samples_<length>.csv follow, and
-    then its SweepResult is yielded."""
+    The lists and every run's config are checked, and the output directories
+    made, in this call; the runs go one length at a time as the returned
+    iterator is consumed.  A length's curves are written to
+    <out_dir>/len_<length>/ before they are aggregated, so a failed
+    aggregation keeps every trained curve; its sweep_episodes_<length>.csv
+    and sweep_samples_<length>.csv follow, and then its SweepResult is
+    yielded."""
     lengths, seeds = list(lengths), list(seeds)
     if not lengths:
         raise ConfigError("lengths must be nonempty")
@@ -290,12 +290,11 @@ def sweep_pretrain_length(
     for config in (c for configs in grid for c in configs):
         validate(config)
     out_dir = base_config.out_dir
+    curve_dirs = [make_out_dir(os.path.join(out_dir, f"len_{length}")) for length in lengths]
 
     def results():
-        for length, configs in zip(lengths, grid):
-            curves = [run_experiment(config) for config in configs]
-            curves_dir = os.path.join(out_dir, f"len_{length}")
-            os.makedirs(curves_dir, exist_ok=True)
+        for length, configs, curves_dir in zip(lengths, grid, curve_dirs):
+            curves = [run_experiment(config).curve for config in configs]
             for curve in curves:
                 path = os.path.join(curves_dir, curve_filename(curve.mode, curve.seed))
                 save_curve_csv(curve, path)
@@ -316,7 +315,46 @@ def sweep_pretrain_length(
 
 
 # ---------------------------------------------------------------------------
-# CSV artifacts
+# Artifacts
+
+
+def make_out_dir(path):
+    """Create the output directory path and return it; ConfigError if it cannot be one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(path)!r}: {exc.strerror}") from exc
+    return path
+
+
+def write_run(run: Run, config: ExperimentConfig) -> str:
+    """Write a run's files into config.out_dir (see make_out_dir); returns the
+    curve's path.  With tag <mode>_<seed>, every mode writes curve_<tag>.csv,
+    meta_<tag>.txt (the config) and policy_<tag>.txt; gan and egan add
+    gan_losses_<tag>.csv, generator_<tag>.txt and discriminator_<tag>.txt;
+    egan adds kl_history_<tag>.csv and enhancer_<tag>.txt.  Each .txt net is
+    an nn.save_network checkpoint."""
+    curve, pre, agent = run
+
+    def path(kind: str, ext: str = "txt") -> str:
+        return os.path.join(config.out_dir, f"{kind}_{config.mode}_{config.seed}.{ext}")
+
+    curve_path = os.path.join(config.out_dir, curve_filename(config.mode, config.seed))
+    save_curve_csv(curve, curve_path)
+    with open(path("meta"), "w") as fh:
+        fh.write(config_to_text(config))
+    nn.save_network(agent.net, path("policy"))
+    if pre is not None:
+        d_loss, g_loss = zip(*pre.gan_history)  # gan_train_steps >= 1 rounds
+        write_csv(path("gan_losses", "csv"), "step,d_loss,g_loss", range(len(d_loss)),
+                  d_loss, g_loss)
+        nn.save_network(pre.gan.g, path("generator"))
+        nn.save_network(pre.gan.d, path("discriminator"))
+        if pre.enhancer is not None:
+            write_csv(path("kl_history", "csv"), "iter,kl", range(1, len(pre.kl_history) + 1),
+                      pre.kl_history)
+            nn.save_network(pre.enhancer.net, path("enhancer"))
+    return curve_path
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -376,6 +414,8 @@ def save_aggregate_csv(agg: Aggregate, path) -> None:
 
 def find_curves(runs_dir) -> dict[str, list[LearningCurve]]:
     """All curve_<mode>_<seed>.csv files in a directory, grouped by mode."""
+    if not os.path.isdir(runs_dir):
+        raise ConfigError(f"runs directory {str(runs_dir)!r}: no such directory")
     groups: dict[str, list[LearningCurve]] = {}
     for name in sorted(os.listdir(runs_dir)):
         if _CURVE_RE.fullmatch(name):

@@ -48,6 +48,7 @@ its own copy of ``params``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,23 +282,17 @@ def optimizer_step(net: MlpNetwork, grad: np.ndarray, state: OptimizerState) -> 
     net.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-class Minibatcher:
-    """Cycles shuffled fixed-size minibatches; drops ragged tails."""
-
-    def __init__(self, data: np.ndarray, batch_size: int, rng: np.random.Generator):
-        self.data = data
-        self.batch_size = min(batch_size, data.shape[0])
-        self.rng = rng
-        self._order = np.empty(0, dtype=np.intp)
-        self._pos = 0
-
-    def next(self) -> np.ndarray:
-        if self._pos + self.batch_size > self._order.size:
-            self._order = self.rng.permutation(self.data.shape[0])
-            self._pos = 0
-        idx = self._order[self._pos : self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return self.data[idx]
+def minibatches(
+    data: np.ndarray, batch_size: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Endless shuffled fixed-size minibatches of data's rows, ragged tails dropped;
+    a permutation is drawn from rng at the next() that runs out of rows."""
+    n = data.shape[0]
+    batch_size = min(batch_size, n)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - batch_size + 1, batch_size):
+            yield data[order[start : start + batch_size]]
 
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:

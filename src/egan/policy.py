@@ -158,26 +158,21 @@ def update_on_episodes(agent: PolicyAgent, episodes) -> None:
     policy_gradient_step(agent, states, actions, normalize_weights(returns))
 
 
-def pretrain_on_synthetic(
-    agent: PolicyAgent, batches, learning_rate: float | None = None
-) -> int:
+def pretrain_on_synthetic(agent: PolicyAgent, batches, learning_rate: float) -> int:
     """One bandit-style update per batch of generated Transitions.
 
     Generated samples are i.i.d. transitions, not episodes, and every reward
     is 1.0, so each row is weighted by the z-scored 1 - done of its batch: a
-    step favours the actions that did not end in a failure.
-    The steps go through a local agent that shares agent.net and holds its
-    own optimizer state (same kind as agent.opt), so thousands of noisy
-    batches can use a smaller step size than on-policy training and agent.opt
-    is never touched, even when `batches` raises.  Every non-empty batch takes
-    a step; returns the number of batches that hold both a terminal and a
-    non-terminal row, the ones whose weights are not all zero.  That is not
-    the number of steps that moved the policy: with Adam, a batch without a
-    terminal row after one of those still moves it through the moments.  A
-    count of 0 does mean the parameters are unchanged.
+    step favours the actions that did not end in a failure.  The steps go
+    through a local agent that shares agent.net and holds its own optimizer
+    state at learning_rate (same kind as agent.opt), so agent.opt is never
+    touched, even when `batches` raises.  Every non-empty batch takes a step;
+    returns the number of batches that hold both a terminal and a
+    non-terminal row, the ones whose weights are not all zero.  With Adam a
+    later batch without a terminal row still moves the policy through the
+    moments, but a count of 0 means the parameters are unchanged.
     """
-    lr = agent.opt.learning_rate if learning_rate is None else learning_rate
-    local = PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind, lr))
+    local = PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind, learning_rate))
     n_useful = 0
     for batch in batches:
         if not len(batch):

@@ -236,6 +236,31 @@ def test_sweep_bad_lists_exit_2_before_any_run(tmp_path, capsys, monkeypatch, li
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("argv,taken", [
+    (["run", "--mode", "gan", "--seed", "0"], "out"),
+    (["sweep", "--mode", "gan", "--lengths", "3", "--seeds", "0,1"], "out"),
+    (["sweep", "--mode", "gan", "--lengths", "2,3", "--seeds", "0,1"], "out/len_3"),
+])
+def test_unusable_out_dir_exits_2_before_any_run(tmp_path, capsys, monkeypatch, argv, taken):
+    # a file where an output directory must go
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    (tmp_path / taken).parent.mkdir(exist_ok=True)
+    (tmp_path / taken).write_text("keep")
+    code = main(argv + ["--out", str(tmp_path / "out")] + TINY_SETS)
+    assert code == 2
+    assert "configuration error: output directory" in capsys.readouterr().err
+    assert (tmp_path / taken).read_text() == "keep"
+
+
+@pytest.mark.parametrize("runs", ["missing", "file"])
+def test_unusable_runs_dir_is_config_error(tmp_path, capsys, monkeypatch, runs):
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    (tmp_path / "file").write_text("keep")
+    code = main(["report", "--runs", str(tmp_path / runs), "--threshold", "120"])
+    assert code == 2
+    assert "configuration error: runs directory" in capsys.readouterr().err
+
+
 def test_same_seed_cli_runs_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -495,7 +495,7 @@ class TestEncoding:
         assert small_encoded.min() >= -1.0 - 1e-12
         assert small_encoded.max() <= 1.0 + 1e-12
 
-    def test_round_trip_on_real_samples(self, small_buffer):
+    def test_round_trip_on_real_transitions(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
         back = experience.decode_batch(experience.encode_batch(small_buffer, stats), stats)
         assert np.allclose(back.states, small_buffer.states, atol=1e-9)

@@ -94,9 +94,9 @@ class TestDiscriminatorStep:
         stacked = float64_pair(gan.make_gan(np.random.default_rng(60)))
         two_pass = float64_pair(gan.make_gan(np.random.default_rng(60)))
         rng_a, rng_b = np.random.default_rng(61), np.random.default_rng(61)
-        batches = nn.Minibatcher(small_encoded, 64, np.random.default_rng(62))
+        batches = nn.minibatches(small_encoded, 64, np.random.default_rng(62))
         for _ in range(20):
-            real = batches.next()
+            real = next(batches)
             loss_a = gan.discriminator_step(stacked, real, rng_a)
             loss_b = reference_discriminator_step(two_pass, real, rng_b)
             assert loss_a == pytest.approx(loss_b, rel=1e-12, abs=0.0)

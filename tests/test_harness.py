@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -128,27 +129,27 @@ class TestAggregateRuns:
 class TestRunExperiment:
     def test_mode_none_accounting(self):
         cfg = ExperimentConfig(mode="none", seed=1, **TINY)
-        curve = harness.run_experiment(cfg)
+        curve = harness.run_experiment(cfg).curve
         assert len(curve) == cfg.training_episodes + cfg.pretrain_episodes
         assert curve.offset == 0
         assert curve.cumulative_samples[-1] == int(curve.rewards.sum())
 
     def test_conservation_identity(self):
         cfg = ExperimentConfig(mode="egan", seed=2, **TINY)
-        curve = harness.run_experiment(cfg)
+        curve = harness.run_experiment(cfg).curve
         assert curve.cumulative_samples[-1] == curve.offset + int(curve.rewards.sum())
         assert np.all(np.diff(curve.cumulative_samples) > 0)
 
     def test_deterministic_per_seed(self):
         cfg = ExperimentConfig(mode="egan", seed=3, **TINY)
-        c1 = harness.run_experiment(cfg)
-        c2 = harness.run_experiment(cfg)
+        c1 = harness.run_experiment(cfg).curve
+        c2 = harness.run_experiment(cfg).curve
         assert np.array_equal(c1.rewards, c2.rewards)
         assert np.array_equal(c1.cumulative_samples, c2.cumulative_samples)
 
     def test_gan_mode_offset_positive(self):
         cfg = ExperimentConfig(mode="gan", seed=4, **TINY)
-        curve = harness.run_experiment(cfg)
+        curve = harness.run_experiment(cfg).curve
         assert curve.offset >= cfg.pretrain_episodes  # >= 1 step per episode
         assert len(curve) == cfg.training_episodes
 
@@ -161,7 +162,7 @@ class TestRunExperiment:
     def test_last_partial_group(self):
         # 7 episodes at update frequency 5: a group of 5, one update, then 2
         cfg = ExperimentConfig(mode="none", seed=6, **{**TINY, "training_episodes": 4})
-        curve, _, agent = harness.run_experiment(cfg, return_details=True)
+        curve, _, agent = harness.run_experiment(cfg)
         assert cfg.total_episodes() == 7 and len(curve) == 7
         assert agent.opt.t == 1  # the trailing group of 2 takes no step
 
@@ -171,7 +172,7 @@ class TestRunExperiment:
         # at a time, updating once per pg_update_frequency recorded episodes,
         # gives the same curve and the same policy
         cfg = ExperimentConfig(mode="none", seed=9, **TINY)
-        curve, _, trained = harness.run_experiment(cfg, return_details=True)
+        curve, _, trained = harness.run_experiment(cfg)
         _, agent_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         agent = policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden)
         lengths, pending = [], []
@@ -188,12 +189,29 @@ class TestRunExperiment:
         assert curve.rewards.tolist() == lengths
         assert np.array_equal(trained.net.params, agent.net.params)
 
+    @pytest.mark.parametrize("mode", ["none", "gan", "egan"])
+    def test_run_record(self, mode):
+        # one record in every mode, offset by the pre-training buffer, and
+        # picklable bit for bit, as a worker process returns it
+        run = harness.run_experiment(ExperimentConfig(mode=mode, seed=7, **TINY))
+        assert isinstance(run, harness.Run)
+        assert (run.pretrain is None) == (mode == "none")
+        assert run.curve.offset == (0 if run.pretrain is None else len(run.pretrain.buffer))
+        back = pickle.loads(pickle.dumps(run))
+        assert isinstance(back, harness.Run)
+        for name, before, after in (
+            ("rewards", run.curve.rewards, back.curve.rewards),
+            ("cumulative_samples", run.curve.cumulative_samples, back.curve.cumulative_samples),
+            ("params", run.agent.net.params, back.agent.net.params),
+        ):
+            assert after.dtype == before.dtype and after.tobytes() == before.tobytes(), name
+
     @pytest.mark.parametrize("dones,useful", [([False] * 8, 0), ([True] * 8, 0),
                                               ([False] * 7 + [True], 10)])
     def test_synthetic_phase_counts_useful_batches(self, monkeypatch, dones, useful):
         monkeypatch.setattr(harness, "_synthetic_batches", fixed_done_batches(dones))
         cfg = ExperimentConfig(mode="gan", seed=4, **TINY)
-        _, pre, _ = harness.run_experiment(cfg, return_details=True)
+        _, pre, _ = harness.run_experiment(cfg)
         assert cfg.synthetic_batches == 10
         assert pre.useful_synthetic_batches == useful
 
@@ -228,7 +246,7 @@ class TestPipeline:
         cfg = ExperimentConfig(mode="gan", pretrain_episodes=4, gan_train_steps=10,
                                synthetic_batches=2)
         pre = self.pretrain(cfg, 1)
-        assert pre.real_samples == len(pre.buffer) > 0
+        assert len(pre.buffer) > 0
         assert pre.buffer.dones.sum() == cfg.pretrain_episodes
 
     def test_mode_none_rejected(self):
@@ -326,7 +344,7 @@ def test_online_benchmark_config_learns(seed, tmp_path):
     writes the recorded curve and policy bytes."""
     cfg = ExperimentConfig(mode="none", seed=seed, training_episodes=2000,
                            pretrain_episodes=500, env_max_steps=100)
-    curve, _, agent = harness.run_experiment(cfg, return_details=True)
+    curve, _, agent = harness.run_experiment(cfg)
     assert len(curve) == 2500
     assert harness.rolling_average(curve.rewards)[-1] >= 55.0
     harness.save_curve_csv(curve, tmp_path / "curve.csv")
@@ -339,12 +357,12 @@ def test_online_benchmark_config_learns(seed, tmp_path):
 class TestCurveCsv:
     def test_round_trip_and_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", seed=5, **TINY)
-        curve = harness.run_experiment(cfg)
+        curve = harness.run_experiment(cfg).curve
         p1, p2 = tmp_path / "curve_gan_5.csv", tmp_path / "again"
         p2.mkdir()
         p2 = p2 / "curve_gan_5.csv"
         harness.save_curve_csv(curve, p1)
-        harness.save_curve_csv(harness.run_experiment(cfg), p2)
+        harness.save_curve_csv(harness.run_experiment(cfg).curve, p2)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = harness.load_curve_csv(p1)
         assert loaded.mode == "gan"
@@ -414,9 +432,7 @@ class TestSweep:
         assert len(res.curves) == 2
         assert res.episode_mean.shape == (cfg.training_episodes,)
         # the sweep runs equal run_experiment at the same (length, seed)
-        direct = harness.run_experiment(
-            ExperimentConfig(mode="gan", seed=0, **TINY)
-        )
+        direct = harness.run_experiment(ExperimentConfig(mode="gan", seed=0, **TINY)).curve
         assert np.array_equal(res.curves[0].rewards, direct.rewards)
         # and their curves are on disk under out_dir/len_<length>
         saved = harness.find_curves(tmp_path / "len_3")["gan"]

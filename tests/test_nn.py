@@ -616,6 +616,41 @@ class TestFlatParameters:
             assert np.array_equal(net.params, before)
 
 
+class ReferenceMinibatcher:
+    """The stateful cycler that nn.minibatches replaced, kept as its reference."""
+
+    def __init__(self, data, batch_size, rng):
+        self.data = data
+        self.batch_size = min(batch_size, data.shape[0])
+        self.rng = rng
+        self._order = np.empty(0, dtype=np.intp)
+        self._pos = 0
+
+    def next(self):
+        if self._pos + self.batch_size > self._order.size:
+            self._order = self.rng.permutation(self.data.shape[0])
+            self._pos = 0
+        idx = self._order[self._pos : self._pos + self.batch_size]
+        self._pos += self.batch_size
+        return self.data[idx]
+
+
+class TestMinibatches:
+    @pytest.mark.parametrize("rows", [1, 2, 5, 7, 63, 64, 65, 200])
+    def test_draw_for_draw_equal_to_reference(self, rows):
+        # the trainers draw noise between batches: the permutations must be
+        # drawn at the same points for every batch and rng state to match
+        data = np.arange(rows * 3, dtype=np.float32).reshape(rows, 3)
+        for batch_size in (1, 3, 32, 64, 500):
+            rng_a, rng_b = np.random.default_rng(rows), np.random.default_rng(rows)
+            batches = nn.minibatches(data, batch_size, rng_a)
+            reference = ReferenceMinibatcher(data, batch_size, rng_b)
+            for i in range(50):
+                assert np.array_equal(next(batches), reference.next())
+                assert rng_a.random(i % 3).tolist() == rng_b.random(i % 3).tolist()
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestDeterminismProperty:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -118,9 +118,9 @@ class TestP0Function:
         cfg = ExperimentConfig(mode="none", seed=0, training_episodes=200,
                                pretrain_episodes=100, env_max_steps=200)
         assert cfg.total_episodes() == 300
-        curve, _, agent = harness.run_experiment(cfg, return_details=True)
+        curve, _, agent = harness.run_experiment(cfg)
         monkeypatch.setattr(policy, "logit_function", forward_logit)
-        ref_curve, _, ref_agent = harness.run_experiment(cfg, return_details=True)
+        ref_curve, _, ref_agent = harness.run_experiment(cfg)
         assert np.array_equal(curve.rewards, ref_curve.rewards)
         assert np.array_equal(agent.net.params, ref_agent.net.params)
         assert agent.opt.t == 60  # one update per group of 5 episodes
@@ -336,7 +336,7 @@ class TestPretrain:
     def test_zero_batches_is_noop(self):
         agent = policy.make_agent(np.random.default_rng(10))
         before = agent.net.params.copy()
-        assert policy.pretrain_on_synthetic(agent, []) == 0
+        assert policy.pretrain_on_synthetic(agent, [], learning_rate=1e-3) == 0
         assert np.array_equal(agent.net.params, before)
 
     @pytest.mark.parametrize("dones", [NO_TERMINAL, ~NO_TERMINAL],
@@ -346,7 +346,7 @@ class TestPretrain:
         rng = np.random.default_rng(11)
         before = agent.net.params.copy()
         batch = synthetic_batch(rng, 16, dones)
-        assert policy.pretrain_on_synthetic(agent, [batch, batch]) == 0
+        assert policy.pretrain_on_synthetic(agent, [batch, batch], learning_rate=1e-3) == 0
         assert np.array_equal(agent.net.params, before)
 
     def test_one_terminal_row_updates_parameters(self):
@@ -354,7 +354,7 @@ class TestPretrain:
         rng = np.random.default_rng(11)
         before = agent.net.params.copy()
         batch = synthetic_batch(rng, 16, ONE_TERMINAL)
-        assert policy.pretrain_on_synthetic(agent, [batch]) == 1
+        assert policy.pretrain_on_synthetic(agent, [batch], learning_rate=1e-3) == 1
         assert not np.array_equal(agent.net.params, before)
 
     def test_counts_batches_with_a_terminal_row(self):
@@ -362,7 +362,7 @@ class TestPretrain:
         kinds = [ONE_TERMINAL, NO_TERMINAL, ONE_TERMINAL[::-1], ~NO_TERMINAL, ONE_TERMINAL]
         batches = [synthetic_batch(rng, 16, dones) for dones in kinds]
         agent = policy.make_agent(np.random.default_rng(10))
-        assert policy.pretrain_on_synthetic(agent, batches) == 3
+        assert policy.pretrain_on_synthetic(agent, batches, learning_rate=1e-3) == 3
 
     def test_terminal_rows_weigh_against_their_actions(self):
         # one step at a tiny learning rate lowers the probability of the action
