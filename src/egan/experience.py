@@ -19,7 +19,7 @@ Episodes act in log-odds space; run_episodes gives the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -51,13 +51,6 @@ class Transitions:
                            self.next_states[start:stop], self.rewards[start:stop],
                            self.dones[start:stop])
 
-    @staticmethod
-    def concatenate(parts) -> "Transitions":
-        parts = list(parts)
-        return Transitions(
-            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Transitions))
-        )
-
 
 @dataclass(frozen=True)
 class NormalizationStats:
@@ -76,13 +69,11 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     once from the params.max_steps uniforms u that rngs[i] draws after its
     reset.  In exact arithmetic that is the rule u_t >= sigmoid(-g), so no
     step needs a sigmoid; u == 0 gives c = +inf (action 0 for every finite
-    g) and a NaN logit takes action 0.  logit_fn None is the uniform policy,
-    action 1 iff u_t >= 0.5, with no state stack: its logit is 0 and its
-    threshold 0.5 - u, whose sign is exact.  An episode does not depend on
-    its group.  The dynamics stay scalar: at a few episodes, k scalar steps
-    beat one (k, 4) numpy step.  An episode ends on a terminal state or at
-    params.max_steps; its last row is done only in the first case, since a
-    cap-truncated episode did not fail.
+    g) and a NaN logit takes action 0.  An episode does not depend on its
+    group.  The dynamics stay scalar: at the few live episodes of the online
+    phase, k scalar steps beat one cartpole.step_batch.  An episode ends on
+    a terminal state or at params.max_steps; its last row is done only in
+    the first case, since a cap-truncated episode did not fail.
 
     Each live episode is one record (path, thresholds, actions, rewards),
     and the states are stacked by _stack, a flat np.fromiter over the state
@@ -94,19 +85,13 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     step = cartpole.step
     paths = [[cartpole.reset(rng, params)] for rng in rngs]
     draws = [rng.random(params.max_steps) for rng in rngs]
-    if logit_fn is None:
-        thresholds = [np.subtract(0.5, u).tolist() for u in draws]
-    else:
-        thresholds = logistic_thresholds(np.array(draws)).tolist()
+    thresholds = logistic_thresholds(np.array(draws)).tolist()
     episodes = [(path, c, [], []) for path, c in zip(paths, thresholds)]
     live = episodes
     for t in range(params.max_steps):
         if not live:
             break
-        if logit_fn is None:
-            logits = [0.0] * len(live)
-        else:
-            logits = logit_fn(_stack([episode[0][-1] for episode in live])).tolist()
+        logits = logit_fn(_stack([episode[0][-1] for episode in live])).tolist()
         still = []
         for episode, g in zip(live, logits):
             path, c, actions, rewards = episode
@@ -157,13 +142,31 @@ def _episode(record, terminal: bool) -> Transitions:
 def collect_random(
     params: EnvParams, n_episodes: int, rng: np.random.Generator
 ) -> Transitions:
-    """Every transition of n_episodes uniform-random-action episodes, run one
-    at a time (hundreds at once raise peak memory) on children of rng."""
+    """Every transition of n_episodes uniform-random-action episodes, one per
+    child of rng.spawn(n_episodes), stepped together by cartpole.step_batch.
+
+    Each child draws its reset state, then params.max_steps uniforms u, as in
+    run_episodes; step t pushes right iff u_t >= 0.5, which is run_episodes'
+    rule at g = 0 (the sign of 0.5 - u is exact).  Rows come back
+    episode-major, and only a terminal successor makes a row done.
+    """
     if n_episodes < 1:
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
-    return Transitions.concatenate(
-        run_episodes(None, [child], params)[0] for child in rng.spawn(n_episodes)
-    )
+    children = rng.spawn(n_episodes)
+    states = np.array([cartpole.reset(child, params) for child in children])
+    pushes = np.array([child.random(params.max_steps) >= 0.5 for child in children])
+    live, steps = np.arange(n_episodes), []  # per step: episode, s, a, s', done
+    for t in range(params.max_steps):
+        if not len(live):
+            break
+        actions = pushes[live, t]
+        next_states, dones = cartpole.step_batch(states, actions, params)
+        steps.append((live, states, actions, next_states, dones))
+        live, states = live[~dones], next_states[~dones]
+    episode, *columns = (np.concatenate(column) for column in zip(*steps))
+    order = np.argsort(episode, kind="stable")
+    states, actions, next_states, dones = (column[order] for column in columns)
+    return Transitions(states, actions.astype(np.intp), next_states, np.ones(len(order)), dones)
 
 
 def compute_stats(transitions: Transitions) -> NormalizationStats:
@@ -217,6 +220,5 @@ def decode_batch(
         actions=(x[:, 4] >= 0.0).astype(np.intp),
         next_states=next_states,
         rewards=np.ones(x.shape[0]),
-        dones=(np.abs(next_states[:, 0]) > params.x_limit)
-        | (np.abs(next_states[:, 2]) > params.theta_limit),
+        dones=cartpole.terminal(next_states, params),
     )

@@ -41,7 +41,8 @@ Row and column reductions call the ufunc's ``reduce`` directly
 (``np.add.reduce``, ``np.maximum.reduce``).  ``ndarray.sum``/``.max`` make
 that same call through Python-level wrappers that cost microseconds per
 call, a large share of a reduction over a 64-row batch, and every training
-step makes several; the results are bit-identical.
+step makes several; the results are bit-identical.  Products likewise call
+``np.dot``, which costs less per call than the ``@`` operator on these shapes.
 A pickled or deep-copied network rebuilds ``weights``/``biases`` as views of
 its own copy of ``params``.
 """
@@ -177,7 +178,7 @@ def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
     post = []
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = h @ w.T
+        z = np.dot(h, w.T)
         z += b
         h = _activate(act, z)
         post.append(h)
@@ -229,10 +230,10 @@ def backward(
             dz = g
         if params:
             h_prev = cache.inputs if i == 0 else cache.post[i - 1]
-            np.matmul(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
+            np.dot(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
             np.add.reduce(dz, axis=0, out=grad[start + w.size : end])
         if i > 0 or inputs:
-            g = dz @ w
+            g = np.dot(dz, w)
         end = start
     return grad, (g if inputs else None)
 

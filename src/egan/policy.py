@@ -7,8 +7,8 @@ updates w is the pooled z-scored discounted return of the episodes the
 caller passes (the agent keeps no episode queue); for synthetic pre-training
 w is the z-scored 1 - done of one generated batch.
 Z-scoring a constant batch yields w = 0, so a batch that lacks a terminal or
-a non-terminal row gives a zero gradient instead of erroring (an Adam step on
-it still applies the moments).
+a non-terminal row has a zero gradient: its optimizer step skips the forward
+and backward pass (an Adam step on it still applies the moments).
 
 Training goes through nn.forward/nn.backward and the softmax head.  Acting
 does not, and acts in log-odds space: for two actions the softmax draws
@@ -166,18 +166,21 @@ def pretrain_on_synthetic(agent: PolicyAgent, batches, learning_rate: float) -> 
     step favours the actions that did not end in a failure.  The steps go
     through a local agent that shares agent.net and holds its own optimizer
     state at learning_rate (same kind as agent.opt), so agent.opt is never
-    touched, even when `batches` raises.  Every non-empty batch takes a step;
-    returns the number of batches that hold both a terminal and a
-    non-terminal row, the ones whose weights are not all zero.  With Adam a
-    later batch without a terminal row still moves the policy through the
+    touched, even when `batches` raises.  A batch whose weights are all zero
+    (no terminal or no non-terminal row) skips the forward and backward pass
+    and takes its optimizer step on a zero gradient, as the computed one
+    would be.  Returns the number of batches with non-zero weights.  With
+    Adam a later zero-weight batch still moves the policy through the
     moments, but a count of 0 means the parameters are unchanged.
     """
     local = PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind, learning_rate))
+    zero = np.zeros_like(agent.net.params)
     n_useful = 0
     for batch in batches:
-        if not len(batch):
-            continue
         weights = normalize_weights(~batch.dones)
-        policy_gradient_step(local, batch.states, batch.actions, weights)
-        n_useful += bool(weights.any())
+        if weights.any():
+            policy_gradient_step(local, batch.states, batch.actions, weights)
+            n_useful += 1
+        else:
+            nn.optimizer_step(local.net, zero, local.opt)
     return n_useful

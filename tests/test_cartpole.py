@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import cartpole
+from egan import cartpole, experience
 from egan.cartpole import CartPoleState, EnvParams
 from egan.errors import UsageError
 
@@ -15,12 +15,18 @@ from egan.errors import UsageError
 ORIGIN_PUSH_RIGHT = (0.0, 8.0 / 41.0, 0.0, -12.0 / 41.0)
 
 
+def is_terminal(state, params=cartpole.DEFAULT_PARAMS) -> bool:
+    """cartpole.terminal on one CartPoleState."""
+    return bool(cartpole.terminal(np.array([state]), params)[0])
+
+
 def reference_step(state, action, params=cartpole.DEFAULT_PARAMS):
     """The attribute-access step that the lean body replaced, kept verbatim
-    so cartpole.step can be held to bit-equality with it."""
+    (but for its terminal test) so cartpole.step can be held to
+    bit-equality with it."""
     if action not in (0, 1):
         raise UsageError(f"action must be 0 or 1, got {action!r}")
-    if cartpole.is_terminal(state, params):
+    if is_terminal(state, params):
         raise UsageError("cannot step a terminated episode")
     force = params.force_mag if action == 1 else -params.force_mag
     cos_t = math.cos(state.theta)
@@ -39,7 +45,7 @@ def reference_step(state, action, params=cartpole.DEFAULT_PARAMS):
         theta=state.theta + params.tau * state.theta_dot,
         theta_dot=state.theta_dot + params.tau * theta_acc,
     )
-    return nxt, 1.0, cartpole.is_terminal(nxt, params)
+    return nxt, 1.0, is_terminal(nxt, params)
 
 
 OTHER_PARAMS = EnvParams(gravity=9.81, mass_cart=1.3, mass_pole=0.25,
@@ -58,7 +64,7 @@ def non_terminal_states(params, n, seed):
     edges = [CartPoleState(sign * params.x_limit, 0.0, 0.0, 0.0) for sign in (1, -1)]
     edges += [CartPoleState(0.0, 0.0, sign * params.theta_limit, 0.0) for sign in (1, -1)]
     states = zeros + edges + [CartPoleState(*row) for row in draws.tolist()]
-    assert not any(cartpole.is_terminal(s, params) for s in states)
+    assert not cartpole.terminal(np.array(states), params).any()
     return states
 
 
@@ -190,7 +196,86 @@ class TestTermination:
         assert cartpole.DEFAULT_PARAMS.theta_limit == pytest.approx(0.20943951, abs=1e-8)
 
     def test_terminal_predicate(self):
-        assert not cartpole.is_terminal(CartPoleState(2.4, 0, 0, 0))
-        assert cartpole.is_terminal(CartPoleState(2.41, 0, 0, 0))
-        assert not cartpole.is_terminal(CartPoleState(0, 0, 0.209, 0))
-        assert cartpole.is_terminal(CartPoleState(0, 0, 0.21, 0))
+        for state, expected in [((2.4, 0, 0, 0), False), ((2.41, 0, 0, 0), True),
+                                ((-2.41, 0, 0, 0), True), ((0, 0, 0.209, 0), False),
+                                ((0, 0, 0.21, 0), True), ((0, 0, -0.21, 0), True)]:
+            assert cartpole.terminal(np.array([state], dtype=np.float64)).tolist() == [expected]
+
+    def test_terminal_rows_of_a_batch(self):
+        states = np.array([(2.4, 0, 0, 0), (2.41, 0, 0, 0), (0, 0, 0.209, 0),
+                           (0, 0, 0.21, 0), (3.0, 9.0, 0.5, -9.0)])
+        assert cartpole.terminal(states).tolist() == [False, True, False, True, True]
+        assert cartpole.terminal(states, OTHER_PARAMS).tolist() == [False, False, False,
+                                                                    False, True]
+
+
+@st.composite
+def states_within_limits(draw, params):
+    """A non-terminal state, often exactly on a limit (+-x_limit, +-theta_limit)."""
+    x = draw(st.sampled_from([params.x_limit, -params.x_limit])
+             | st.floats(-params.x_limit, params.x_limit))
+    theta = draw(st.sampled_from([params.theta_limit, -params.theta_limit])
+                 | st.floats(-params.theta_limit, params.theta_limit))
+    x_dot, theta_dot = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    return CartPoleState(x, x_dot, theta, theta_dot)
+
+
+def scalar_steps(states, actions, params):
+    """cartpole.step row by row -> (next states, dones) as step_batch returns them."""
+    steps = [cartpole.step(CartPoleState(*s), int(a), params)
+             for s, a in zip(np.asarray(states).tolist(), np.asarray(actions).tolist())]
+    return np.array([nxt for nxt, _, _ in steps]), np.array([done for _, _, done in steps])
+
+
+class TestStepBatch:
+    def test_bit_identical_to_step_on_a_collected_buffer(self, small_buffer):
+        want_next, want_done = scalar_steps(small_buffer.states, small_buffer.actions,
+                                            cartpole.DEFAULT_PARAMS)
+        for actions in (small_buffer.actions, small_buffer.actions == 1):
+            nxt, done = cartpole.step_batch(small_buffer.states, actions)
+            # tobytes, not ==: -0.0 against 0.0 must count as a difference
+            assert nxt.tobytes() == want_next.tobytes() == small_buffer.next_states.tobytes()
+            assert done.dtype == bool
+            assert done.tolist() == want_done.tolist() == small_buffer.dones.tolist()
+
+    @pytest.mark.parametrize("params", [cartpole.DEFAULT_PARAMS, OTHER_PARAMS],
+                             ids=["default", "other"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_step_on_drawn_states(self, params, data):
+        states = data.draw(st.lists(states_within_limits(params), min_size=1, max_size=20))
+        for action in (0, 1):
+            actions = np.full(len(states), action)
+            want_next, want_done = scalar_steps(states, actions, params)
+            nxt, done = cartpole.step_batch(np.array(states), actions == 1, params)
+            assert nxt.tobytes() == want_next.tobytes()
+            assert done.tolist() == want_done.tolist()
+
+    def test_terminal_rows_are_stepped_without_raising(self):
+        # step refuses these rows; step_batch applies the same dynamics to them,
+        # which step shows once the limits are lifted
+        states = np.array([(2.5, 1.0, 0.0, 0.0), (0.0, -1.0, -0.25, 2.0),
+                           (-3.0, 0.5, 0.3, -1.0), (0.1, 0.0, 0.0, 0.0)])
+        assert cartpole.terminal(states).tolist() == [True, True, True, False]
+        actions = np.array([1, 0, 1, 0])
+        unbounded = EnvParams(x_limit=math.inf, theta_limit=math.inf)
+        want_next, _ = scalar_steps(states, actions, unbounded)
+        nxt, done = cartpole.step_batch(states, actions)
+        assert nxt.tobytes() == want_next.tobytes()
+        assert done.tolist() == cartpole.terminal(nxt).tolist() == [True, True, True, False]
+
+    def test_numpy_trig_is_bit_identical_to_math(self):
+        # step_batch is bit-identical to step, and collect_random to the scalar
+        # rollout, only while np.cos/np.sin round as math.cos/math.sin do
+        buffer = experience.collect_random(cartpole.DEFAULT_PARAMS, 500,
+                                           np.random.default_rng(0))
+        theta = buffer.states[:, 2]
+        for name, vectorised, scalar in [("cos", np.cos, math.cos), ("sin", np.sin, math.sin)]:
+            got = vectorised(theta)
+            want = np.array([scalar(t) for t in theta.tolist()])
+            differ = np.count_nonzero(got != want)
+            assert differ == 0, (
+                f"np.{name} differs from math.{name} in the last bit on {differ} of "
+                f"{theta.size} buffer angles: numpy's SIMD path on this machine is not "
+                f"libm's, so step_batch is not bit-identical to step and the golden "
+                f"digests cannot hold here")

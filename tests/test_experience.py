@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from egan import cartpole, experience, nn, policy
 from egan.cartpole import CartPoleState, DEFAULT_PARAMS
 from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
+
+from test_cartpole import is_terminal
 
 
 def one_row(s, a, s_next, r=1.0, done=False) -> Transitions:
@@ -26,6 +28,7 @@ def assert_same(t1: Transitions, t2: Transitions):
         a, b = getattr(t1, name), getattr(t2, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name  # -0.0 and 0.0 differ here
 
 
 # Per-row reference codec: the row-at-a-time encode/decode the column
@@ -59,7 +62,7 @@ def reference_decode(x, stats, params=DEFAULT_PARAMS):
     s_t = CartPoleState(*_ref_unscale(x[0:4], stats).tolist())
     a = 1 if x[4] >= 0.0 else 0
     s_next = CartPoleState(*_ref_unscale(x[5:9], stats).tolist())
-    done = cartpole.is_terminal(s_next, params)
+    done = is_terminal(s_next, params)
     return s_t, a, s_next, 1.0, done
 
 
@@ -135,14 +138,20 @@ def reference_collect_random(params, n_episodes, rng) -> Transitions:
         dones[-1] = done
         parts.append(Transitions(visited[:-1], np.array(actions, dtype=np.intp),
                                  visited[1:], np.array(rewards), dones))
-    return Transitions.concatenate(parts)
+    return Transitions(*(np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(Transitions)))
 
 
 def test_collect_random_matches_per_step_reference():
-    got = experience.collect_random(DEFAULT_PARAMS, 50, np.random.default_rng(70))
-    want = reference_collect_random(DEFAULT_PARAMS, 50, np.random.default_rng(70))
-    assert len(got) > 50
-    assert_same(got, want)
+    # an 8-step cap cuts most episodes short; one episode steps alone
+    for n_episodes, max_steps in [(50, 200), (50, 8), (1, 200)]:
+        params = replace(DEFAULT_PARAMS, max_steps=max_steps)
+        got = experience.collect_random(params, n_episodes, np.random.default_rng(70))
+        want = reference_collect_random(params, n_episodes, np.random.default_rng(70))
+        assert len(got) > n_episodes
+        assert_same(got, want)
+        if max_steps == 8:
+            assert 0 < np.count_nonzero(got.dones) < n_episodes
 
 
 def test_buffer_transitions_replay_exactly(small_buffer):
@@ -195,7 +204,7 @@ def test_episode_cap_marks_done():
     params = replace(DEFAULT_PARAMS, max_steps=3)
     episode, = experience.run_episodes(uniform, [np.random.default_rng(5)], params)
     assert len(episode) == 3
-    assert not cartpole.is_terminal(CartPoleState(*episode.next_states[-1].tolist()))
+    assert not is_terminal(episode.next_states[-1])
     assert episode.dones.tolist() == [False, False, False]
 
 
@@ -260,9 +269,9 @@ class TestRunEpisodes:
             assert not e.dones[:-1].any()
             # an episode ends on a terminal state unless the cap cut it short,
             # and only a terminal last row is done
-            last = CartPoleState(*e.next_states[-1].tolist())
-            assert cartpole.is_terminal(last) or len(e) == 25
-            assert e.dones[-1] == cartpole.is_terminal(last)
+            last = e.next_states[-1]
+            assert is_terminal(last) or len(e) == 25
+            assert e.dones[-1] == is_terminal(last)
             truncated += not e.dones[-1]
             assert np.array_equal(e.states[1:], e.next_states[:-1])
         assert truncated > 0
@@ -274,11 +283,6 @@ class TestRunEpisodes:
         actions = np.concatenate([e.actions for e in episodes])
         assert actions.size > 1000
         assert abs(np.mean(actions == 0) - 0.3) < 0.03
-
-    def test_none_is_the_uniform_policy(self):
-        for a, b in zip(experience.run_episodes(None, rngs_from(9, 6)),
-                        experience.run_episodes(uniform, rngs_from(9, 6))):
-            assert_same(a, b)
 
     def test_no_generators_no_episodes(self):
         assert experience.run_episodes(uniform, []) == []
@@ -298,10 +302,7 @@ def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
     for t in range(params.max_steps):
         if not live:
             break
-        if probs_fn is None:
-            p0 = [0.5] * len(live)
-        else:
-            p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
+        p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
         still = []
         for i, p in zip(live, p0):
             action = int(draws[i][t] >= p)
@@ -341,12 +342,12 @@ class TestRunEpisodesMatchesReference:
         # rule u >= sigmoid(-g), on one policy at two parameter scales
         params = replace(DEFAULT_PARAMS, max_steps=cap)
         if scale is None:
-            logit_fn = probs_fn = None
+            logit_fn = uniform
         else:
             agent = policy.make_agent(np.random.default_rng(3))
             agent.net.params *= scale
             logit_fn = policy.logit_function(agent.net)
-            probs_fn = sigmoid_of(logit_fn)
+        probs_fn = sigmoid_of(logit_fn)
         got = experience.run_episodes(logit_fn, rngs_from(40 + k, k), params)
         want = reference_run_episodes(probs_fn, rngs_from(40 + k, k), params)
         assert len(got) == len(want) == k
@@ -364,7 +365,7 @@ class TestRunEpisodesMatchesReference:
             return step(*args)
 
         monkeypatch.setattr(cartpole, "step", counted)
-        episodes = experience.run_episodes(None, rngs_from(13, 7))
+        episodes = experience.run_episodes(uniform, rngs_from(13, 7))
         assert len(calls) == sum(len(e) for e in episodes) > 7
 
 
@@ -404,11 +405,11 @@ class StubGenerator:
 
 
 def constant_logit_actions(g, draws):
-    """The actions of one episode acting on logit g everywhere (g None: the
-    uniform policy), one step per draw."""
+    """The actions of one episode acting on logit g everywhere, one step per
+    draw."""
     params = replace(DEFAULT_PARAMS, max_steps=len(draws))
-    logit_fn = None if g is None else lambda s: np.full(len(s), g)
-    episode, = experience.run_episodes(logit_fn, [StubGenerator(draws)], params)
+    episode, = experience.run_episodes(lambda s: np.full(len(s), g),
+                                       [StubGenerator(draws)], params)
     return episode.actions.tolist()
 
 
@@ -472,8 +473,9 @@ class TestLogOddsRule:
 
     @pytest.mark.parametrize("draw", sorted({*rng_draws_near(0.5, 3).tolist(), *EDGE_DRAWS}))
     def test_uniform_policy_is_the_half_threshold(self, draw):
-        # logit_fn None decides u >= 0.5 bit for bit, at and next to 0.5
-        assert constant_logit_actions(None, [draw]) == [int(draw >= 0.5)]
+        # g = 0 decides u >= 0.5 bit for bit, at and next to 0.5: the rule
+        # collect_random applies to its random episodes directly
+        assert constant_logit_actions(0.0, [draw]) == [int(draw >= 0.5)]
 
 
 class TestEncoding:

@@ -414,6 +414,53 @@ class TestPretrain:
         assert not np.array_equal(agent.net.params, before)  # the first batch stepped
 
 
+def reference_pretrain_on_synthetic(agent, batches, learning_rate):
+    """The loop the zero-weight skip replaced: a forward, a backward and an
+    optimizer step on every batch."""
+    local = policy.PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind,
+                                                            learning_rate))
+    n_useful = 0
+    for batch in batches:
+        if not len(batch):
+            continue
+        weights = policy.normalize_weights(~batch.dones)
+        policy.policy_gradient_step(local, batch.states, batch.actions, weights)
+        n_useful += bool(weights.any())
+    return n_useful, local.opt
+
+
+class TestPretrainSkipsZeroWeightBatches:
+    KINDS = [NO_TERMINAL, ~NO_TERMINAL, ONE_TERMINAL, NO_TERMINAL, ONE_TERMINAL[::-1],
+             ~NO_TERMINAL, NO_TERMINAL, ONE_TERMINAL, NO_TERMINAL]
+
+    def test_same_parameters_and_moments_as_stepping_every_batch(self, monkeypatch):
+        # zero-weight batches come both before and after the first useful one
+        rng = np.random.default_rng(12)
+        batches = [synthetic_batch(rng, 16, dones) for dones in self.KINDS]
+        reference = policy.make_agent(np.random.default_rng(10))
+        want, want_opt = reference_pretrain_on_synthetic(reference, batches, 1e-3)
+        agent = policy.make_agent(np.random.default_rng(10))
+        stepped, optimizers = [], []
+        monkeypatch.setattr(policy, "policy_gradient_step",
+                            recording(policy.policy_gradient_step, stepped))
+        monkeypatch.setattr(nn, "make_optimizer", recording(nn.make_optimizer, optimizers))
+        assert policy.pretrain_on_synthetic(agent, batches, learning_rate=1e-3) == want == 3
+        assert len(stepped) == 3  # no forward or backward on a zero-weight batch
+        got_opt, = optimizers
+        assert got_opt.t == want_opt.t == len(batches)
+        assert agent.net.params.tobytes() == reference.net.params.tobytes()
+        assert got_opt.m.tobytes() == want_opt.m.tobytes()
+        assert got_opt.v.tobytes() == want_opt.v.tobytes()
+
+
+def recording(fn, results):
+    """fn, appending each call's result to results."""
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+    return wrapper
+
+
 def reference_normalize_weights(values):
     """normalize_weights through ndarray.mean and ndarray.std."""
     v = np.asarray(values, dtype=np.float64)
