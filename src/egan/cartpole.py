@@ -43,7 +43,7 @@ class EnvParams:
 DEFAULT_PARAMS = EnvParams()
 
 
-def reset(rng: np.random.Generator, params: EnvParams = DEFAULT_PARAMS) -> CartPoleState:
+def reset(rng: np.random.Generator) -> CartPoleState:
     """All four components drawn U(-0.05, 0.05)."""
     return CartPoleState(*rng.uniform(-0.05, 0.05, size=4).tolist())
 

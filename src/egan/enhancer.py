@@ -45,20 +45,12 @@ def make_enhancer(
     """An encoded (s, a) -> encoded s' net: SA_DIM inputs, tanh layers throughout."""
     sizes = [SA_DIM, *hidden, ENCODED_DIM - SA_DIM]
     net = nn.init_network(sizes, ["tanh"] * (len(hidden) + 1), rng, gan_mod.DTYPE)
-    return EnhancerModel(net=net, opt=nn.make_optimizer(net, "adam", learning_rate))
+    return EnhancerModel(net=net, opt=nn.make_optimizer(net, learning_rate))
 
 
 def predict(model: EnhancerModel, x1: np.ndarray) -> np.ndarray:
     out, _ = nn.forward(model.net, x1)
     return out
-
-
-def enhancer_mse(model: EnhancerModel, encoded: np.ndarray) -> float:
-    """Mean squared error of E(x1) against x2 over an encoded dataset."""
-    data = np.atleast_2d(encoded)
-    k = model.net.layer_sizes[0]
-    pred = predict(model, data[:, :k])
-    return float(np.mean((pred - data[:, k:]) ** 2))
 
 
 def train_enhancer(
@@ -152,7 +144,7 @@ def egan_refine(
     batch before that round's update.  Uses a dedicated Adam state so the
     refinement step size is independent of the adversarial learning rate.
     """
-    opt = nn.make_optimizer(gan.g, "adam", learning_rate)
+    opt = nn.make_optimizer(gan.g, learning_rate)
     penalty = kl_penalty(model)
     history = []
     for _ in range(k):

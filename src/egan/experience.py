@@ -1,18 +1,18 @@
 """Experience collection and the 9-dim encoded representation.
 
 Every layer passes transitions as one struct-of-arrays, `Transitions`: row i
-is the transition (s_t, a, s_{t+1}, r, done).  For the GAN a row is encoded
-as a vector x = x1 || x2 with x1 = (normalized s_t, action code), SA_DIM
-wide, and x2 = normalized s_{t+1}, every channel mapped into [-1, 1]:
+is the transition (s_t, a, s_{t+1}, done); CartPole pays 1.0 on every step,
+so no row stores its reward.  For the GAN a row is encoded as a vector
+x = x1 || x2 with x1 = (normalized s_t, action code), SA_DIM wide, and
+x2 = normalized s_{t+1}, every channel mapped into [-1, 1]:
 
 * states: per-dimension min-max scaling from the collected transitions,
 * action: 0 -> -1, 1 -> +1.
 
 Only this module knows that layout; the GAN and the enhancer read its widths
-ENCODED_DIM and SA_DIM.  Neither reward nor done is part of x: CartPole pays
-1.0 on every step, so decoding sets every reward to 1.0, and it reconstructs
-done geometrically from the successor state.  Encoding and decoding are
-column operations.  A real row is done only when its successor is terminal,
+ENCODED_DIM and SA_DIM.  done is not part of x: decoding reconstructs it
+from the successor state.  Encoding and decoding are column operations.
+A real row is done only when its successor is terminal,
 so a row that an episode cap cut short reads as a non-failure in both places.
 Episodes act in log-odds space; run_episodes gives the rule.
 """
@@ -39,7 +39,6 @@ class Transitions:
     states: np.ndarray  # (n, 4)
     actions: np.ndarray  # (n,) intp
     next_states: np.ndarray  # (n, 4)
-    rewards: np.ndarray  # (n,)
     dones: np.ndarray  # (n,) bool
 
     def __len__(self) -> int:
@@ -48,8 +47,7 @@ class Transitions:
     def slice(self, start: int, stop: int) -> "Transitions":
         """Rows start..stop-1, as views of these columns."""
         return Transitions(self.states[start:stop], self.actions[start:stop],
-                           self.next_states[start:stop], self.rewards[start:stop],
-                           self.dones[start:stop])
+                           self.next_states[start:stop], self.dones[start:stop])
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     a terminal state or at params.max_steps; its last row is done only in
     the first case, since a cap-truncated episode did not fail.
 
-    Each live episode is one record (path, thresholds, actions, rewards),
+    Each live episode is one record (path, thresholds, actions),
     and the states are stacked by _stack, a flat np.fromiter over the state
     tuples: the same float64 values np.array gives, without its per-row
     sequence probing, so every column is bit-identical to np.array stacking.
@@ -83,10 +81,10 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     installed on the module attribute before the call still sees every step.
     """
     step = cartpole.step
-    paths = [[cartpole.reset(rng, params)] for rng in rngs]
+    paths = [[cartpole.reset(rng)] for rng in rngs]
     draws = [rng.random(params.max_steps) for rng in rngs]
     thresholds = logistic_thresholds(np.array(draws)).tolist()
-    episodes = [(path, c, [], []) for path, c in zip(paths, thresholds)]
+    episodes = [(path, c, []) for path, c in zip(paths, thresholds)]
     live = episodes
     for t in range(params.max_steps):
         if not live:
@@ -94,12 +92,11 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
         logits = logit_fn(_stack([episode[0][-1] for episode in live])).tolist()
         still = []
         for episode, g in zip(live, logits):
-            path, c, actions, rewards = episode
+            path, c, actions = episode
             action = 1 if g >= c[t] else 0
-            state, reward, done = step(path[-1], action, params)
+            state, _, done = step(path[-1], action, params)
             path.append(state)
             actions.append(action)
-            rewards.append(reward)
             if not done:
                 still.append(episode)
         live = still
@@ -125,7 +122,7 @@ def _stack(states) -> np.ndarray:
 
 
 def _episode(record, terminal: bool) -> Transitions:
-    visited, _, actions, rewards = record
+    visited, _, actions = record
     path = _stack(visited)
     path.flags.writeable = False  # states and next_states are views of it
     dones = np.zeros(len(actions), dtype=bool)
@@ -134,7 +131,6 @@ def _episode(record, terminal: bool) -> Transitions:
         states=path[:-1],
         actions=np.array(actions, dtype=np.intp),
         next_states=path[1:],
-        rewards=np.array(rewards),
         dones=dones,
     )
 
@@ -153,7 +149,7 @@ def collect_random(
     if n_episodes < 1:
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
     children = rng.spawn(n_episodes)
-    states = np.array([cartpole.reset(child, params) for child in children])
+    states = np.array([cartpole.reset(child) for child in children])
     pushes = np.array([child.random(params.max_steps) >= 0.5 for child in children])
     live, steps = np.arange(n_episodes), []  # per step: episode, s, a, s', done
     for t in range(params.max_steps):
@@ -166,7 +162,7 @@ def collect_random(
     episode, *columns = (np.concatenate(column) for column in zip(*steps))
     order = np.argsort(episode, kind="stable")
     states, actions, next_states, dones = (column[order] for column in columns)
-    return Transitions(states, actions.astype(np.intp), next_states, np.ones(len(order)), dones)
+    return Transitions(states, actions.astype(np.intp), next_states, dones)
 
 
 def compute_stats(transitions: Transitions) -> NormalizationStats:
@@ -207,9 +203,8 @@ def decode_batch(
 ) -> Transitions:
     """Total inverse of encode_batch: any (n, 9) array becomes n transitions.
 
-    Action thresholds at 0 (ties go to action 1), every reward is 1.0, done
-    is inferred from the successor state leaving the bounds.  Any other
-    width raises ShapeError.
+    Action thresholds at 0 (ties go to action 1) and done is inferred from
+    the successor state leaving the bounds.  Any other width raises ShapeError.
     """
     x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if x.shape[1] != ENCODED_DIM:
@@ -219,6 +214,5 @@ def decode_batch(
         states=_unscale(x[:, 0:4], stats),
         actions=(x[:, 4] >= 0.0).astype(np.intp),
         next_states=next_states,
-        rewards=np.ones(x.shape[0]),
         dones=cartpole.terminal(next_states, params),
     )

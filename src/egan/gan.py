@@ -56,8 +56,8 @@ def make_gan(
     return GanPair(
         g=g,
         d=d,
-        g_opt=nn.make_optimizer(g, "adam", learning_rate),
-        d_opt=nn.make_optimizer(d, "adam", learning_rate),
+        g_opt=nn.make_optimizer(g, learning_rate),
+        d_opt=nn.make_optimizer(d, learning_rate),
         batch_size=batch_size,
         noise_dim=noise_dim,
     )
@@ -126,9 +126,7 @@ def train_gan(
 
 
 def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator) -> np.ndarray:
-    """G(z) for n fresh noise rows; an empty (0, data_dim) array for n = 0."""
-    if n == 0:
-        return np.empty((0, gan.g.layer_sizes[-1]), dtype=gan.g.params.dtype)
+    """G(z) for n >= 1 fresh noise rows."""
     out, _ = nn.forward(gan.g, sample_noise(rng, n, gan.noise_dim))
     return out
 

@@ -197,7 +197,7 @@ def run_experiment(config: ExperimentConfig) -> Run:
         episodes = experience.run_episodes(logit, rngs, params)
         for ep, episode in enumerate(episodes, start):
             total += len(episode)
-            rewards[ep] = episode.rewards.sum()
+            rewards[ep] = len(episode)
             cumulative[ep] = total
         if len(episodes) == group:
             policy.update_on_episodes(agent, episodes)

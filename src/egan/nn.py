@@ -1,4 +1,4 @@
-"""Dense feed-forward networks with hand-rolled backprop and SGD/Adam.
+"""Dense feed-forward networks with hand-rolled backprop and Adam.
 
 Everything downstream (policy, generator, discriminator, enhancer) is an
 ``MlpNetwork``: a stack of fully connected layers with a per-layer activation
@@ -239,39 +239,29 @@ def backward(
 
 
 @dataclass
-class OptimizerState:
-    kind: str  # "sgd" | "adam"
+class OptimizerState:  # Adam
     learning_rate: float
+    m: np.ndarray  # moments, laid out like params
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: np.ndarray | None = None  # Adam moments, laid out like params; None for sgd
-    v: np.ndarray | None = None
 
 
-def make_optimizer(net: MlpNetwork, kind: str, learning_rate: float) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ConfigError(f"unknown optimizer {kind!r}")
+def make_optimizer(net: MlpNetwork, learning_rate: float) -> OptimizerState:
     if learning_rate <= 0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-    state = OptimizerState(kind=kind, learning_rate=float(learning_rate))
-    if kind == "adam":
-        state.m = np.zeros_like(net.params)
-        state.v = np.zeros_like(net.params)
-    return state
+    return OptimizerState(float(learning_rate), np.zeros_like(net.params),
+                          np.zeros_like(net.params))
 
 
 def optimizer_step(net: MlpNetwork, grad: np.ndarray, state: OptimizerState) -> None:
-    """One in-place update of the whole parameter vector."""
+    """One in-place Adam update of the whole parameter vector."""
     if np.shape(grad) != net.params.shape:
         raise ShapeError(
             f"gradient has shape {np.shape(grad)}, network has {net.params.shape}"
         )
-    lr = state.learning_rate
-    if state.kind == "sgd":
-        net.params -= lr * grad
-        return
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
@@ -280,7 +270,7 @@ def optimizer_step(net: MlpNetwork, grad: np.ndarray, state: OptimizerState) -> 
     m += (1.0 - state.beta1) * grad
     v *= state.beta2
     v += (1.0 - state.beta2) * (grad * grad)
-    net.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    net.params -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 def minibatches(

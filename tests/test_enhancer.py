@@ -157,7 +157,8 @@ class TestTrainEnhancer:
         train, hold = small_encoded[:split], small_encoded[split:]
         model = enhancer.make_enhancer(np.random.default_rng(5))
         enhancer.train_enhancer(model, train, 800, np.random.default_rng(6))
-        mse = enhancer.enhancer_mse(model, hold)
+        pred = enhancer.predict(model, hold[:, :experience.SA_DIM])
+        mse = float(np.mean((pred - hold[:, experience.SA_DIM:]) ** 2))
         baseline = float(
             np.mean((hold[:, 5:] - train[:, 5:].mean(axis=0)) ** 2)
         )

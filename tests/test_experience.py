@@ -13,18 +13,17 @@ from egan.experience import Transitions
 from test_cartpole import is_terminal
 
 
-def one_row(s, a, s_next, r=1.0, done=False) -> Transitions:
+def one_row(s, a, s_next, done=False) -> Transitions:
     return Transitions(
         states=np.array([s], dtype=np.float64),
         actions=np.array([a], dtype=np.intp),
         next_states=np.array([s_next], dtype=np.float64),
-        rewards=np.array([r]),
         dones=np.array([done]),
     )
 
 
 def assert_same(t1: Transitions, t2: Transitions):
-    for name in ("states", "actions", "next_states", "rewards", "dones"):
+    for name in ("states", "actions", "next_states", "dones"):
         a, b = getattr(t1, name), getattr(t2, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -63,7 +62,7 @@ def reference_decode(x, stats, params=DEFAULT_PARAMS):
     a = 1 if x[4] >= 0.0 else 0
     s_next = CartPoleState(*_ref_unscale(x[5:9], stats).tolist())
     done = is_terminal(s_next, params)
-    return s_t, a, s_next, 1.0, done
+    return s_t, a, s_next, done
 
 
 def reference_encode_batch(t: Transitions, stats):
@@ -77,8 +76,7 @@ def reference_decode_batch(xs, stats, params=DEFAULT_PARAMS) -> Transitions:
         states=np.array([r[0] for r in rows]),
         actions=np.array([r[1] for r in rows], dtype=np.intp),
         next_states=np.array([r[2] for r in rows]),
-        rewards=np.array([r[3] for r in rows]),
-        dones=np.array([r[4] for r in rows], dtype=bool),
+        dones=np.array([r[3] for r in rows], dtype=bool),
     )
 
 
@@ -90,11 +88,16 @@ def zero_range_stats(buffer):
     return experience.NormalizationStats(stats.state_min, state_max)
 
 
+def test_transitions_are_four_columns():
+    # CartPole pays 1.0 on every step, so no column holds a reward
+    assert [f.name for f in fields(Transitions)] == ["states", "actions", "next_states", "dones"]
+
+
 def test_single_episode_buffer_size_equals_length():
     rng = np.random.default_rng(0)
     buf = experience.collect_random(DEFAULT_PARAMS, 1, rng)
     assert len(buf) == buf.states.shape[0] == buf.next_states.shape[0]
-    assert len(buf) == buf.rewards.size == buf.dones.size
+    assert len(buf) == buf.actions.size == buf.dones.size
     assert 1 <= len(buf) <= 200
     # one episode: every successor state is the next row's state
     assert np.array_equal(buf.states[1:], buf.next_states[:-1])
@@ -120,24 +123,23 @@ def reference_collect_random(params, n_episodes, rng) -> Transitions:
     parts = []
     for _ in range(n_episodes):
         child, = rng.spawn(1)
-        path = [cartpole.reset(child, params)]
+        path = [cartpole.reset(child)]
         draws = child.random(params.max_steps).tolist()
-        actions, rewards = [], []
+        actions = []
         for t in range(params.max_steps):
             states = np.array([path[-1]])
             p0 = np.full(len(states), 0.5).tolist()[0]
             action = int(draws[t] >= p0)
-            state, reward, done = cartpole.step(path[-1], action, params)
+            state, _, done = cartpole.step(path[-1], action, params)
             path.append(state)
             actions.append(action)
-            rewards.append(reward)
             if done:
                 break
         visited = np.array(path)
         dones = np.zeros(len(actions), dtype=bool)
         dones[-1] = done
         parts.append(Transitions(visited[:-1], np.array(actions, dtype=np.intp),
-                                 visited[1:], np.array(rewards), dones))
+                                 visited[1:], dones))
     return Transitions(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(Transitions)))
 
@@ -160,7 +162,7 @@ def test_buffer_transitions_replay_exactly(small_buffer):
         s = CartPoleState(*small_buffer.states[i].tolist())
         nxt, reward, done = cartpole.step(s, int(small_buffer.actions[i]), DEFAULT_PARAMS)
         assert nxt == tuple(small_buffer.next_states[i].tolist())
-        assert reward == small_buffer.rewards[i]
+        assert reward == 1.0
         if not small_buffer.dones[i]:
             assert done is False
 
@@ -175,8 +177,11 @@ def rngs_from(seed, k):
 
 
 def test_episode_reward_sum_equals_length():
+    # the harness records len(episode) as the episode's reward
     episode, = experience.run_episodes(uniform, [np.random.default_rng(4)])
-    assert episode.rewards.sum() == len(episode)
+    rewards = [cartpole.step(CartPoleState(*s), a)[1]
+               for s, a in zip(episode.states.tolist(), episode.actions.tolist())]
+    assert sum(rewards) == len(episode) > 1
 
 
 def test_constant_action_topples_quickly():
@@ -225,11 +230,11 @@ def test_slice_rows_are_views():
     rng = np.random.default_rng(0)
     states = rng.uniform(-1, 1, size=(6, 4))
     t = Transitions(states, rng.integers(0, 2, size=6).astype(np.intp),
-                    states + 1.0, rng.random(6), np.arange(6) == 5)
+                    states + 1.0, np.arange(6) == 5)
     part = t.slice(2, 5)
     assert len(part) == 3
     assert_same(part, Transitions(t.states[2:5], t.actions[2:5], t.next_states[2:5],
-                                  t.rewards[2:5], t.dones[2:5]))
+                                  t.dones[2:5]))
     assert np.shares_memory(part.states, t.states)
 
 
@@ -290,11 +295,11 @@ class TestRunEpisodes:
 
 def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
     """The lockstep loop run_episodes replaced, kept verbatim: np.array over
-    the CartPoleState NamedTuples, per-episode (action, reward) pairs, and
-    action int(u >= p0) for probs_fn's P(action 0).  Only its done rule
+    the CartPoleState NamedTuples, per-episode action lists, and action
+    int(u >= p0) for probs_fn's P(action 0).  Only its done rule
     follows run_episodes: the last row is done only on a terminal successor,
     not when the cap cut the episode short."""
-    paths = [[cartpole.reset(rng, params)] for rng in rngs]
+    paths = [[cartpole.reset(rng)] for rng in rngs]
     draws = [rng.random(params.max_steps).tolist() for rng in rngs]
     steps = [[] for _ in rngs]
     terminal = [False for _ in rngs]
@@ -306,21 +311,20 @@ def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
         still = []
         for i, p in zip(live, p0):
             action = int(draws[i][t] >= p)
-            state, reward, done = cartpole.step(paths[i][-1], action, params)
+            state, _, done = cartpole.step(paths[i][-1], action, params)
             paths[i].append(state)
-            steps[i].append((action, reward))
+            steps[i].append(action)
             terminal[i] = done
             if not done:
                 still.append(i)
         live = still
     episodes = []
-    for visited, taken, done in zip(paths, steps, terminal):
-        actions, rewards = zip(*taken)
+    for visited, actions, done in zip(paths, steps, terminal):
         path = np.array(visited)
         dones = np.zeros(len(actions), dtype=bool)
         dones[-1] = done
         episodes.append(Transitions(path[:-1], np.array(actions, dtype=np.intp),
-                                    path[1:], np.array(rewards), dones))
+                                    path[1:], dones))
     return episodes
 
 
@@ -503,14 +507,6 @@ class TestEncoding:
         assert np.allclose(back.states, small_buffer.states, atol=1e-9)
         assert np.allclose(back.next_states, small_buffer.next_states, atol=1e-9)
         assert np.array_equal(back.actions, small_buffer.actions)
-        assert np.array_equal(back.rewards, small_buffer.rewards)
-
-    def test_decoded_rows_have_reward_one(self, small_buffer):
-        stats = experience.compute_stats(small_buffer)
-        xs = np.random.default_rng(5).uniform(-3.0, 3.0, size=(500, experience.ENCODED_DIM))
-        t = experience.decode_batch(xs, stats)
-        assert t.rewards.dtype == np.float64
-        assert np.array_equal(t.rewards, np.ones(500))
 
     @pytest.mark.parametrize("width", [experience.ENCODED_DIM - 1, experience.ENCODED_DIM + 1])
     def test_decode_rejects_other_widths(self, small_buffer, width):
@@ -532,13 +528,11 @@ class TestEncoding:
         mid = (stats.state_min + stats.state_max) / 2.0
         assert np.allclose(t.states[0], mid, atol=1e-12)
         assert t.actions[0] == 1  # tie at exactly 0 breaks upward
-        assert t.rewards[0] == 1.0
 
     def test_decode_is_total_outside_unit_box(self, small_buffer):
         stats = experience.compute_stats(small_buffer)
         t = experience.decode_batch(np.full(9, 3.5), stats)
         assert np.all(np.isfinite(t.states))
-        assert t.rewards[0] == 1.0
 
     def test_decode_infers_done_geometrically(self, small_buffer):
         stats = experience.compute_stats(small_buffer)

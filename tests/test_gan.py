@@ -6,7 +6,7 @@ import pytest
 from egan import enhancer, experience, gan, harness, nn
 from egan.errors import UsageError
 
-from test_nn import F32_TOL, float64_copy, max_rel_err
+from test_nn import F32_TOL, float64_copy, max_rel_err, zero_rate_optimizer
 
 
 def tiny_gan(seed=0, **kwargs):
@@ -76,7 +76,7 @@ class TestDiscriminatorStep:
 
     def test_zero_learning_rate_leaves_d_unchanged(self):
         pair = tiny_gan()
-        pair.d_opt = nn.OptimizerState(kind="sgd", learning_rate=0.0)
+        pair.d_opt = zero_rate_optimizer(pair.d)
         before = pair.d.params.copy()
         gan.discriminator_step(pair, np.random.default_rng(1).normal(size=(8, 4)),
                                np.random.default_rng(2))
@@ -315,17 +315,21 @@ class TestTrainGan:
 
 
 class TestGenerate:
-    def test_zero_count_empty(self, small_buffer):
+    def test_zero_count_rejected(self):
         pair = tiny_gan(data_dim=experience.ENCODED_DIM)
         rng = np.random.default_rng(0)
-        stats = experience.compute_stats(small_buffer)
-        fake = generate(pair, 0, rng, stats)
-        assert len(fake) == 0
-        assert fake.states.shape == fake.next_states.shape == (0, 4)
-        # no draw consumed: the next generation matches a fresh stream
-        after = generate(pair, 3, rng, stats)
-        fresh = generate(pair, 3, np.random.default_rng(0), stats)
-        assert np.array_equal(after.states, fresh.states)
+        state = rng.bit_generator.state
+        with pytest.raises(UsageError):
+            gan.generate_encoded(pair, 0, rng)
+        assert rng.bit_generator.state == state  # no draw consumed
+
+    def test_rows_are_the_generator_on_fresh_noise(self):
+        pair = gan.make_gan(np.random.default_rng(0), noise_dim=4)
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        got = gan.generate_encoded(pair, 37, rng)
+        want, _ = nn.forward(pair.g, gan.sample_noise(ref_rng, 37, pair.noise_dim))
+        assert got.dtype == gan.DTYPE and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_output_count(self, small_buffer):
         pair = gan.make_gan(np.random.default_rng(0), noise_dim=4)
@@ -338,7 +342,7 @@ class TestGenerate:
         stats = experience.compute_stats(small_buffer)
         fake = generate(pair, 10, np.random.default_rng(1), stats)
         assert set(fake.actions.tolist()) <= {0, 1}
-        assert set(fake.rewards.tolist()) == {1.0}
+        assert fake.dones.dtype == bool
         assert np.all(np.isfinite(fake.states))
 
     def test_generator_outputs_in_tanh_range(self):

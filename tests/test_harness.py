@@ -134,6 +134,13 @@ class TestRunExperiment:
         assert curve.offset == 0
         assert curve.cumulative_samples[-1] == int(curve.rewards.sum())
 
+    def test_episode_reward_is_its_sample_count(self):
+        cfg = ExperimentConfig(mode="gan", seed=3, **TINY)
+        curve = harness.run_experiment(cfg).curve
+        steps = np.diff(curve.cumulative_samples, prepend=curve.offset)
+        assert curve.rewards.dtype == np.float64
+        assert np.array_equal(curve.rewards, steps)
+
     def test_conservation_identity(self):
         cfg = ExperimentConfig(mode="egan", seed=2, **TINY)
         curve = harness.run_experiment(cfg).curve
@@ -322,7 +329,7 @@ def fixed_done_batches(dones):
         for _ in range(config.synthetic_batches):
             states = rng.uniform(-0.05, 0.05, size=(dones.size, 4))
             actions = rng.integers(0, 2, size=dones.size).astype(np.intp)
-            yield Transitions(states, actions, states, np.ones(dones.size), dones)
+            yield Transitions(states, actions, states, dones)
 
     return batches
 

@@ -251,32 +251,28 @@ class TestBackward:
 
 
 class TestOptimizers:
-    def test_sgd_zero_gradient_no_change(self):
-        net = nn.init_network([2, 2], ["identity"], np.random.default_rng(0))
-        before = net.params.copy()
-        opt = nn.make_optimizer(net, "sgd", 0.5)
-        nn.optimizer_step(net, np.zeros(6), opt)
-        assert np.array_equal(net.params, before)
-
-    def test_sgd_single_arithmetic_step(self):
-        net = nn.init_network([1, 1], ["identity"], np.random.default_rng(0))
-        net.weights[0][:] = 1.0
-        opt = nn.make_optimizer(net, "sgd", 0.5)
-        nn.optimizer_step(net, np.array([0.1, 0.0]), opt)
-        assert net.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
-
-    def test_sgd_zero_learning_rate_state_is_inert(self):
+    def test_zero_learning_rate_state_is_inert(self):
         # degenerate lr=0 state built directly; the factory rejects lr <= 0
         net = nn.init_network([2, 3], ["tanh"], np.random.default_rng(1))
         before = net.params.copy()
-        opt = nn.OptimizerState(kind="sgd", learning_rate=0.0)
+        opt = zero_rate_optimizer(net)
         nn.optimizer_step(net, np.ones(9), opt)
         assert np.array_equal(net.params, before)
+        assert opt.t == 1
+
+    def test_fresh_state_has_zero_moments(self):
+        net = nn.init_network([3, 2], ["identity"], np.random.default_rng(0), np.float32)
+        opt = nn.make_optimizer(net, 1e-3)
+        for moment in (opt.m, opt.v):
+            assert moment.shape == net.params.shape and moment.dtype == np.float32
+            assert not moment.any() and not np.shares_memory(moment, net.params)
+        assert not np.shares_memory(opt.m, opt.v)
+        assert opt.t == 0 and opt.learning_rate == 1e-3
 
     def test_adam_first_step_magnitude_is_learning_rate(self):
         net = nn.init_network([2, 2], ["identity"], np.random.default_rng(0))
         lr = 1e-3
-        opt = nn.make_optimizer(net, "adam", lr)
+        opt = nn.make_optimizer(net, lr)
         before = net.params.copy()
         nn.optimizer_step(net, np.full(6, 0.7), opt)
         delta = np.abs(net.params - before)
@@ -290,7 +286,7 @@ class TestOptimizers:
         net = nn.init_network([1, 1], ["identity"], np.random.default_rng(0))
         net.weights[0][:] = 0.0
         net.biases[0][:] = 0.0
-        opt = nn.make_optimizer(net, "adam", 0.1)
+        opt = nn.make_optimizer(net, 0.1)
         g1, g2 = 0.3, -0.2
         m = v = 0.0
         p = 0.0
@@ -304,10 +300,14 @@ class TestOptimizers:
 
     def test_bad_optimizer_config(self):
         net = nn.init_network([2, 2], ["identity"], np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            nn.make_optimizer(net, "rmsprop", 1e-3)
-        with pytest.raises(ConfigError):
-            nn.make_optimizer(net, "sgd", 0.0)
+        for lr in (0.0, -1e-3):
+            with pytest.raises(ConfigError):
+                nn.make_optimizer(net, lr)
+
+
+def zero_rate_optimizer(net):
+    """An Adam state at learning rate 0, built directly: steps move nothing."""
+    return nn.OptimizerState(0.0, np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def split_like_layers(layer_sizes, vec):
@@ -322,11 +322,11 @@ def split_like_layers(layer_sizes, vec):
 
 
 class ReferenceOptimizer:
-    """The per-layer SGD/Adam loop the flat optimizer replaced."""
+    """The per-layer Adam loop the flat optimizer replaced."""
 
-    def __init__(self, net, kind, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.weights, self.biases = split_like_layers(net.layer_sizes, net.params)
-        self.kind, self.lr, self.beta1, self.beta2, self.eps = kind, lr, beta1, beta2, eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m_w = [np.zeros_like(w) for w in self.weights]
         self.v_w = [np.zeros_like(w) for w in self.weights]
@@ -334,11 +334,6 @@ class ReferenceOptimizer:
         self.v_b = [np.zeros_like(b) for b in self.biases]
 
     def step(self, grad_w, grad_b):
-        if self.kind == "sgd":
-            for i in range(len(self.weights)):
-                self.weights[i] -= self.lr * grad_w[i]
-                self.biases[i] -= self.lr * grad_b[i]
-            return
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -527,7 +522,7 @@ class TestCopyAndPickle:
         before, cache = nn.forward(c, x)
         before = before.copy()
         grads, _ = nn.backward(c, cache, np.ones_like(before))
-        nn.optimizer_step(c, grads, nn.make_optimizer(c, "sgd", 0.5))
+        nn.optimizer_step(c, grads, nn.make_optimizer(c, 0.5))
         after, _ = nn.forward(c, x)
         assert not np.array_equal(after, before)
         assert same_bytes(after, nn.forward(nn.MlpNetwork(c.layer_sizes, c.activations,
@@ -540,20 +535,19 @@ class TestFlatParameters:
     per-layer arrays stay views into the flat vector."""
 
     @pytest.mark.parametrize("shape", sorted(GAN_SHAPES))
-    @pytest.mark.parametrize("kind,lr", [("sgd", 1e-2), ("adam", 5e-6), ("adam", 1e-1)])
-    def test_optimizer_matches_reference(self, shape, kind, lr):
+    @pytest.mark.parametrize("lr", [5e-6, 1e-1], ids=lambda lr: f"adam-{lr}")
+    def test_optimizer_matches_reference(self, shape, lr):
         sizes, acts = GAN_SHAPES[shape]
         rng = np.random.default_rng(31)
         net = nn.init_network(sizes, acts, rng)
-        opt = nn.make_optimizer(net, kind, lr)
-        ref = ReferenceOptimizer(net, kind, lr)
+        opt = nn.make_optimizer(net, lr)
+        ref = ReferenceOptimizer(net, lr)
         for _ in range(5):
             grad = rng.normal(scale=3.0, size=net.params.size)
             nn.optimizer_step(net, grad, opt)
             ref.step(*split_like_layers(sizes, grad))
         assert np.array_equal(net.params, ref.vector())
-        if kind == "adam":
-            assert opt.t == ref.t == 5
+        assert opt.t == ref.t == 5
 
     def test_backward_layout_matches_per_layer_gradients(self):
         sizes, acts = GAN_SHAPES["generator"]
@@ -608,12 +602,12 @@ class TestFlatParameters:
     @pytest.mark.parametrize("size", [5, 7])
     def test_optimizer_rejects_wrong_gradient_length(self, size):
         net = nn.init_network([2, 2], ["identity"], np.random.default_rng(36))
-        for kind in ("sgd", "adam"):
-            opt = nn.make_optimizer(net, kind, 0.1)
-            before = net.params.copy()
-            with pytest.raises(ShapeError):
-                nn.optimizer_step(net, np.ones(size), opt)
-            assert np.array_equal(net.params, before)
+        opt = nn.make_optimizer(net, 0.1)
+        before = net.params.copy()
+        with pytest.raises(ShapeError):
+            nn.optimizer_step(net, np.ones(size), opt)
+        assert np.array_equal(net.params, before)
+        assert opt.t == 0
 
 
 class ReferenceMinibatcher:
@@ -662,7 +656,7 @@ class TestDeterminismProperty:
             x = rng.normal(size=(5, 4))
             out, cache = nn.forward(net, x)
             grads, _ = nn.backward(net, cache, np.ones_like(out))
-            opt = nn.make_optimizer(net, "adam", 1e-3)
+            opt = nn.make_optimizer(net, 1e-3)
             nn.optimizer_step(net, grads, opt)
             results.append(net.params.copy())
         assert np.array_equal(results[0], results[1])
@@ -670,7 +664,7 @@ class TestDeterminismProperty:
 
 class TestFloat32Networks:
     """A float32 net draws its weights like a float64 one and stays float32
-    through forward, backward and both optimizers."""
+    through forward, backward and the optimizer."""
 
     @pytest.mark.parametrize("name", sorted(NET_SHAPES))
     def test_init_rounds_the_float64_draws(self, name):
@@ -682,14 +676,12 @@ class TestFloat32Networks:
         assert all(a.dtype == np.float32 for a in (*net32.weights, *net32.biases))
         assert rng32.bit_generator.state == rng64.bit_generator.state
 
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    def test_every_array_stays_float32(self, kind):
+    def test_every_array_stays_float32(self):
         sizes, acts = NET_SHAPES["d"]
         rng = np.random.default_rng(91)
         net = nn.init_network(sizes, acts, rng, np.float32)
-        opt = nn.make_optimizer(net, kind, 1e-3)
-        if kind == "adam":
-            assert opt.m.dtype == opt.v.dtype == np.float32
+        opt = nn.make_optimizer(net, 1e-3)
+        assert opt.m.dtype == opt.v.dtype == np.float32
         out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(64, sizes[0])))
         assert out.dtype == cache.inputs.dtype == np.float32
         assert all(h.dtype == np.float32 for h in cache.post)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from test_experience import EDGE_DRAWS, forward_logit
 from test_nn import fd_param_gradient, max_rel_err, same_bytes
 
 
-def zero_weight_agent(optimizer="sgd", lr=1e-3):
-    agent = policy.make_agent(np.random.default_rng(0), optimizer=optimizer,
-                              learning_rate=lr)
+def zero_weight_agent(lr=1e-3):
+    agent = policy.make_agent(np.random.default_rng(0), learning_rate=lr)
     for w in agent.net.weights:
         w[:] = 0.0
     return agent
@@ -29,7 +29,8 @@ def test_make_agent_defaults_match_config():
     agent = policy.make_agent(np.random.default_rng(0))
     assert agent.net.layer_sizes == [4, *config.policy_hidden, 2]
     assert agent.opt.learning_rate == config.pg_learning_rate
-    assert agent.opt.kind == "adam"
+    assert agent.opt.t == 0 and not agent.opt.m.any() and not agent.opt.v.any()
+    assert agent.opt.m.shape == agent.opt.v.shape == agent.net.params.shape
     assert agent.gamma == config.pg_discount
 
 
@@ -180,66 +181,87 @@ def reference_discounted_returns(rewards, gamma):
     return out
 
 
+def float_discounted_returns(rewards, gamma):
+    """policy.discounted_returns, the Python-float recursion return_table
+    replaced, kept verbatim."""
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.size == 0:
+        raise UsageError("rewards must be nonempty")
+    returns = r.tolist()
+    acc = 0.0
+    for i in range(len(returns) - 1, -1, -1):
+        acc = returns[i] + gamma * acc
+        returns[i] = acc
+    return np.array(returns)
+
+
+def episode_returns(n, gamma):
+    """The discounted returns of an n-step episode, read off return_table."""
+    return policy.return_table(n, gamma)[::-1]
+
+
 class TestDiscountedReturns:
+    """policy.return_table: R[k] is the return k steps before the last."""
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99, 1.0])
     def test_matches_numpy_scalar_reference(self, gamma):
-        rng = np.random.default_rng(12)
         for n in range(1, 301):
-            # mixed signs and magnitudes, and the all-ones rewards of CartPole
-            for rewards in (rng.normal(0.0, 10.0, size=n) * rng.integers(0, 2, size=n),
-                            np.ones(n)):
-                got = policy.discounted_returns(rewards, gamma)
-                want = reference_discounted_returns(rewards, gamma)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got, want)
-                assert got.tobytes() == want.tobytes()
+            got = episode_returns(n, gamma)
+            want = reference_discounted_returns(np.ones(n), gamma)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("rewards", [np.array([]), ()], ids=["ndarray", "tuple"])
-    def test_empty_rejected_in_any_form(self, rewards):
-        with pytest.raises(UsageError):
-            policy.discounted_returns(rewards, 0.99)
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99, 0.999, 1.0])
+    def test_matches_float_recursion_up_to_2000(self, gamma):
+        table = policy.return_table(2000, gamma)
+        for n in range(1, 2001):
+            want = float_discounted_returns(np.ones(n), gamma).tobytes()
+            assert table[n - 1::-1].tobytes() == want
+            assert policy.return_table(n, gamma).tobytes() == table[:n].tobytes()
 
     def test_hand_recursion(self):
-        out = policy.discounted_returns([1.0, 1.0, 1.0], 0.99)
-        assert np.allclose(out, [2.9701, 1.99, 1.0], atol=1e-12)
+        assert np.allclose(episode_returns(3, 0.99), [2.9701, 1.99, 1.0], atol=1e-12)
 
     def test_gamma_zero_returns_rewards(self):
-        r = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(policy.discounted_returns(r, 0.0), r)
-
-    def test_zero_rewards_zero_returns(self):
-        assert np.all(policy.discounted_returns(np.zeros(7), 0.99) == 0.0)
+        assert np.array_equal(policy.return_table(5, 0.0), np.ones(5))
 
     def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            policy.discounted_returns([], 0.99)
+        for n in (0, -1):
+            with pytest.raises(UsageError):
+                policy.return_table(n, 0.99)
 
-    @given(
-        st.lists(st.floats(-10, 10), min_size=1, max_size=50),
-        st.floats(0.0, 1.0),
-    )
+    @given(st.integers(1, 200), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
-    def test_recursion_identity_property(self, rewards, gamma):
-        g = policy.discounted_returns(rewards, gamma)
-        assert g[-1] == pytest.approx(rewards[-1], rel=1e-12, abs=1e-12)
-        for t in range(len(rewards) - 1):
-            assert g[t] == pytest.approx(rewards[t] + gamma * g[t + 1], rel=1e-9, abs=1e-9)
+    def test_recursion_identity_property(self, n, gamma):
+        table = policy.return_table(n, gamma)
+        assert table[0] == 1.0
+        for k in range(1, n):
+            assert table[k] == 1.0 + gamma * table[k - 1]
 
 
-def make_trace(rng, n_steps, reward=1.0):
+def make_trace(rng, n_steps):
     states = rng.uniform(-0.5, 0.5, size=(n_steps + 1, 4))
     return Transitions(
         states=states[:-1],
         actions=rng.integers(0, 2, size=n_steps).astype(np.intp),
         next_states=states[1:],
-        rewards=np.full(n_steps, reward),
         dones=np.arange(n_steps) == n_steps - 1,
     )
 
 
+def step_gradient(agent, states, actions, weights):
+    """The gradient policy_gradient_step hands the optimizer; the step itself
+    is left out, so agent is not changed."""
+    grads = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "optimizer_step", lambda net, grad, state: grads.append(grad))
+        policy.policy_gradient_step(agent, states, actions, weights)
+    return grads[0]
+
+
 class TestUpdateOnEpisodes:
     def test_constant_returns_leave_parameters_unchanged(self):
-        agent = policy.make_agent(np.random.default_rng(1), optimizer="sgd")
+        agent = policy.make_agent(np.random.default_rng(1))
         rng = np.random.default_rng(2)
         # gamma=0 makes every return equal to the constant reward
         agent.gamma = 0.0
@@ -252,11 +274,43 @@ class TestUpdateOnEpisodes:
         with pytest.raises(UsageError):
             policy.update_on_episodes(agent, [])
 
+    def test_empty_episode_rejected(self):
+        # without the check, table[-1::-1] would hand it the whole table
+        agent = policy.make_agent(np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        before = agent.net.params.copy()
+        for episodes in ([make_trace(rng, 0)], [make_trace(rng, 5), make_trace(rng, 0)]):
+            with pytest.raises(UsageError):
+                policy.update_on_episodes(agent, episodes)
+        assert same_bytes(agent.net.params, before) and agent.opt.t == 0
+
+    def test_mixed_lengths_match_the_reference_recursion(self):
+        # a group of five episodes under a 25-step cap: lengths differ and one
+        # is cut by the cap, so every episode reads a different table slice
+        params = replace(DEFAULT_PARAMS, max_steps=25)
+        agent, reference = (policy.make_agent(np.random.default_rng(3)) for _ in range(2))
+        for group in range(3):
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(group).spawn(5)]
+            episodes = experience.run_episodes(policy.logit_function(agent.net), rngs, params)
+            lengths = [len(e) for e in episodes]
+            assert len(set(lengths)) > 1 and 25 in lengths
+            assert not all(e.dones[-1] for e in episodes)
+            policy.update_on_episodes(agent, episodes)
+            returns = np.concatenate([reference_discounted_returns(np.ones(n), reference.gamma)
+                                      for n in lengths])
+            reference_policy_gradient_step(
+                reference, np.concatenate([e.states for e in episodes]),
+                np.concatenate([e.actions for e in episodes]),
+                policy.normalize_weights(returns))
+            assert same_bytes(agent.net.params, reference.net.params)
+            assert agent.opt.t == reference.opt.t == group + 1
+            assert same_bytes(agent.opt.m, reference.opt.m)
+            assert same_bytes(agent.opt.v, reference.opt.v)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        agent = policy.make_agent(rng, hidden=(2,), optimizer="sgd")
-        # inert optimizer so the pre-step parameters define the gradient check
-        agent.opt = nn.OptimizerState(kind="sgd", learning_rate=0.0)
+        agent = policy.make_agent(rng, hidden=(2,))
         states = rng.uniform(-1, 1, size=(3, 4))
         actions = np.array([0, 1, 0], dtype=np.intp)
         weights = np.array([0.5, -1.2, 2.0])
@@ -280,18 +334,15 @@ class TestUpdateOnEpisodes:
             numeric[i] = (loss_at(vp) - loss_at(vm)) / (2 * h)
         net.params[...] = v0
 
-        probs, cache = nn.forward(net, states)
-        chosen = nn.clamp_probabilities(probs[np.arange(3), actions])
-        grad_out = np.zeros_like(probs)
-        grad_out[np.arange(3), actions] = -weights / (3 * chosen)
-        analytic = nn.backward(net, cache, grad_out)[0]
+        analytic = step_gradient(agent, states, actions, weights)
+        assert same_bytes(net.params, v0)
         assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_single_positive_return_increases_action_probability(self):
-        agent = policy.make_agent(np.random.default_rng(4), optimizer="sgd",
-                                  learning_rate=1e-2)
+        agent = policy.make_agent(np.random.default_rng(4), learning_rate=1e-2)
         state = CartPoleState(0.1, 0.0, -0.02, 0.0)
-        # the log-odds of action 1 rise exactly when its probability does
+        # the log-odds of action 1 rise exactly when its probability does;
+        # Adam's first step moves every parameter against its gradient's sign
         before = logit_of(agent, state)[0]
         policy.policy_gradient_step(
             agent, np.array([state]), np.array([1], dtype=np.intp),
@@ -301,21 +352,18 @@ class TestUpdateOnEpisodes:
         assert after > before
 
     def test_update_invariant_to_return_shift(self):
-        agents = []
+        grads = []
         for shift in (0.0, 100.0):
-            agent = policy.make_agent(np.random.default_rng(6), optimizer="sgd")
+            agent = policy.make_agent(np.random.default_rng(6))
             rng = np.random.default_rng(7)
             traces = [make_trace(rng, 5), make_trace(rng, 8)]
             states = np.concatenate([t.states for t in traces])
             actions = np.concatenate([t.actions for t in traces])
-            returns = np.concatenate(
-                [policy.discounted_returns(t.rewards, agent.gamma) for t in traces]
-            )
-            policy.policy_gradient_step(
-                agent, states, actions, policy.normalize_weights(returns + shift)
-            )
-            agents.append(agent.net.params.copy())
-        assert np.allclose(agents[0], agents[1], atol=1e-12)
+            returns = np.concatenate([episode_returns(len(t), agent.gamma) for t in traces])
+            grads.append(step_gradient(agent, states, actions,
+                                       policy.normalize_weights(returns + shift)))
+        assert np.abs(grads[0]).max() > 1e-3
+        assert np.allclose(grads[0], grads[1], atol=1e-12)
 
 
 def synthetic_batch(rng, n, dones):
@@ -323,7 +371,6 @@ def synthetic_batch(rng, n, dones):
         states=rng.uniform(-0.5, 0.5, size=(n, 4)),
         actions=rng.integers(0, 2, size=n).astype(np.intp),
         next_states=np.zeros((n, 4)),
-        rewards=np.ones(n),
         dones=np.asarray(dones[:n], dtype=bool),
     )
 
@@ -369,7 +416,7 @@ class TestPretrain:
         # taken in the terminal row and raises it in the non-terminal rows
         rng = np.random.default_rng(11)
         batch = synthetic_batch(rng, 16, ONE_TERMINAL)
-        agent = policy.make_agent(np.random.default_rng(10), optimizer="sgd")
+        agent = policy.make_agent(np.random.default_rng(10))
         chosen = np.arange(16), batch.actions
         before = nn.forward(agent.net, batch.states)[0][chosen]
         policy.pretrain_on_synthetic(agent, [batch], learning_rate=1e-3)
@@ -384,14 +431,13 @@ class TestPretrain:
         rng = np.random.default_rng(11)
         varied = synthetic_batch(rng, 16, ONE_TERMINAL)
         flat = synthetic_batch(rng, 16, NO_TERMINAL)
-        agent, reference = (policy.make_agent(np.random.default_rng(10), optimizer="adam")
-                            for _ in range(2))
+        agent, reference = (policy.make_agent(np.random.default_rng(10)) for _ in range(2))
         assert policy.pretrain_on_synthetic(agent, [varied, flat], learning_rate=1e-3) == 1
         policy.pretrain_on_synthetic(reference, [varied], learning_rate=1e-3)
         assert not np.array_equal(agent.net.params, reference.net.params)
 
     def test_agent_optimizer_state_untouched(self):
-        agent = policy.make_agent(np.random.default_rng(10), optimizer="adam")
+        agent = policy.make_agent(np.random.default_rng(10))
         rng = np.random.default_rng(11)
         batch = synthetic_batch(rng, 16, ONE_TERMINAL)
         policy.pretrain_on_synthetic(agent, [batch], learning_rate=1e-4)
@@ -417,8 +463,7 @@ class TestPretrain:
 def reference_pretrain_on_synthetic(agent, batches, learning_rate):
     """The loop the zero-weight skip replaced: a forward, a backward and an
     optimizer step on every batch."""
-    local = policy.PolicyAgent(agent.net, nn.make_optimizer(agent.net, agent.opt.kind,
-                                                            learning_rate))
+    local = policy.PolicyAgent(agent.net, nn.make_optimizer(agent.net, learning_rate))
     n_useful = 0
     for batch in batches:
         if not len(batch):
@@ -484,6 +529,12 @@ def reference_policy_gradient_step(agent, states, actions, weights):
     return loss
 
 
+def sgd_step(net, grad, state):
+    """A plain gradient step in place of nn.optimizer_step: the parameters
+    then carry the gradient's bytes."""
+    net.params -= state.learning_rate * grad
+
+
 class TestMatchesReference:
     """The one-pass z-score and the loss-free step give the parent's bytes."""
 
@@ -510,11 +561,12 @@ class TestMatchesReference:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("rows", [1, 2, 64, 300])
     @pytest.mark.parametrize("scale", [1.0, 500.0], ids=["plain", "clamped"])
-    def test_policy_gradient_step(self, optimizer, rows, scale):
+    def test_policy_gradient_step(self, optimizer, rows, scale, monkeypatch):
+        if optimizer == "sgd":  # Adam keeps the gradient's bytes only in m and v
+            monkeypatch.setattr(nn, "optimizer_step", sgd_step)
         agents = []
         for _ in range(2):
-            agent = policy.make_agent(np.random.default_rng(90), optimizer=optimizer,
-                                      learning_rate=1e-2)
+            agent = policy.make_agent(np.random.default_rng(90), learning_rate=1e-2)
             agent.net.params *= scale  # saturates the softmax at 500
             agents.append(agent)
         rng = np.random.default_rng(91 + rows)
