@@ -9,8 +9,9 @@ KL penalty (``enhancer.moment_kl``); the resulting samples pre-train a
 REINFORCE agent, each row weighted by whether it ends in a failure, before
 the agent touches the real environment.
 ``egan.harness`` owns that schedule (``run_experiment``, which returns one
-``Run``) and every file it writes (``write_run``).  ``egan run``, ``egan
-sweep`` and ``egan report`` (``egan.cli``) are the entry points.
+``Run``) and every file: ``write_run`` a run's, ``write_report`` a directory's
+aggregates.  ``egan run`` and ``egan report`` (``egan.cli``) are the entry
+points, and ``egan sweep`` is both over pre-training lengths and seeds.
 """
 
 __version__ = "0.1.0"

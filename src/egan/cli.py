@@ -2,6 +2,8 @@
 
 The CLI parses arguments, dispatches to egan.harness and prints; harness
 makes the output directories before any training and writes every file.
+`sweep` runs `run` at each (pre-training length, seed) into len_<length>/
+and then `report` over each length's directory.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -58,12 +60,10 @@ def _cmd_sweep(args) -> int:
     config = _build_config(args)
     lengths = _int_list("--lengths", args.lengths)
     seeds = _int_list("--seeds", args.seeds) if args.seeds else list(harness.DEFAULT_SEEDS)
-    for res in harness.sweep_pretrain_length(config, lengths, seeds=seeds):
-        print(
-            f"pretrain_episodes={res.pretrain_episodes} seeds={len(res.curves)} "
-            f"final_mean_rolling={res.episode_mean[-1]:.1f}",
-            flush=True,
-        )
+    for length, curves in harness.sweep_pretrain_length(config, lengths, seeds=seeds):
+        final = sum(harness.rolling_average(c.rewards)[-1] for c in curves) / len(curves)
+        print(f"pretrain_episodes={length} seeds={len(curves)} final_mean_rolling={final:.1f}",
+              flush=True)
     return 0
 
 
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep pre-training lengths over seeds")
     sweep.add_argument("--lengths", required=True, help="e.g. 500,5000")
     sweep.add_argument("--seeds", default=None, help="e.g. 0,1,2 (default 0..9)")
-    sweep.add_argument("--mode", choices=("gan", "egan"), default="egan")
+    sweep.add_argument("--mode", choices=("gan", "egan"), required=True)
     sweep.add_argument("--config", default=None)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="aggregate curves and summarize thresholds")
     report.add_argument("--runs", required=True, help="directory of curve CSVs")
-    report.add_argument("--threshold", type=float, default=120.0)
+    report.add_argument("--threshold", type=float, default=harness.DEFAULT_THRESHOLD)
     report.add_argument("--window", type=int, default=100)
     report.set_defaults(func=_cmd_report)
     return parser

@@ -3,8 +3,9 @@
 This module owns every phase of a run and their order; pretrain_pipeline
 draws all pre-training rng values from one generator, in a fixed order.
 run_experiment returns one Run record.  This module names every file the
-package writes: write_run a run's, sweep_pretrain_length a sweep's and
-write_report a report's.  The online phase acts in log-odds (egan.policy).
+package writes: write_run a run's and write_report a report's, and
+sweep_pretrain_length calls both for each pre-training length.  The online
+phase acts in log-odds (egan.policy).
 
 The x-axis of every comparison is cumulative REAL environment samples:
 synthetic replay costs zero, pre-training experience is charged as a fixed
@@ -32,6 +33,7 @@ from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, CsvParseError, UsageError
 
 DEFAULT_SEEDS = tuple(range(10))
+DEFAULT_THRESHOLD = 120.0  # the pre-registered r*, in rolling-average reward
 CURVE_HEADER = "episode,reward,cumulative_samples"
 _CURVE_RE = re.compile(r"curve_(?P<mode>[a-z]+)_(?P<seed>\d+)\.csv$")
 # synthetic batches per generator call; 64 ran no faster and raised peak RSS
@@ -252,64 +254,39 @@ def aggregate_runs(
     return Aggregate(bins=bins, mean=resampled.mean(axis=0), std=resampled.std(axis=0))
 
 
-@dataclass
-class SweepResult:
-    pretrain_episodes: int
-    episode_mean: np.ndarray  # rolling reward vs online episode number
-    episode_std: np.ndarray
-    samples: Aggregate  # rolling reward vs cumulative real samples
-    curves: list
-
-
 def sweep_pretrain_length(
-    base_config: ExperimentConfig,
-    lengths,
-    seeds=DEFAULT_SEEDS,
-    window: int = 100,
-    bin_width: int = 500,
-) -> Iterator[SweepResult]:
+    base_config: ExperimentConfig, lengths, seeds=DEFAULT_SEEDS
+) -> Iterator[tuple[int, list[LearningCurve]]]:
     """Re-run the base configuration at each pre-training length over a shared
-    seed set; aggregate per online episode number and per cumulative sample.
-    The lists and every run's config are checked, and the output directories
-    made, in this call; the runs go one length at a time as the returned
-    iterator is consumed.  A length's curves are written to
-    <out_dir>/len_<length>/ before they are aggregated, so a failed
-    aggregation keeps every trained curve; its sweep_episodes_<length>.csv
-    and sweep_samples_<length>.csv follow, and then its SweepResult is
-    yielded."""
+    seed set.  The lists and every run's config are checked, and the output
+    directories made, in this call; the returned iterator runs one length at
+    a time.  write_run writes each run into <out_dir>/len_<length>/, as
+    `egan run` would; write_report then aggregates that directory at
+    DEFAULT_THRESHOLD, and (length, curves) is yielded."""
     lengths, seeds = list(lengths), list(seeds)
-    if not lengths:
-        raise ConfigError("lengths must be nonempty")
-    if len(seeds) < 2:
-        raise ConfigError(f"a sweep aggregates over seeds and needs >= 2, got {len(seeds)}")
     for name, values in (("lengths", lengths), ("seeds", seeds)):
+        if not values:
+            raise ConfigError(f"{name} must be nonempty")
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} must not repeat an entry, got {values}")
-    grid = [[replace(base_config, pretrain_episodes=length, seed=seed) for seed in seeds]
-            for length in lengths]
-    for config in (c for configs in grid for c in configs):
+    grid = {length: [replace(base_config, pretrain_episodes=length, seed=seed,
+                             out_dir=os.path.join(base_config.out_dir, f"len_{length}"))
+                     for seed in seeds]
+            for length in lengths}
+    for config in (c for configs in grid.values() for c in configs):
         validate(config)
-    out_dir = base_config.out_dir
-    curve_dirs = [make_out_dir(os.path.join(out_dir, f"len_{length}")) for length in lengths]
+    for configs in grid.values():
+        make_out_dir(configs[0].out_dir)
 
     def results():
-        for length, configs, curves_dir in zip(lengths, grid, curve_dirs):
-            curves = [run_experiment(config).curve for config in configs]
-            for curve in curves:
-                path = os.path.join(curves_dir, curve_filename(curve.mode, curve.seed))
-                save_curve_csv(curve, path)
-            rolled = np.array([rolling_average(c.rewards, window) for c in curves])
-            res = SweepResult(
-                pretrain_episodes=length,
-                episode_mean=rolled.mean(axis=0),
-                episode_std=rolled.std(axis=0),
-                samples=aggregate_runs(curves, bin_width=bin_width, window=window),
-                curves=curves,
-            )
-            write_csv(os.path.join(out_dir, f"sweep_episodes_{length}.csv"), "episode,mean,std",
-                      np.arange(1, res.episode_mean.size + 1), res.episode_mean, res.episode_std)
-            save_aggregate_csv(res.samples, os.path.join(out_dir, f"sweep_samples_{length}.csv"))
-            yield res
+        for length, configs in grid.items():
+            curves = []
+            for config in configs:
+                run = run_experiment(config)
+                write_run(run, config)
+                curves.append(run.curve)
+            write_report(configs[0].out_dir, DEFAULT_THRESHOLD)
+            yield length, curves
 
     return results()
 
@@ -332,8 +309,8 @@ def write_run(run: Run, config: ExperimentConfig) -> str:
     curve's path.  With tag <mode>_<seed>, every mode writes curve_<tag>.csv,
     meta_<tag>.txt (the config) and policy_<tag>.txt; gan and egan add
     gan_losses_<tag>.csv, generator_<tag>.txt and discriminator_<tag>.txt;
-    egan adds kl_history_<tag>.csv and enhancer_<tag>.txt.  Each .txt net is
-    an nn.save_network checkpoint."""
+    egan adds enhancer_losses_<tag>.csv, kl_history_<tag>.csv and
+    enhancer_<tag>.txt.  Each .txt net is an nn.save_network checkpoint."""
     curve, pre, agent = run
 
     def path(kind: str, ext: str = "txt") -> str:
@@ -351,6 +328,8 @@ def write_run(run: Run, config: ExperimentConfig) -> str:
         nn.save_network(pre.gan.g, path("generator"))
         nn.save_network(pre.gan.d, path("discriminator"))
         if pre.enhancer is not None:
+            write_csv(path("enhancer_losses", "csv"), "step,mse",
+                      range(len(pre.enhancer_history)), pre.enhancer_history)
             write_csv(path("kl_history", "csv"), "iter,kl", range(1, len(pre.kl_history) + 1),
                       pre.kl_history)
             nn.save_network(pre.enhancer.net, path("enhancer"))
@@ -408,10 +387,6 @@ def load_curve_csv(path) -> LearningCurve:
     )
 
 
-def save_aggregate_csv(agg: Aggregate, path) -> None:
-    write_csv(path, "samples_bin,mean,std", agg.bins, agg.mean, agg.std)
-
-
 def find_curves(runs_dir) -> dict[str, list[LearningCurve]]:
     """All curve_<mode>_<seed>.csv files in a directory, grouped by mode."""
     if not os.path.isdir(runs_dir):
@@ -446,7 +421,10 @@ def threshold_summary(curves, r_star: float, window: int = 100) -> tuple[float, 
 
 def write_report(runs_dir, r_star: float, window: int = 100,
                  bin_width: int = 500) -> list[tuple[str, float, float]]:
-    """Aggregate every mode found in runs_dir and emit report.csv rows."""
+    """Aggregate every mode found in runs_dir and emit report.csv rows.  A mode
+    with >= 2 curves gets aggregate_episodes_<mode>.csv, the mean and std of
+    the rolling averages at each online episode all its curves have, and,
+    unless its curves share no bin, aggregate_<mode>.csv (aggregate_runs)."""
     groups = find_curves(runs_dir)
     if not groups:
         raise UsageError(f"no curve CSVs found in {runs_dir}")
@@ -457,12 +435,18 @@ def write_report(runs_dir, r_star: float, window: int = 100,
     for mode in order:
         curves = groups[mode]
         if len(curves) >= 2:
+            n = min(map(len, curves))
+            rolled = np.array([rolling_average(c.rewards[:n], window) for c in curves])
+            write_csv(os.path.join(runs_dir, f"aggregate_episodes_{mode}.csv"),
+                      "episode,mean,std", np.arange(1, n + 1), rolled.mean(axis=0),
+                      rolled.std(axis=0))
             try:
                 agg = aggregate_runs(curves, bin_width=bin_width, window=window)
             except UsageError:
                 pass  # curves too short to share a bin; report rows still apply
             else:
-                save_aggregate_csv(agg, os.path.join(runs_dir, f"aggregate_{mode}.csv"))
+                write_csv(os.path.join(runs_dir, f"aggregate_{mode}.csv"),
+                          "samples_bin,mean,std", agg.bins, agg.mean, agg.std)
         median, iqr = threshold_summary(curves, r_star, window)
         rows.append((mode, median, iqr))
     write_csv(os.path.join(runs_dir, "report.csv"), "mode,median_samples_to_threshold,iqr",

@@ -1,3 +1,7 @@
+import importlib
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,7 @@ def test_run_egan_writes_pretrain_artifacts(tmp_path):
     for name in (
         "curve_egan_2.csv",
         "gan_losses_egan_2.csv",
+        "enhancer_losses_egan_2.csv",
         "kl_history_egan_2.csv",
         "generator_egan_2.txt",
         "discriminator_egan_2.txt",
@@ -140,43 +145,104 @@ def test_report_over_runs(tmp_path, capsys):
     assert "none: median_samples_to_threshold=" in capsys.readouterr().out
 
 
-def test_sweep_writes_curves_and_aggregates(tmp_path):
+def test_sweep_writes_curves_and_aggregates(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
         "--out", str(out),
     ] + TINY_SETS)
     assert code == 0
-    for length in (2, 4):
-        assert (out / f"sweep_samples_{length}.csv").exists()
-        curves = harness.find_curves(out / f"len_{length}")["gan"]
+    lines = capsys.readouterr().out.splitlines()
+    for line, length in zip(lines, (2, 4), strict=True):
+        runs = out / f"len_{length}"
+        assert (runs / "aggregate_gan.csv").exists()
+        assert (runs / "report.csv").exists()
+        curves = harness.find_curves(runs)["gan"]
         assert [c.seed for c in curves] == [0, 1]
         # the episode table is exactly the mean and std of the saved curves' rolling averages
         rolled = np.array([harness.rolling_average(c.rewards) for c in curves])
-        table = np.loadtxt(out / f"sweep_episodes_{length}.csv", delimiter=",", skiprows=1)
+        table = np.loadtxt(runs / "aggregate_episodes_gan.csv", delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], np.arange(1, rolled.shape[1] + 1))
         assert np.array_equal(table[:, 1], rolled.mean(axis=0))
         assert np.array_equal(table[:, 2], rolled.std(axis=0))
+        assert line == (f"pretrain_episodes={length} seeds=2 "
+                        f"final_mean_rolling={table[-1, 1]:.1f}")
+
+
+def _run_files(out_dir, mode, seed):
+    """Bytes of one run's files by name; the meta file without its out_dir line."""
+    files = {}
+    for path in sorted(out_dir.glob(f"*_{mode}_{seed}.*")):
+        data = path.read_bytes()
+        if path.name.startswith("meta_"):
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"out_dir"))
+        files[path.name] = data
+    return files
+
+
+def test_sweep_runs_equal_lone_runs_and_re_report(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
+                 "--out", str(out)] + TINY_SETS) == 0
+    for length in (2, 4):
+        for seed in (0, 1):
+            lone = tmp_path / f"lone_{length}_{seed}"
+            assert main(["run", "--mode", "gan", "--seed", str(seed), "--out", str(lone)]
+                        + TINY_SETS + ["--set", f"pretrain_episodes={length}"]) == 0
+            expected = _run_files(lone, "gan", seed)
+            assert len(expected) == 6
+            assert _run_files(out / f"len_{length}", "gan", seed) == expected
+    # a length re-reported at another threshold: new report rows, same aggregates
+    runs = out / "len_2"
+    tables = {name: (runs / name).read_bytes()
+              for name in ("aggregate_gan.csv", "aggregate_episodes_gan.csv")}
+    # no run reaches the default threshold in 60 tiny episodes; every run reaches 5
+    assert (runs / "report.csv").read_text().splitlines()[1] == "gan,inf,0.0"
+    assert main(["report", "--runs", str(runs), "--threshold", "5"]) == 0
+    mode, median, _ = (runs / "report.csv").read_text().splitlines()[1].split(",")
+    assert mode == "gan" and math.isfinite(float(median))
+    assert {name: (runs / name).read_bytes() for name in tables} == tables
+
+
+def test_sweep_mode_is_required(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--lengths", "2", "--seeds", "0,1", "--out", str(tmp_path / "sweep")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_mode_flag_with_config_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("mode = gan\ntraining_episodes = 12\ngan_train_steps = 10\n"
+                   "synthetic_batches = 2\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--mode", "gan", "--lengths", "2", "--seeds", "0,1",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "len_2").glob("curve_*")) == [
+        "curve_gan_0.csv", "curve_gan_1.csv"]
 
 
 def test_sweep_failed_aggregation_keeps_finished_lengths_tables(tmp_path, capsys, monkeypatch):
-    aggregate_runs, calls = harness.aggregate_runs, []
+    write_report, calls = harness.write_report, []
 
-    def fail_on_second_length(curves, **kwargs):
-        calls.append(curves)
+    def fail_on_second_length(runs_dir, *args, **kwargs):
+        calls.append(runs_dir)
         if len(calls) == 2:
             raise UsageError("aggregation failed")
-        return aggregate_runs(curves, **kwargs)
+        return write_report(runs_dir, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "aggregate_runs", fail_on_second_length)
+    monkeypatch.setattr(harness, "write_report", fail_on_second_length)
     out = tmp_path / "sweep"
     code = main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
                  "--out", str(out)] + TINY_SETS)
     assert code == 3
     assert capsys.readouterr().out.startswith("pretrain_episodes=2 seeds=2 ")
-    assert (out / "sweep_episodes_2.csv").exists()
-    assert (out / "sweep_samples_2.csv").exists()
-    assert not (out / "sweep_episodes_4.csv").exists()
+    for name in ("report.csv", "aggregate_episodes_gan.csv", "aggregate_gan.csv"):
+        assert (out / "len_2" / name).exists()
+        assert not (out / "len_4" / name).exists()
+    assert (out / "len_4" / "curve_gan_1.csv").exists()
 
 
 def test_every_csv_cell_reads_back_as_a_number(tmp_path):
@@ -190,7 +256,8 @@ def test_every_csv_cell_reads_back_as_a_number(tmp_path):
     tables = sorted(tmp_path.rglob("*.csv"))
     assert {p.name for p in tables} >= {
         "curve_egan_0.csv", "gan_losses_egan_0.csv", "kl_history_egan_0.csv",
-        "aggregate_none.csv", "report.csv", "sweep_episodes_2.csv", "sweep_samples_2.csv"}
+        "enhancer_losses_egan_0.csv", "aggregate_none.csv", "aggregate_episodes_none.csv",
+        "report.csv", "aggregate_episodes_gan.csv", "aggregate_gan.csv"}
     for path in tables:
         header, *rows = path.read_text().splitlines()
         assert rows, path
@@ -205,23 +272,27 @@ def test_every_csv_cell_reads_back_as_a_number(tmp_path):
 
 def test_sweep_failed_aggregation_keeps_trained_curves(tmp_path, capsys):
     # 20 short episodes after pre-training buffers of different sizes: the two
-    # curves share no 500-sample bin, which is found only after both runs
+    # curves share no 500-sample bin, so the report has no sample table, as
+    # `egan report` over the same curves
     out = tmp_path / "sweep"
     code = main(["sweep", "--mode", "gan", "--lengths", "3", "--seeds", "0,1",
                  "--out", str(out), "--set", "training_episodes=20",
                  "--set", "gan_train_steps=20", "--set", "synthetic_batches=2"])
-    assert code == 3
-    assert "curves share no common cumulative-sample range" in capsys.readouterr().err
+    assert code == 0
+    runs = out / "len_3"
     for seed in (0, 1):
-        curve = harness.load_curve_csv(out / "len_3" / f"curve_gan_{seed}.csv")
+        curve = harness.load_curve_csv(runs / f"curve_gan_{seed}.csv")
         assert len(curve) == 20
+    assert (runs / "report.csv").exists()
+    assert (runs / "aggregate_episodes_gan.csv").exists()
+    assert not (runs / "aggregate_gan.csv").exists()
 
 
 @pytest.mark.parametrize("lists", [
     ["--lengths", "a", "--seeds", "0,1"],
     ["--lengths", "2", "--seeds", "x"],
     ["--lengths", "2", "--seeds", "0,1.5"],
-    ["--lengths", "2", "--seeds", "3"],
+    ["--lengths", "2", "--seeds", ","],
     ["--lengths", "2", "--seeds", "0,-1"],
     ["--lengths", "2,2", "--seeds", "0,1"],
     ["--lengths", "2", "--seeds", "0,0"],
@@ -282,3 +353,11 @@ def test_unmoved_policy_warns_on_stderr(tmp_path, capsys, monkeypatch, dones, wa
     assert len(warnings) == warned
     if warned:
         assert "none of the 5 synthetic batches moved the policy" in warnings[0]
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["egan"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -55,6 +55,7 @@ GOLDEN = {
         "curve_egan_2.csv": "cedd0d5f277b51f650efcfb0cf307d2ebce75bbca059dbc52b0c6cc01c814267",
         "discriminator_egan_2.txt": "f40f1a433610a18aa3f275e1f44796df5438eb22e37499aed51c600ee2aeacb7",
         "enhancer_egan_2.txt": "a7c815f8eeaa365dc34bd0348ce778f95bb587e96a9b2dbda4f5cbf4bee9a2bd",
+        "enhancer_losses_egan_2.csv": "5fcb05eace49c59ab853a7e386cad88874010e5a25603d0ac2a0d589238e0a37",
         "gan_losses_egan_2.csv": "ea0c5ba4fe4d2b5c982e4756e983f3d5811b513a4abd8093c6dcdf7537bcd563",
         "generator_egan_2.txt": "8b45feb4e57147f068ac9a3f3d1d32cfbb95b2cd54539ae99654171bad86d4fa",
         "kl_history_egan_2.csv": "5c273aa8383367a4490204f1408d99729ffaab07ff03700dad86dd963aa3755d",
@@ -64,6 +65,7 @@ GOLDEN = {
         "curve_egan_3.csv": "6fc10536413490f80c677f58e06902f158c3e1db25b62b4868a25f7597e44f34",
         "discriminator_egan_3.txt": "b3fdc4d75197b2ce5befc9482a583e9208adfd9bf98e9384504d2fe2fba032e4",
         "enhancer_egan_3.txt": "39b2de9efcfdf8bf60e8b45a5c1f6482191fd06094735559afc290887fa2182d",
+        "enhancer_losses_egan_3.csv": "29dd459222ee76eb8b8a4f250f1198a8257c24f9694bd739ca418a71ddb8ca08",
         "gan_losses_egan_3.csv": "7bc3936e4182a4caac5c6cd6ed579f8b8f266a4440605dd3a796c8a4fecdf72a",
         "generator_egan_3.txt": "6ef8b514c0ef149c0cf8ac2c104caec7ee80a9836d33d9f2496bb000c2a4a587",
         "kl_history_egan_3.csv": "c8467dd2d108f43213fdbbc0a069667690e3d93bd91f022e57ce994696efb034",
@@ -81,6 +83,7 @@ GOLDEN = {
         "policy_none_5.txt": "b9fef46ee55365ce6bbacd3984148853105e2ccde0a2bb1fcd1c9c1e8f606ba9",
     },
     "report": {
+        "aggregate_episodes_none.csv": "9d4319163a903c599d15d728d763a10ed643537b11861074f8a8d52eda5e93e3",
         "aggregate_none.csv": "85eab9513a1ed78f1c7c636758484af3065f14a113ab534b0ffe86d24237a4b5",
         "curve_gan_4.csv": "f71e8250db296fc61cf475313f07ba83596a00ee826163ef0684af343f734e0c",
         "curve_none_0.csv": "5032173d15e364c98ba2d11c9737c9ae128292e6e7b25504aab07640d2e3e0a1",
@@ -94,14 +97,32 @@ GOLDEN = {
         "report.csv": "1f2f2e23410fd3528fa3dd224d71012d523d5e03d8fec47d144902c340c63160",
     },
     "sweep": {
+        "len_2/aggregate_episodes_gan.csv": "6cdc85f6c73160aa285aaddc84b3b3c5ba6c55e39f11a4177cb6d9fb9cd81eab",
+        "len_2/aggregate_gan.csv": "f199dbe8f29e417ff79299bf1122a10083e26274422b4642b421a9ff8639c15a",
         "len_2/curve_gan_0.csv": "b0104540fc98426e89ae20e353ca450bcf9fd29e545b634060c68ccd84408765",
         "len_2/curve_gan_1.csv": "caeac77df3280f7e1dbb78bec0df75713323458fb57c80e70f3051459c4a4588",
+        "len_2/discriminator_gan_0.txt": "755cfed142265aed15e8d43fb8fa7fa01018791962522d5e69f52a19d5b4d4be",
+        "len_2/discriminator_gan_1.txt": "2d886658e54a3cd30388d2d517772b3f85cbd0bde0445d597b3618cae58e071f",
+        "len_2/gan_losses_gan_0.csv": "c3ef283f9db3a49dd7f48d5b9b97012b1f28d21bc716fa52d0fec420fe942727",
+        "len_2/gan_losses_gan_1.csv": "592e225bb18981955b6b332d8e6fe71c1c67acdbeae9b72d2450415575e108a6",
+        "len_2/generator_gan_0.txt": "c389c08653a2305163f58ff6751da026af313592ef2df6d82b18e9cdab4c1e56",
+        "len_2/generator_gan_1.txt": "ebcd43f661cf87e0e25f061377f82267941860682a02103ea90c06e4e5902764",
+        "len_2/policy_gan_0.txt": "a6c3e2edba0e751aa67c9885268068e3fea1e0527077764b7ed5926d174697ea",
+        "len_2/policy_gan_1.txt": "1974e88ef70b4c0537ba5b3b18aa6c0b92dc098d8a23630bba0ed91953b471eb",
+        "len_2/report.csv": "8a763a3292d155fe95f08847e184d278dd7d6e5e20eceed246ca1c39503a7bbd",
+        "len_4/aggregate_episodes_gan.csv": "6cdc85f6c73160aa285aaddc84b3b3c5ba6c55e39f11a4177cb6d9fb9cd81eab",
+        "len_4/aggregate_gan.csv": "3e66a8acb28dbee0e71e0a0b032fa1676f38579e26fbcc6ba2741f27fc554f47",
         "len_4/curve_gan_0.csv": "d8dd63e20bc3a707b594f22594f65ceaff2be16dd425ed316e9a4cf24f742806",
         "len_4/curve_gan_1.csv": "e062bb69f954e445062fbb163e4cc174fa7799fbdeb8ea07da5ff1293660ece7",
-        "sweep_episodes_2.csv": "6cdc85f6c73160aa285aaddc84b3b3c5ba6c55e39f11a4177cb6d9fb9cd81eab",
-        "sweep_episodes_4.csv": "6cdc85f6c73160aa285aaddc84b3b3c5ba6c55e39f11a4177cb6d9fb9cd81eab",
-        "sweep_samples_2.csv": "f199dbe8f29e417ff79299bf1122a10083e26274422b4642b421a9ff8639c15a",
-        "sweep_samples_4.csv": "3e66a8acb28dbee0e71e0a0b032fa1676f38579e26fbcc6ba2741f27fc554f47",
+        "len_4/discriminator_gan_0.txt": "3bdf19b661c72af2ab166fb8a7eb134dffaae63e2371e56cac91cae41005b053",
+        "len_4/discriminator_gan_1.txt": "ff1990bc84ac18aad71760c02097cc385967fd7f09dfca5fbe125238c380f734",
+        "len_4/gan_losses_gan_0.csv": "dc27557f7127ed51fd0838c5c5c7020fcff175312bf0bde76b43c068a4d3ae1f",
+        "len_4/gan_losses_gan_1.csv": "40d2d88382cd59f7e6fd5298d691a0e6e325323c683a3ef8056bbb66f16fcdc1",
+        "len_4/generator_gan_0.txt": "df5b1a4d7e2c9cece2d0fee216ba636252c3b203ddf82d75a6e89eddc7995680",
+        "len_4/generator_gan_1.txt": "f9107a0e2cdca2a1d0788cc1b7c4d07b75eddcc9baf5873db9b6fe7a4eca6d97",
+        "len_4/policy_gan_0.txt": "a6c3e2edba0e751aa67c9885268068e3fea1e0527077764b7ed5926d174697ea",
+        "len_4/policy_gan_1.txt": "1974e88ef70b4c0537ba5b3b18aa6c0b92dc098d8a23630bba0ed91953b471eb",
+        "len_4/report.csv": "8a763a3292d155fe95f08847e184d278dd7d6e5e20eceed246ca1c39503a7bbd",
     },
 }
 

@@ -403,8 +403,27 @@ class TestReport:
         assert (tmp_path / "report.csv").exists()
         for mode in ("none", "gan", "egan"):
             assert (tmp_path / f"aggregate_{mode}.csv").exists()
+            assert (tmp_path / f"aggregate_episodes_{mode}.csv").exists()
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "mode,median_samples_to_threshold,iqr"
+
+    def test_episode_table_over_common_episodes(self, tmp_path):
+        rng = np.random.default_rng(1)
+        curves = [make_curve(rng.integers(10, 200, size=n).astype(float), mode="gan", seed=seed)
+                  for seed, n in ((0, 150), (1, 90))]
+        curves.append(make_curve(np.full(50, 30.0), mode="egan", seed=0))
+        for c in curves:
+            harness.save_curve_csv(c, tmp_path / harness.curve_filename(c.mode, c.seed))
+        harness.write_report(tmp_path, 120.0)
+        table = np.loadtxt(tmp_path / "aggregate_episodes_gan.csv", delimiter=",", skiprows=1)
+        rolled = np.array([harness.rolling_average(c.rewards)[:90] for c in curves[:2]])
+        assert table.shape == (90, 3)
+        assert np.array_equal(table[:, 0], np.arange(1, 91))
+        assert np.array_equal(table[:, 1], rolled.mean(axis=0))
+        assert np.array_equal(table[:, 2], rolled.std(axis=0))
+        # a mode with one curve gets no aggregate table, only its report row
+        assert not (tmp_path / "aggregate_episodes_egan.csv").exists()
+        assert not (tmp_path / "aggregate_egan.csv").exists()
 
     def test_unreached_reported_as_inf(self, tmp_path):
         for seed in (0, 1):
@@ -432,37 +451,39 @@ class TestReport:
 class TestSweep:
     def test_singleton_length(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path), **TINY)
-        results = list(harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1), bin_width=50))
-        assert len(results) == 1
-        res = results[0]
-        assert res.pretrain_episodes == 3
-        assert len(res.curves) == 2
-        assert res.episode_mean.shape == (cfg.training_episodes,)
+        [(length, curves)] = harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1))
+        assert length == 3
+        assert [c.seed for c in curves] == [0, 1]
         # the sweep runs equal run_experiment at the same (length, seed)
         direct = harness.run_experiment(ExperimentConfig(mode="gan", seed=0, **TINY)).curve
-        assert np.array_equal(res.curves[0].rewards, direct.rewards)
-        # and their curves are on disk under out_dir/len_<length>
+        assert np.array_equal(curves[0].rewards, direct.rewards)
+        # and their curves are on disk under out_dir/len_<length>, with its report
         saved = harness.find_curves(tmp_path / "len_3")["gan"]
         assert [c.seed for c in saved] == [0, 1]
         assert np.array_equal(saved[0].cumulative_samples, direct.cumulative_samples)
+        assert (tmp_path / "len_3" / "report.csv").exists()
 
     def test_longer_pretraining_shifts_offset(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path),
                                **{**TINY, "training_episodes": 10})
-        results = list(harness.sweep_pretrain_length(cfg, [2, 20], seeds=(0, 1),
-                                                     bin_width=20))
-        short, long = results
-        assert min(c.offset for c in long.curves) > max(c.offset for c in short.curves)
+        (_, short), (_, long) = harness.sweep_pretrain_length(cfg, [2, 20], seeds=(0, 1))
+        assert min(c.offset for c in long) > max(c.offset for c in short)
+
+    def test_one_seed_reports_without_aggregates(self, tmp_path):
+        cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path), **TINY)
+        [(length, curves)] = harness.sweep_pretrain_length(cfg, [3], seeds=(5,))
+        assert length == 3 and [c.seed for c in curves] == [5]
+        names = sorted(p.name for p in (tmp_path / "len_3").glob("*.csv"))
+        assert names == ["curve_gan_5.csv", "gan_losses_gan_5.csv", "report.csv"]
 
     def test_empty_lengths_rejected(self):
         with pytest.raises(ConfigError, match="nonempty"):
             harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [])
 
-    @pytest.mark.parametrize("seeds", [(), (0,)])
-    def test_fewer_than_two_seeds_rejected_before_any_run(self, monkeypatch, seeds):
+    def test_empty_seeds_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(harness, "run_experiment", never_called)
-        with pytest.raises(ConfigError, match=">= 2"):
-            harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [3], seeds=seeds)
+        with pytest.raises(ConfigError, match="nonempty"):
+            harness.sweep_pretrain_length(ExperimentConfig(mode="gan"), [3], seeds=())
 
     @pytest.mark.parametrize("lengths,seeds", [([3, 3], (0, 1)), ([3], (0, 0)),
                                                ([3, 5], (0, 1, 1))])
