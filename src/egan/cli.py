@@ -3,7 +3,9 @@
 The CLI parses arguments, dispatches to egan.harness and prints; harness
 makes the output directories before any training and writes every file.
 `sweep` runs `run` at each (pre-training length, seed) into len_<length>/
-and then `report` over each length's directory.
+and then `report` over each length's directory.  Both `run` and `sweep`
+print one stderr warning per run whose synthetic phase left the policy
+unchanged; stdout stays one summary line per run or per length.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -34,18 +36,23 @@ def _build_config(args) -> ExperimentConfig:
     return config
 
 
+def _warn_if_unmoved(run: harness.Run, synthetic_batches: int, label: str) -> None:
+    """One stderr line for a run whose synthetic phase left the policy unchanged."""
+    pre = run.pretrain
+    if pre is not None and synthetic_batches and not pre.useful_synthetic_batches:
+        print(f"warning: {label}: none of the {synthetic_batches} synthetic batches moved "
+              "the policy; pre-training left it unchanged", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     config = _build_config(args)
     harness.make_out_dir(config.out_dir)
     run = harness.run_experiment(config)
     path = harness.write_run(run, config)
-    curve, pre, _ = run
-    if pre is not None and config.synthetic_batches and not pre.useful_synthetic_batches:
-        print(f"warning: none of the {config.synthetic_batches} synthetic batches moved "
-              "the policy; pre-training left it unchanged", file=sys.stderr)
-    final = harness.rolling_average(curve.rewards)[-1]
-    print(f"mode={config.mode} seed={config.seed} episodes={len(curve)} "
-          f"offset={curve.offset} final_rolling_reward={final:.1f} -> {path}")
+    _warn_if_unmoved(run, config.synthetic_batches, f"seed={config.seed}")
+    final = harness.rolling_average(run.curve.rewards)[-1]
+    print(f"mode={config.mode} seed={config.seed} episodes={len(run.curve)} "
+          f"offset={run.curve.offset} final_rolling_reward={final:.1f} -> {path}")
     return 0
 
 
@@ -59,10 +66,14 @@ def _int_list(flag: str, text: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     lengths = _int_list("--lengths", args.lengths)
-    seeds = _int_list("--seeds", args.seeds) if args.seeds else list(harness.DEFAULT_SEEDS)
-    for length, curves in harness.sweep_pretrain_length(config, lengths, seeds=seeds):
-        final = sum(harness.rolling_average(c.rewards)[-1] for c in curves) / len(curves)
-        print(f"pretrain_episodes={length} seeds={len(curves)} final_mean_rolling={final:.1f}",
+    seeds = (list(harness.DEFAULT_SEEDS) if args.seeds is None
+             else _int_list("--seeds", args.seeds))
+    for length, runs in harness.sweep_pretrain_length(config, lengths, seeds=seeds):
+        for run in runs:
+            _warn_if_unmoved(run, config.synthetic_batches,
+                             f"pretrain_episodes={length} seed={run.curve.seed}")
+        final = sum(harness.rolling_average(r.curve.rewards)[-1] for r in runs) / len(runs)
+        print(f"pretrain_episodes={length} seeds={len(runs)} final_mean_rolling={final:.1f}",
               flush=True)
     return 0
 

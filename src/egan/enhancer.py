@@ -58,9 +58,10 @@ def train_enhancer(
     encoded: np.ndarray,
     n_steps: int,
     rng: np.random.Generator,
-    batch_size: int = 64,
+    batch_size: int,
 ) -> list[float]:
-    """Minimize MSE(E(x1), x2) over minibatches of encoded real samples."""
+    """Minimize MSE(E(x1), x2) over minibatches of encoded real samples; the
+    pipeline passes the GAN's batch size."""
     data = np.atleast_2d(np.asarray(encoded, dtype=model.net.params.dtype))
     if data.shape[0] == 0:
         raise UsageError("cannot train the enhancer on an empty dataset")
@@ -132,17 +133,18 @@ def kl_penalty(model: EnhancerModel):
 def egan_refine(
     gan: gan_mod.GanPair,
     model: EnhancerModel,
-    k: int,
-    kl_weight: float,
     rng: np.random.Generator,
+    k: int = 2,
     n_samples: int = 6000,
     learning_rate: float = 1e-3,
 ) -> list[float]:
     """k rounds of: generate a test set, score its KL, step G on the penalty alone.
 
-    The recorded history holds the (unweighted) KL of each freshly generated
-    batch before that round's update.  Uses a dedicated Adam state so the
-    refinement step size is independent of the adversarial learning rate.
+    The recorded history holds the KL of each freshly generated batch before
+    that round's update.  Uses a dedicated Adam state so the refinement step
+    size is independent of the adversarial learning rate.  The penalty takes
+    no weight (the paper's lambda): Adam's step is invariant, up to its
+    epsilon, to a constant scale of the gradient.
     """
     opt = nn.make_optimizer(gan.g, learning_rate)
     penalty = kl_penalty(model)
@@ -152,6 +154,6 @@ def egan_refine(
         g_out, cache = nn.forward(gan.g, z)
         kl, grad = penalty(g_out)
         history.append(kl)
-        grads, _ = nn.backward(gan.g, cache, kl_weight * grad, inputs=False)
+        grads, _ = nn.backward(gan.g, cache, grad, inputs=False)
         nn.optimizer_step(gan.g, grads, opt)
     return history

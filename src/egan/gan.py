@@ -47,6 +47,8 @@ def make_gan(
     learning_rate: float = 5e-6,
     batch_size: int = 64,
 ) -> GanPair:
+    """G (noise -> encoded row) and D (encoded row -> P(real)), each with its
+    own Adam state; the defaults are the paper's nets, step size and batch."""
     g = nn.init_network(
         [noise_dim, *g_hidden, data_dim], ["tanh"] * (len(g_hidden) + 1), rng, DTYPE
     )

@@ -19,6 +19,7 @@ number cell parses back with int() or float().
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -39,6 +40,7 @@ _CURVE_RE = re.compile(r"curve_(?P<mode>[a-z]+)_(?P<seed>\d+)\.csv$")
 # synthetic batches per generator call; 64 ran no faster and raised peak RSS
 # by 2 MB, from the 4096-row generator activations
 SYNTHETIC_CHUNK_BATCHES = 16
+EPISODES_PER_UPDATE = 5  # the paper's policy update frequency
 
 
 @dataclass
@@ -79,13 +81,13 @@ def _env_params(config: ExperimentConfig) -> cartpole.EnvParams:
 def _synthetic_batches(pair: gan.GanPair, stats: experience.NormalizationStats,
                        config: ExperimentConfig, rng: np.random.Generator,
                        params: cartpole.EnvParams):
-    """config.synthetic_batches generated batches of config.gan_batch_size rows.
+    """config.synthetic_batches generated batches of pair.batch_size rows.
 
     The generator runs once per SYNTHETIC_CHUNK_BATCHES batches; the noise
     is drawn in order either way, so the batches and the rng state after
     them equal one generate-and-decode call per batch.
     """
-    size = config.gan_batch_size
+    size = pair.batch_size
     for first in range(0, config.synthetic_batches, SYNTHETIC_CHUNK_BATCHES):
         n = min(SYNTHETIC_CHUNK_BATCHES, config.synthetic_batches - first)
         encoded = gan.generate_encoded(pair, n * size, rng)
@@ -106,38 +108,17 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
     stats = experience.compute_stats(buffer)
     encoded = experience.encode_batch(buffer, stats)
 
-    pair = gan.make_gan(
-        rng,
-        noise_dim=config.noise_dim,
-        g_hidden=config.g_hidden,
-        d_hidden=config.d_hidden,
-        learning_rate=config.gan_learning_rate,
-        batch_size=config.gan_batch_size,
-    )
+    pair = gan.make_gan(rng)
     model = None
     enhancer_history, kl_history = [], []
     if config.mode == "egan":
         # built before train_gan, so its init draws come first from rng
-        model = enhancer.make_enhancer(
-            rng,
-            hidden=config.enhancer_hidden,
-            learning_rate=config.enhancer_learning_rate,
-        )
+        model = enhancer.make_enhancer(rng)
     gan_history = gan.train_gan(pair, encoded, config.gan_train_steps, rng)
     if model is not None:
         enhancer_history = enhancer.train_enhancer(
-            model, encoded, config.enhancer_train_steps, rng,
-            batch_size=config.gan_batch_size,
-        )
-        kl_history = enhancer.egan_refine(
-            pair,
-            model,
-            config.refine_iterations,
-            config.kl_weight,
-            rng,
-            n_samples=config.refine_samples,
-            learning_rate=config.refine_learning_rate,
-        )
+            model, encoded, config.enhancer_train_steps, rng, batch_size=pair.batch_size)
+        kl_history = enhancer.egan_refine(pair, model, rng)
     del encoded  # freed before the synthetic phase, whose generator chunks set peak RSS
     useful_synthetic_batches = policy.pretrain_on_synthetic(
         agent,
@@ -169,7 +150,7 @@ def run_experiment(config: ExperimentConfig) -> Run:
     Mode none trains from scratch; gan/egan first run pretrain_pipeline
     (zero real samples on the synthetic batches) and start the curve offset
     by the pre-training buffer size.  Online episodes run in lockstep groups
-    of pg_update_frequency on the frozen policy, each on its own child of the
+    of EPISODES_PER_UPDATE on the frozen policy, each on its own child of the
     training SeedSequence; each group acts through one policy.logit_function
     built at its start (log-odds acting, see egan.policy), and each full
     group then takes one update (a trailing partial group takes none).
@@ -177,12 +158,7 @@ def run_experiment(config: ExperimentConfig) -> Run:
     validate(config)
     params = _env_params(config)
     pretrain_ss, agent_ss, train_ss = np.random.SeedSequence(config.seed).spawn(3)
-    agent = policy.make_agent(
-        np.random.default_rng(agent_ss),
-        hidden=config.policy_hidden,
-        learning_rate=config.pg_learning_rate,
-        gamma=config.pg_discount,
-    )
+    agent = policy.make_agent(np.random.default_rng(agent_ss))
     pre = None
     if config.mode in ("gan", "egan"):
         pre = pretrain_pipeline(config, agent, np.random.default_rng(pretrain_ss), params)
@@ -192,7 +168,7 @@ def run_experiment(config: ExperimentConfig) -> Run:
     rewards = np.empty(n_episodes)
     cumulative = np.empty(n_episodes, dtype=np.int64)
     total = offset
-    group = config.pg_update_frequency
+    group = EPISODES_PER_UPDATE
     for start in range(0, n_episodes, group):
         logit = policy.logit_function(agent.net)
         rngs = [np.random.default_rng(s) for s in train_ss.spawn(min(group, n_episodes - start))]
@@ -256,13 +232,13 @@ def aggregate_runs(
 
 def sweep_pretrain_length(
     base_config: ExperimentConfig, lengths, seeds=DEFAULT_SEEDS
-) -> Iterator[tuple[int, list[LearningCurve]]]:
+) -> Iterator[tuple[int, list[Run]]]:
     """Re-run the base configuration at each pre-training length over a shared
     seed set.  The lists and every run's config are checked, and the output
     directories made, in this call; the returned iterator runs one length at
     a time.  write_run writes each run into <out_dir>/len_<length>/, as
     `egan run` would; write_report then aggregates that directory at
-    DEFAULT_THRESHOLD, and (length, curves) is yielded."""
+    DEFAULT_THRESHOLD, and (length, runs) is yielded, one Run per seed."""
     lengths, seeds = list(lengths), list(seeds)
     for name, values in (("lengths", lengths), ("seeds", seeds)):
         if not values:
@@ -280,13 +256,13 @@ def sweep_pretrain_length(
 
     def results():
         for length, configs in grid.items():
-            curves = []
+            runs = []
             for config in configs:
                 run = run_experiment(config)
                 write_run(run, config)
-                curves.append(run.curve)
+                runs.append(run)
             write_report(configs[0].out_dir, DEFAULT_THRESHOLD)
-            yield length, curves
+            yield length, runs
 
     return results()
 
@@ -424,7 +400,9 @@ def write_report(runs_dir, r_star: float, window: int = 100,
     """Aggregate every mode found in runs_dir and emit report.csv rows.  A mode
     with >= 2 curves gets aggregate_episodes_<mode>.csv, the mean and std of
     the rolling averages at each online episode all its curves have, and,
-    unless its curves share no bin, aggregate_<mode>.csv (aggregate_runs)."""
+    unless its curves share no bin, aggregate_<mode>.csv (aggregate_runs).
+    A reported mode's table that this report does not write is removed, so
+    no table outlives the curves it was made from."""
     groups = find_curves(runs_dir)
     if not groups:
         raise UsageError(f"no curve CSVs found in {runs_dir}")
@@ -434,19 +412,22 @@ def write_report(runs_dir, r_star: float, window: int = 100,
     rows = []
     for mode in order:
         curves = groups[mode]
+        episodes_table = os.path.join(runs_dir, f"aggregate_episodes_{mode}.csv")
+        samples_table = os.path.join(runs_dir, f"aggregate_{mode}.csv")
+        for path in (episodes_table, samples_table):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         if len(curves) >= 2:
             n = min(map(len, curves))
             rolled = np.array([rolling_average(c.rewards[:n], window) for c in curves])
-            write_csv(os.path.join(runs_dir, f"aggregate_episodes_{mode}.csv"),
-                      "episode,mean,std", np.arange(1, n + 1), rolled.mean(axis=0),
-                      rolled.std(axis=0))
+            write_csv(episodes_table, "episode,mean,std", np.arange(1, n + 1),
+                      rolled.mean(axis=0), rolled.std(axis=0))
             try:
                 agg = aggregate_runs(curves, bin_width=bin_width, window=window)
             except UsageError:
                 pass  # curves too short to share a bin; report rows still apply
             else:
-                write_csv(os.path.join(runs_dir, f"aggregate_{mode}.csv"),
-                          "samples_bin,mean,std", agg.bins, agg.mean, agg.std)
+                write_csv(samples_table, "samples_bin,mean,std", agg.bins, agg.mean, agg.std)
         median, iqr = threshold_summary(curves, r_star, window)
         rows.append((mode, median, iqr))
     write_csv(os.path.join(runs_dir, "report.csv"), "mode,median_samples_to_threshold,iqr",

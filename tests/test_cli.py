@@ -17,8 +17,14 @@ TINY_SETS = [
     "--set", "gan_train_steps=20",
     "--set", "enhancer_train_steps=20",
     "--set", "synthetic_batches=5",
-    "--set", "refine_samples=64",
 ]
+
+# the keys of the paper's fixed hyperparameters, which are no config keys
+FIXED_KEYS = ["g_hidden=8,4", "d_hidden=8,4", "noise_dim=4", "gan_learning_rate=1e-4",
+              "gan_batch_size=32", "enhancer_hidden=8", "enhancer_learning_rate=1e-2",
+              "refine_iterations=1", "refine_learning_rate=1e-2", "refine_samples=64",
+              "kl_weight=0.5", "policy_hidden=8", "pg_learning_rate=1e-2",
+              "pg_discount=0.9", "pg_update_frequency=2"]
 
 
 def test_run_none(tmp_path, capsys):
@@ -51,7 +57,7 @@ def test_run_respects_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("training_episodes = 12\npretrain_episodes = 2\n"
                    "gan_train_steps = 10\nenhancer_train_steps = 10\n"
-                   "synthetic_batches = 2\nrefine_samples = 64\n")
+                   "synthetic_batches = 2\n")
     out = tmp_path / "runs"
     code = main(["run", "--mode", "gan", "--seed", "0", "--config", str(cfg),
                  "--out", str(out)])
@@ -62,18 +68,9 @@ def test_run_respects_config_file(tmp_path):
 
 def test_config_error_exit_code(tmp_path, capsys):
     code = main(["run", "--mode", "none", "--seed", "0", "--out", str(tmp_path),
-                 "--set", "pg_discount=7"])
+                 "--set", "training_episodes=0"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("setting", ["gan_batch_size=1", "refine_samples=1"])
-def test_one_row_batch_is_config_error(tmp_path, capsys, setting):
-    code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(tmp_path)]
-                + TINY_SETS + ["--set", setting])
-    assert code == 2
-    assert "must be >= 2" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
 
 
 def test_report_bad_window_is_config_error(tmp_path, capsys):
@@ -84,7 +81,8 @@ def test_report_bad_window_is_config_error(tmp_path, capsys):
     assert "--window must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["pg_learning_rate=nan", "kl_weight=inf"])
+@pytest.mark.parametrize("setting", ["pretrain_learning_rate=nan",
+                                     "pretrain_learning_rate=inf"])
 def test_non_finite_float_is_config_error(tmp_path, capsys, setting):
     code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(tmp_path)]
                 + TINY_SETS + ["--set", setting])
@@ -118,13 +116,19 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    ["joint_update=true", "gan_generator_mode=paper_minimax", "pg_optimizer=sgd"],
+    ["joint_update=true", "gan_generator_mode=paper_minimax", "pg_optimizer=sgd", *FIXED_KEYS],
 )
-def test_removed_keys_are_unknown(tmp_path, capsys, setting):
-    code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(tmp_path)]
-                + TINY_SETS + ["--set", setting])
-    assert code == 2
-    assert "unknown config key" in capsys.readouterr().err
+def test_removed_keys_are_unknown(tmp_path, capsys, monkeypatch, setting):
+    # through --set, and through --config as an older meta_<mode>_<seed>.txt names it
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    cfg = tmp_path / "meta_egan_0.txt"
+    cfg.write_text(setting.replace("=", " = ", 1) + "\n")
+    out = tmp_path / "out"
+    for flags in (["--set", setting], ["--config", str(cfg)]):
+        code = main(["run", "--mode", "egan", "--seed", "0", "--out", str(out)] + flags)
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -152,7 +156,13 @@ def test_sweep_writes_curves_and_aggregates(tmp_path, capsys):
         "--out", str(out),
     ] + TINY_SETS)
     assert code == 0
-    lines = capsys.readouterr().out.splitlines()
+    out_text, err = capsys.readouterr()
+    # no tiny run's synthetic phase moves its policy: one warning per run
+    assert err.splitlines() == [
+        f"warning: pretrain_episodes={length} seed={seed}: none of the 5 synthetic "
+        "batches moved the policy; pre-training left it unchanged"
+        for length in (2, 4) for seed in (0, 1)]
+    lines = out_text.splitlines()
     for line, length in zip(lines, (2, 4), strict=True):
         runs = out / f"len_{length}"
         assert (runs / "aggregate_gan.csv").exists()
@@ -297,6 +307,8 @@ def test_sweep_failed_aggregation_keeps_trained_curves(tmp_path, capsys):
     ["--lengths", "2,2", "--seeds", "0,1"],
     ["--lengths", "2", "--seeds", "0,0"],
     ["--lengths", "2,3", "--seeds", "0,1,0"],
+    ["--lengths", "", "--seeds", "0,1"],
+    ["--lengths", "2", "--seeds", ""],
 ])
 def test_sweep_bad_lists_exit_2_before_any_run(tmp_path, capsys, monkeypatch, lists):
     monkeypatch.setattr(harness, "run_experiment", never_called)

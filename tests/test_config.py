@@ -1,5 +1,9 @@
+import inspect
+
+import numpy as np
 import pytest
 
+from egan import enhancer, gan, harness, policy
 from egan.config import (
     ExperimentConfig,
     apply_overrides,
@@ -8,23 +12,42 @@ from egan.config import (
     validate,
 )
 from egan.errors import ConfigError
+from egan.experience import ENCODED_DIM, SA_DIM
 
 
 def test_defaults_match_reference_table():
+    """The paper's hyperparameter table: the config's defaults for what a run
+    varies, and the defaults of the functions that build and train the nets
+    for the rest."""
     cfg = ExperimentConfig()
-    assert cfg.g_hidden == (40, 20)
-    assert cfg.d_hidden == (40, 20)
-    assert cfg.enhancer_hidden == (60, 60)
-    assert cfg.gan_learning_rate == 5e-6
-    assert cfg.gan_batch_size == 64
-    assert cfg.pretrain_episodes == 500
-    assert cfg.refine_iterations == 2
-    assert cfg.policy_hidden == (32,)
-    assert cfg.pg_learning_rate == 1e-3
-    assert cfg.pg_discount == 0.99
-    assert cfg.pg_update_frequency == 5
-    assert cfg.training_episodes == 5000
-    assert cfg.synthetic_batches == 6000
+    assert (cfg.pretrain_episodes, cfg.training_episodes, cfg.synthetic_batches) == (
+        500, 5000, 6000)
+    rng = np.random.default_rng(0)
+    pair = gan.make_gan(rng)
+    assert pair.g.layer_sizes == [16, 40, 20, ENCODED_DIM]
+    assert pair.d.layer_sizes == [ENCODED_DIM, 40, 20, 1]
+    assert pair.g_opt.learning_rate == pair.d_opt.learning_rate == 5e-6
+    assert pair.batch_size == 64
+    model = enhancer.make_enhancer(rng)
+    assert model.net.layer_sizes == [SA_DIM, 60, 60, ENCODED_DIM - SA_DIM]
+    assert model.opt.learning_rate == 1e-3
+    refine = inspect.signature(enhancer.egan_refine).parameters
+    assert (refine["k"].default, refine["n_samples"].default,
+            refine["learning_rate"].default) == (2, 6000, 1e-3)
+    agent = policy.make_agent(rng)
+    assert agent.net.layer_sizes == [4, 32, 2]
+    assert agent.opt.learning_rate == 1e-3
+    assert agent.gamma == 0.99
+    assert harness.EPISODES_PER_UPDATE == 5
+
+
+def test_config_holds_only_what_a_run_varies():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "mode", "seed", "out_dir", "pretrain_episodes", "gan_train_steps",
+        "enhancer_train_steps", "training_episodes", "synthetic_batches",
+        "pretrain_learning_rate", "env_max_steps"]
 
 
 def test_mode_none_budget_includes_pretrain_episodes():
@@ -42,14 +65,8 @@ def test_validate_accepts_defaults():
     [
         ("mode", "both"),
         ("pretrain_episodes", 0),
-        ("gan_learning_rate", -1.0),
-        ("pg_discount", 0.0),
-        ("pg_discount", 1.5),
-        ("kl_weight", -0.1),
+        ("pretrain_learning_rate", 0.0),
         ("seed", -1),
-        ("gan_batch_size", 1),
-        ("policy_hidden", ()),
-        ("refine_samples", 1),
     ],
 )
 def test_validate_rejects_bad_fields(field, value):
@@ -57,15 +74,7 @@ def test_validate_rejects_bad_fields(field, value):
         validate(ExperimentConfig(**{field: value}))
 
 
-FLOAT_FIELDS = (
-    "gan_learning_rate",
-    "enhancer_learning_rate",
-    "refine_learning_rate",
-    "kl_weight",
-    "pretrain_learning_rate",
-    "pg_learning_rate",
-    "pg_discount",
-)
+FLOAT_FIELDS = ("pretrain_learning_rate",)
 
 
 def test_float_fields_are_every_float_field():
@@ -84,7 +93,8 @@ def test_validate_rejects_non_finite_floats(field, value):
 
 
 def test_text_round_trip(tmp_path):
-    cfg = ExperimentConfig(mode="egan", seed=3, kl_weight=0.5, g_hidden=(16, 8))
+    cfg = ExperimentConfig(mode="egan", seed=3, pretrain_learning_rate=0.1 + 0.2,
+                           env_max_steps=50)
     path = tmp_path / "meta_egan_3.txt"  # what `egan run` writes, and --config reads
     path.write_text(config_to_text(cfg))
     assert load_config(path) == cfg
@@ -114,11 +124,6 @@ def test_unknown_key_rejected():
 def test_bad_value_rejected():
     with pytest.raises(ConfigError):
         apply_overrides(ExperimentConfig(), {"seed": "banana"})
-
-
-def test_tuple_and_bool_parsing():
-    cfg = apply_overrides(ExperimentConfig(), {"g_hidden": "8,4"})
-    assert cfg.g_hidden == (8, 4)
 
 
 def test_missing_file_is_config_error(tmp_path):

@@ -156,7 +156,7 @@ class TestTrainEnhancer:
         split = int(0.8 * small_encoded.shape[0])
         train, hold = small_encoded[:split], small_encoded[split:]
         model = enhancer.make_enhancer(np.random.default_rng(5))
-        enhancer.train_enhancer(model, train, 800, np.random.default_rng(6))
+        enhancer.train_enhancer(model, train, 800, np.random.default_rng(6), 64)
         pred = enhancer.predict(model, hold[:, :experience.SA_DIM])
         mse = float(np.mean((pred - hold[:, experience.SA_DIM:]) ** 2))
         baseline = float(
@@ -172,7 +172,7 @@ class TestTrainEnhancer:
         row = np.concatenate([np.full(5, 0.2), np.full(4, -0.4)])
         data = np.tile(row, (64, 1))
         model = enhancer.make_enhancer(np.random.default_rng(7), hidden=(8,))
-        losses = enhancer.train_enhancer(model, data, 3000, np.random.default_rng(8))
+        losses = enhancer.train_enhancer(model, data, 3000, np.random.default_rng(8), 64)
         assert losses[-1] < 1e-3
         assert losses[-1] < losses[0]
 
@@ -180,7 +180,7 @@ class TestTrainEnhancer:
         model = enhancer.make_enhancer(np.random.default_rng(0))
         with pytest.raises(UsageError):
             enhancer.train_enhancer(model, np.empty((0, 9)), 5,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0), 64)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -218,34 +218,25 @@ class TestRefine:
         gan.train_gan(pair, small_encoded, 300, np.random.default_rng(seed + 1))
         model = enhancer.make_enhancer(np.random.default_rng(seed + 2), hidden=(16,))
         enhancer.train_enhancer(model, small_encoded, 300,
-                                np.random.default_rng(seed + 3))
+                                np.random.default_rng(seed + 3), 64)
         return pair, model
-
-    def test_zero_weight_leaves_generator_unchanged(self, small_encoded):
-        pair, model = self._trained_pair(small_encoded)
-        before = pair.g.params.copy()
-        history = enhancer.egan_refine(pair, model, 3, 0.0, np.random.default_rng(70),
-                                       n_samples=200)
-        assert len(history) == 3
-        assert np.array_equal(pair.g.params, before)
 
     def test_zero_iterations_noop(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
         before = pair.g.params.copy()
-        assert enhancer.egan_refine(pair, model, 0, 1.0, np.random.default_rng(0)) == []
+        assert enhancer.egan_refine(pair, model, np.random.default_rng(0), k=0) == []
         assert np.array_equal(pair.g.params, before)
 
     def test_refinement_reduces_kl(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
-        history = enhancer.egan_refine(pair, model, 12, 1.0,
-                                       np.random.default_rng(71), n_samples=2000)
+        history = enhancer.egan_refine(pair, model, np.random.default_rng(71), k=12,
+                                       n_samples=2000)
         assert history[-1] < history[0]
 
     def test_discriminator_untouched(self, small_encoded):
         pair, model = self._trained_pair(small_encoded)
         before = pair.d.params.copy()
-        enhancer.egan_refine(pair, model, 3, 1.0, np.random.default_rng(72),
-                             n_samples=200)
+        enhancer.egan_refine(pair, model, np.random.default_rng(72), k=3, n_samples=200)
         assert np.array_equal(pair.d.params, before)
 
     def test_kl_penalty_closure_shapes(self, small_encoded):

@@ -253,8 +253,8 @@ class TestFloat32MatchesFloat64:
         m64 = enhancer.EnhancerModel(float64_copy(m32.net), float64_opt(m32.opt))
         before = m64.net.params.copy()
         rng32, rng64 = np.random.default_rng(104), np.random.default_rng(104)
-        loss32 = enhancer.train_enhancer(m32, small_encoded, 1, rng32)
-        loss64 = enhancer.train_enhancer(m64, small_encoded, 1, rng64)
+        loss32 = enhancer.train_enhancer(m32, small_encoded, 1, rng32, 64)
+        loss64 = enhancer.train_enhancer(m64, small_encoded, 1, rng64, 64)
         assert_float32_close(loss32, loss64)
         self._assert_moved_alike(m32.net, m64.net, before)
         assert rng32.bit_generator.state == rng64.bit_generator.state
@@ -264,8 +264,8 @@ class TestFloat32MatchesFloat64:
         m32 = enhancer.make_enhancer(np.random.default_rng(105))
         m64 = enhancer.EnhancerModel(float64_copy(m32.net), float64_opt(m32.opt))
         rng32, rng64 = np.random.default_rng(106), np.random.default_rng(106)
-        kl32 = enhancer.egan_refine(p32, m32, 1, 1.0, rng32, n_samples=512)
-        kl64 = enhancer.egan_refine(p64, m64, 1, 1.0, rng64, n_samples=512)
+        kl32 = enhancer.egan_refine(p32, m32, rng32, k=1, n_samples=512)
+        kl64 = enhancer.egan_refine(p64, m64, rng64, k=1, n_samples=512)
         assert_float32_close(kl32, kl64)
         self._assert_moved_alike(p32.g, p64.g, before)
         assert rng32.bit_generator.state == rng64.bit_generator.state

@@ -30,8 +30,6 @@ TINY = dict(
     gan_train_steps=30,
     enhancer_train_steps=30,
     synthetic_batches=10,
-    refine_iterations=1,
-    refine_samples=64,
 )
 
 
@@ -176,12 +174,12 @@ class TestRunExperiment:
     def test_lockstep_run_equals_serial_replay(self):
         # each episode runs on its own child of the training SeedSequence and
         # the policy changes only between groups, so playing the episodes one
-        # at a time, updating once per pg_update_frequency recorded episodes,
+        # at a time, updating once per EPISODES_PER_UPDATE recorded episodes,
         # gives the same curve and the same policy
         cfg = ExperimentConfig(mode="none", seed=9, **TINY)
         curve, _, trained = harness.run_experiment(cfg)
         _, agent_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-        agent = policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden)
+        agent = policy.make_agent(np.random.default_rng(agent_ss))
         lengths, pending = [], []
         for ss in train_ss.spawn(cfg.total_episodes()):
             episode, = experience.run_episodes(
@@ -189,10 +187,10 @@ class TestRunExperiment:
                 EnvParams(max_steps=cfg.env_max_steps))
             lengths.append(len(episode))
             pending.append(episode)
-            if len(pending) == cfg.pg_update_frequency:
+            if len(pending) == harness.EPISODES_PER_UPDATE:
                 policy.update_on_episodes(agent, pending)
                 pending = []
-        assert agent.opt.t == cfg.total_episodes() // cfg.pg_update_frequency > 1
+        assert agent.opt.t == cfg.total_episodes() // harness.EPISODES_PER_UPDATE > 1
         assert curve.rewards.tolist() == lengths
         assert np.array_equal(trained.net.params, agent.net.params)
 
@@ -232,8 +230,7 @@ class TestPipeline:
 
     def test_gan_mode_skips_enhancer(self):
         cfg = ExperimentConfig(mode="gan", pretrain_episodes=3, gan_train_steps=20,
-                               enhancer_train_steps=20, refine_samples=100,
-                               synthetic_batches=2)
+                               enhancer_train_steps=20, synthetic_batches=2)
         pre = self.pretrain(cfg, 0)
         assert pre.enhancer is None
         assert pre.kl_history == []
@@ -242,8 +239,7 @@ class TestPipeline:
 
     def test_egan_mode_trains_everything(self):
         cfg = ExperimentConfig(mode="egan", pretrain_episodes=3, gan_train_steps=20,
-                               enhancer_train_steps=20, refine_iterations=2,
-                               refine_samples=100, synthetic_batches=2)
+                               enhancer_train_steps=20, synthetic_batches=2)
         pre = self.pretrain(cfg, 0)
         assert pre.enhancer is not None
         assert len(pre.kl_history) == 2
@@ -267,7 +263,7 @@ class TestPipeline:
 # [9, 40, 20, 1], enhancer [5, 60, 60, 4]): a change of the models' precision
 # or of a speed path must leave every rng draw of a run as it was
 PRETRAIN_RNG_DIGESTS = {
-    ("egan", 2): "13be80f909cc36b0f58d3c35cb83343a70f014ef5f4fb021a7d86bf697408a62",
+    ("egan", 2): "78ae8083ca6f864bbaf8c387ac80db0dbac50b56740520a46f9f67e20e93bcae",
     ("gan", 4): "4788950e8c2e252bb0f761a9cadf547949c105ac4c7ea2631b65a874fc3aae25",
 }
 
@@ -277,8 +273,7 @@ def test_pretrain_rng_consumption_pinned(mode, seed):
     overrides = dict(item.split("=") for item in TINY_SETS[1::2])
     cfg = apply_overrides(ExperimentConfig(mode=mode, seed=seed), overrides)
     pretrain_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
-    agent = policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden,
-                              learning_rate=cfg.pg_learning_rate, gamma=cfg.pg_discount)
+    agent = policy.make_agent(np.random.default_rng(agent_ss))
     rng = np.random.default_rng(pretrain_ss)
     harness.pretrain_pipeline(cfg, agent, rng, harness._env_params(cfg))
     state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
@@ -292,10 +287,7 @@ def test_default_pretraining_moves_the_policy():
     a fresh agent's."""
     cfg = ExperimentConfig(mode="gan", seed=0, training_episodes=5)
     pretrain_ss, agent_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
-    pretrained, fresh = (
-        policy.make_agent(np.random.default_rng(agent_ss), hidden=cfg.policy_hidden,
-                          learning_rate=cfg.pg_learning_rate, gamma=cfg.pg_discount)
-        for _ in range(2))
+    pretrained, fresh = (policy.make_agent(np.random.default_rng(agent_ss)) for _ in range(2))
     pre = harness.pretrain_pipeline(cfg, pretrained, np.random.default_rng(pretrain_ss),
                                     harness._env_params(cfg))
     assert pre.useful_synthetic_batches > 0
@@ -312,7 +304,7 @@ class TestSyntheticBatches:
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = list(harness._synthetic_batches(pair, stats, cfg, rng, params))
         # the reference: one generator call per batch
-        ref = [experience.decode_batch(gan.generate_encoded(pair, cfg.gan_batch_size, ref_rng),
+        ref = [experience.decode_batch(gan.generate_encoded(pair, pair.batch_size, ref_rng),
                                        stats, params)
                for _ in range(n_batches)]
         assert len(got) == n_batches
@@ -425,6 +417,26 @@ class TestReport:
         assert not (tmp_path / "aggregate_episodes_egan.csv").exists()
         assert not (tmp_path / "aggregate_egan.csv").exists()
 
+    def test_second_report_leaves_no_stale_table(self, tmp_path):
+        def save(curve):
+            harness.save_curve_csv(curve, tmp_path / harness.curve_filename(curve.mode, curve.seed))
+
+        for seed in (0, 1):
+            save(make_curve(np.full(150, 10.0), mode="gan", seed=seed))
+        save(make_curve(np.full(150, 10.0), mode="none", seed=0))
+        save(make_curve(np.full(150, 10.0), mode="none", seed=1))
+        harness.write_report(tmp_path, 120.0)
+        for mode in ("gan", "none"):
+            assert (tmp_path / f"aggregate_{mode}.csv").exists()
+            assert (tmp_path / f"aggregate_episodes_{mode}.csv").exists()
+        # gan's curves now share no bin, and none keeps one curve
+        save(make_curve(np.full(150, 10.0), offset=10_000, mode="gan", seed=1))
+        (tmp_path / harness.curve_filename("none", 1)).unlink()
+        assert [row[0] for row in harness.write_report(tmp_path, 120.0)] == ["none", "gan"]
+        assert (tmp_path / "aggregate_episodes_gan.csv").exists()
+        for name in ("aggregate_gan.csv", "aggregate_none.csv", "aggregate_episodes_none.csv"):
+            assert not (tmp_path / name).exists(), name
+
     def test_unreached_reported_as_inf(self, tmp_path):
         for seed in (0, 1):
             harness.save_curve_csv(
@@ -451,7 +463,8 @@ class TestReport:
 class TestSweep:
     def test_singleton_length(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path), **TINY)
-        [(length, curves)] = harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1))
+        [(length, runs)] = harness.sweep_pretrain_length(cfg, [3], seeds=(0, 1))
+        curves = [run.curve for run in runs]
         assert length == 3
         assert [c.seed for c in curves] == [0, 1]
         # the sweep runs equal run_experiment at the same (length, seed)
@@ -467,12 +480,12 @@ class TestSweep:
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path),
                                **{**TINY, "training_episodes": 10})
         (_, short), (_, long) = harness.sweep_pretrain_length(cfg, [2, 20], seeds=(0, 1))
-        assert min(c.offset for c in long) > max(c.offset for c in short)
+        assert min(r.curve.offset for r in long) > max(r.curve.offset for r in short)
 
     def test_one_seed_reports_without_aggregates(self, tmp_path):
         cfg = ExperimentConfig(mode="gan", out_dir=str(tmp_path), **TINY)
-        [(length, curves)] = harness.sweep_pretrain_length(cfg, [3], seeds=(5,))
-        assert length == 3 and [c.seed for c in curves] == [5]
+        [(length, runs)] = harness.sweep_pretrain_length(cfg, [3], seeds=(5,))
+        assert length == 3 and [r.curve.seed for r in runs] == [5]
         names = sorted(p.name for p in (tmp_path / "len_3").glob("*.csv"))
         assert names == ["curve_gan_5.csv", "gan_losses_gan_5.csv", "report.csv"]
 

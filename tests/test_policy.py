@@ -24,14 +24,14 @@ def zero_weight_agent(lr=1e-3):
 
 
 def test_make_agent_defaults_match_config():
-    """A bare make_agent(rng) builds the agent the default config runs."""
-    config = ExperimentConfig()
+    """A bare make_agent(rng), the agent every run trains, is the paper's
+    policy: [32] tanh, Adam at 1e-3 with fresh moments, discount 0.99."""
     agent = policy.make_agent(np.random.default_rng(0))
-    assert agent.net.layer_sizes == [4, *config.policy_hidden, 2]
-    assert agent.opt.learning_rate == config.pg_learning_rate
+    assert agent.net.layer_sizes == [4, 32, 2]
+    assert agent.opt.learning_rate == 1e-3
     assert agent.opt.t == 0 and not agent.opt.m.any() and not agent.opt.v.any()
     assert agent.opt.m.shape == agent.opt.v.shape == agent.net.params.shape
-    assert agent.gamma == config.pg_discount
+    assert agent.gamma == 0.99
 
 
 def logit_of(agent, states):
