@@ -1,13 +1,14 @@
 """CartPole dynamics (OpenAI Gym classic-control formulation, v0 semantics).
 
 Pure state-in/state-out functions: the only stochasticity is the reset draw
-and whatever policy drives the episode.  step_batch steps (n, 4) rows as
+and whatever policy drives the episode.  The physics are CartPole-v0's
+constants below; no function takes an environment argument, and the episode
+cap is the caller's int (egan.experience).  step_batch steps (n, 4) rows as
 columns, bit for bit as step; terminal is the vectorised limit test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -16,6 +17,17 @@ import math
 import numpy as np
 
 from .errors import UsageError
+
+GRAVITY = 9.8
+MASS_CART = 1.0
+MASS_POLE = 0.1
+POLE_HALF_LENGTH = 0.5
+FORCE_MAG = 10.0
+TAU = 0.02  # seconds per step
+X_LIMIT = 2.4
+THETA_LIMIT = 12.0 * 2.0 * math.pi / 360.0
+TOTAL_MASS = MASS_CART + MASS_POLE
+POLEMASS_LENGTH = MASS_POLE * POLE_HALF_LENGTH
 
 
 class CartPoleState(NamedTuple):
@@ -27,20 +39,10 @@ class CartPoleState(NamedTuple):
     theta_dot: float
 
 
-@dataclass(frozen=True)
-class EnvParams:
-    gravity: float = 9.8
-    mass_cart: float = 1.0
-    mass_pole: float = 0.1
-    pole_half_length: float = 0.5
-    force_mag: float = 10.0
-    tau: float = 0.02
-    max_steps: int = 200  # v0 episode cap
-    x_limit: float = 2.4
-    theta_limit: float = 12.0 * 2.0 * math.pi / 360.0
-
-
-DEFAULT_PARAMS = EnvParams()
+def EnvParams(**_):
+    """Returns None.  bench/probes.py still builds one, outside its guarded
+    probes; nothing in egan calls this.  Delete it when the probes are ported
+    to the column API (ROADMAP item 6)."""
 
 
 def reset(rng: np.random.Generator) -> CartPoleState:
@@ -48,53 +50,47 @@ def reset(rng: np.random.Generator) -> CartPoleState:
     return CartPoleState(*rng.uniform(-0.05, 0.05, size=4).tolist())
 
 
-def terminal(states: np.ndarray, params: EnvParams = DEFAULT_PARAMS) -> np.ndarray:
+def terminal(states: np.ndarray) -> np.ndarray:
     """(n, 4) states -> (n,) bool: the cart or the pole is past its limit."""
-    return (np.abs(states[:, 0]) > params.x_limit) | (np.abs(states[:, 2]) > params.theta_limit)
+    return (np.abs(states[:, 0]) > X_LIMIT) | (np.abs(states[:, 2]) > THETA_LIMIT)
 
 
-def step(
-    state: CartPoleState, action: int, params: EnvParams = DEFAULT_PARAMS
-) -> tuple[CartPoleState, float, bool]:
-    """One transition; reward is 1.0 on every step, including the last.
+def step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
+    """One transition -> (next state, done); CartPole pays 1.0 on every step,
+    the last included, so no reward is returned.
 
     Semi-explicit Euler with the old derivatives: positions advance on the
     current velocities, velocities advance on the accelerations.
 
     This is the rollout's inner loop, so the body unpacks the state once,
-    reads each params field once, builds the successor with tuple.__new__
-    (no NamedTuple keyword handling) and tests both limits inline, as
-    terminal does.  Every float expression keeps the operand order of the
-    attribute-access form, so each result is bit-identical to it.
+    builds the successor with tuple.__new__ (no NamedTuple keyword handling)
+    and tests both limits inline, as terminal does.  Every float expression
+    keeps the operand order of Gym's attribute-access form, so each result
+    is bit-identical to it.
     """
     if action not in (0, 1):
         raise UsageError(f"action must be 0 or 1, got {action!r}")
     x, x_dot, theta, theta_dot = state
-    x_limit, theta_limit = params.x_limit, params.theta_limit
-    if abs(x) > x_limit or abs(theta) > theta_limit:
+    if abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT:
         raise UsageError("cannot step a terminated episode")
-    mass_pole, half_length, tau = params.mass_pole, params.pole_half_length, params.tau
-    force = params.force_mag if action == 1 else -params.force_mag
+    force = FORCE_MAG if action == 1 else -FORCE_MAG
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    total_mass = params.mass_cart + mass_pole
-    polemass_length = mass_pole * half_length
-    temp = (force + polemass_length * theta_dot**2 * sin_t) / total_mass
-    theta_acc = (params.gravity * sin_t - cos_t * temp) / (
-        half_length * (4.0 / 3.0 - mass_pole * cos_t**2 / total_mass)
+    temp = (force + POLEMASS_LENGTH * theta_dot**2 * sin_t) / TOTAL_MASS
+    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+        POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t**2 / TOTAL_MASS)
     )
-    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
-    x_next = x + tau * x_dot
-    theta_next = theta + tau * theta_dot
+    x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
+    x_next = x + TAU * x_dot
+    theta_next = theta + TAU * theta_dot
     nxt = tuple.__new__(
         CartPoleState,
-        (x_next, x_dot + tau * x_acc, theta_next, theta_dot + tau * theta_acc),
+        (x_next, x_dot + TAU * x_acc, theta_next, theta_dot + TAU * theta_acc),
     )
-    return nxt, 1.0, abs(x_next) > x_limit or abs(theta_next) > theta_limit
+    return nxt, abs(x_next) > X_LIMIT or abs(theta_next) > THETA_LIMIT
 
 
-def step_batch(states: np.ndarray, actions: np.ndarray,
-               params: EnvParams = DEFAULT_PARAMS) -> tuple[np.ndarray, np.ndarray]:
+def step_batch(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """step on every row: (n, 4) float64 states and n actions (bool or 0/1,
     true pushes right) -> ((n, 4) next states, (n,) dones).
 
@@ -105,19 +101,16 @@ def step_batch(states: np.ndarray, actions: np.ndarray,
     too, with no UsageError; a caller that must skip it masks by terminal.
     """
     x, x_dot, theta, theta_dot = states.T
-    mass_pole, half_length, tau = params.mass_pole, params.pole_half_length, params.tau
-    force = np.where(actions, params.force_mag, -params.force_mag)
+    force = np.where(actions, FORCE_MAG, -FORCE_MAG)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    total_mass = params.mass_cart + mass_pole
-    polemass_length = mass_pole * half_length
     theta_dot_sq, cos_sq = (np.fromiter(map(pow, v.tolist(), repeat(2)), np.float64, len(v))
                             for v in (theta_dot, cos_t))
-    temp = (force + polemass_length * theta_dot_sq * sin_t) / total_mass
-    theta_acc = (params.gravity * sin_t - cos_t * temp) / (
-        half_length * (4.0 / 3.0 - mass_pole * cos_sq / total_mass)
+    temp = (force + POLEMASS_LENGTH * theta_dot_sq * sin_t) / TOTAL_MASS
+    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+        POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_sq / TOTAL_MASS)
     )
-    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
-    nxt = np.column_stack((x + tau * x_dot, x_dot + tau * x_acc,
-                           theta + tau * theta_dot, theta_dot + tau * theta_acc))
-    return nxt, terminal(nxt, params)
+    x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
+    nxt = np.column_stack((x + TAU * x_dot, x_dot + TAU * x_acc,
+                           theta + TAU * theta_dot, theta_dot + TAU * theta_acc))
+    return nxt, terminal(nxt)

@@ -6,6 +6,8 @@ makes the output directories before any training and writes every file.
 and then `report` over each length's directory.  Both `run` and `sweep`
 print one stderr warning per run whose synthetic phase left the policy
 unchanged; stdout stays one summary line per run or per length.
+A config value comes from its flag (--mode, --seed, --out), else from --set,
+else from the --config file, else from the ExperimentConfig default.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -24,13 +26,15 @@ def _build_config(args) -> ExperimentConfig:
     config = ExperimentConfig()
     if getattr(args, "config", None):
         config = load_config(args.config, base=config)
-    flags = {"mode": args.mode, "seed": getattr(args, "seed", None), "out_dir": args.out}
-    overrides = {name: str(value) for name, value in flags.items() if value is not None}
+    overrides = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
+    # a flag beats a --set of its key, as --set beats the config file
+    flags = {"mode": args.mode, "seed": getattr(args, "seed", None), "out_dir": args.out}
+    overrides.update({name: str(value) for name, value in flags.items() if value is not None})
     config = apply_overrides(config, overrides)
     validate(config)
     return config

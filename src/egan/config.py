@@ -77,6 +77,12 @@ def validate(config: ExperimentConfig) -> None:
     if config.pretrain_learning_rate <= 0:
         raise ConfigError(
             f"pretrain_learning_rate must be positive, got {config.pretrain_learning_rate}")
+    # meta_<mode>_<seed>.txt must read back as this config, and load_config
+    # cuts a line at '#' and at a line break and strips the value
+    out_dir = config.out_dir
+    if any(c in out_dir for c in "#\n\r") or out_dir != out_dir.strip():
+        raise ConfigError("out_dir must hold no '#' or line break and no leading or "
+                          f"trailing whitespace, got {out_dir!r}")
 
 
 def _parse_value(name: str, text: str, target_type):
@@ -106,7 +112,7 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Read `key = value` lines; '#' starts a comment, blank lines are ignored."""
     overrides = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -122,6 +128,7 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 def config_to_text(config: ExperimentConfig) -> str:
     """One `key = value` line per field; str() of a float is its repr, which
-    reads back as the same float."""
+    reads back as the same float.  load_config reads the text of any config
+    that validate accepts back as that config."""
     lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(ExperimentConfig)]
     return "\n".join(lines) + "\n"

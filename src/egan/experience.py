@@ -25,7 +25,6 @@ from itertools import chain
 import numpy as np
 
 from . import cartpole
-from .cartpole import EnvParams, DEFAULT_PARAMS
 from .errors import ShapeError, UsageError
 
 ENCODED_DIM = 9  # (scaled s, action code, scaled s')
@@ -58,19 +57,20 @@ class NormalizationStats:
     state_max: np.ndarray
 
 
-def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Transitions]:
-    """Roll out one episode per generator, stepping the live ones together.
+def run_episodes(logit_fn, rngs, max_steps: int) -> list[Transitions]:
+    """Roll out one episode per generator, stepping the live ones together,
+    each for at most max_steps steps.
 
     Acting is in log-odds space.  Each step calls logit_fn once on the live
     states stacked to (k_live, 4) for g, the log-odds of action 1.  Episode
     i takes action 1 iff g >= c_t, where c = logistic_thresholds(u) is made
-    once from the params.max_steps uniforms u that rngs[i] draws after its
+    once from the max_steps uniforms u that rngs[i] draws after its
     reset.  In exact arithmetic that is the rule u_t >= sigmoid(-g), so no
     step needs a sigmoid; u == 0 gives c = +inf (action 0 for every finite
     g) and a NaN logit takes action 0.  An episode does not depend on its
     group.  The dynamics stay scalar: at the few live episodes of the online
     phase, k scalar steps beat one cartpole.step_batch.  An episode ends on
-    a terminal state or at params.max_steps; its last row is done only in
+    a terminal state or at max_steps; its last row is done only in
     the first case, since a cap-truncated episode did not fail.
 
     Each live episode is one record (path, thresholds, actions),
@@ -82,11 +82,11 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
     """
     step = cartpole.step
     paths = [[cartpole.reset(rng)] for rng in rngs]
-    draws = [rng.random(params.max_steps) for rng in rngs]
+    draws = [rng.random(max_steps) for rng in rngs]
     thresholds = logistic_thresholds(np.array(draws)).tolist()
     episodes = [(path, c, []) for path, c in zip(paths, thresholds)]
     live = episodes
-    for t in range(params.max_steps):
+    for t in range(max_steps):
         if not live:
             break
         logits = logit_fn(_stack([episode[0][-1] for episode in live])).tolist()
@@ -94,7 +94,7 @@ def run_episodes(logit_fn, rngs, params: EnvParams = DEFAULT_PARAMS) -> list[Tra
         for episode, g in zip(live, logits):
             path, c, actions = episode
             action = 1 if g >= c[t] else 0
-            state, _, done = step(path[-1], action, params)
+            state, done = step(path[-1], action)
             path.append(state)
             actions.append(action)
             if not done:
@@ -135,13 +135,12 @@ def _episode(record, terminal: bool) -> Transitions:
     )
 
 
-def collect_random(
-    params: EnvParams, n_episodes: int, rng: np.random.Generator
-) -> Transitions:
-    """Every transition of n_episodes uniform-random-action episodes, one per
-    child of rng.spawn(n_episodes), stepped together by cartpole.step_batch.
+def collect_random(n_episodes: int, rng: np.random.Generator, max_steps: int) -> Transitions:
+    """Every transition of n_episodes uniform-random-action episodes of at
+    most max_steps steps, one per child of rng.spawn(n_episodes), stepped
+    together by cartpole.step_batch.
 
-    Each child draws its reset state, then params.max_steps uniforms u, as in
+    Each child draws its reset state, then max_steps uniforms u, as in
     run_episodes; step t pushes right iff u_t >= 0.5, which is run_episodes'
     rule at g = 0 (the sign of 0.5 - u is exact).  Rows come back
     episode-major, and only a terminal successor makes a row done.
@@ -150,13 +149,13 @@ def collect_random(
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
     children = rng.spawn(n_episodes)
     states = np.array([cartpole.reset(child) for child in children])
-    pushes = np.array([child.random(params.max_steps) >= 0.5 for child in children])
+    pushes = np.array([child.random(max_steps) >= 0.5 for child in children])
     live, steps = np.arange(n_episodes), []  # per step: episode, s, a, s', done
-    for t in range(params.max_steps):
+    for t in range(max_steps):
         if not len(live):
             break
         actions = pushes[live, t]
-        next_states, dones = cartpole.step_batch(states, actions, params)
+        next_states, dones = cartpole.step_batch(states, actions)
         steps.append((live, states, actions, next_states, dones))
         live, states = live[~dones], next_states[~dones]
     episode, *columns = (np.concatenate(column) for column in zip(*steps))
@@ -196,11 +195,7 @@ def encode_batch(transitions: Transitions, stats: NormalizationStats) -> np.ndar
     return out
 
 
-def decode_batch(
-    xs: np.ndarray,
-    stats: NormalizationStats,
-    params: EnvParams = DEFAULT_PARAMS,
-) -> Transitions:
+def decode_batch(xs: np.ndarray, stats: NormalizationStats) -> Transitions:
     """Total inverse of encode_batch: any (n, 9) array becomes n transitions.
 
     Action thresholds at 0 (ties go to action 1) and done is inferred from
@@ -214,5 +209,5 @@ def decode_batch(
         states=_unscale(x[:, 0:4], stats),
         actions=(x[:, 4] >= 0.0).astype(np.intp),
         next_states=next_states,
-        dones=cartpole.terminal(next_states, params),
+        dones=cartpole.terminal(next_states),
     )

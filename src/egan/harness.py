@@ -5,7 +5,9 @@ draws all pre-training rng values from one generator, in a fixed order.
 run_experiment returns one Run record.  This module names every file the
 package writes: write_run a run's and write_report a report's, and
 sweep_pretrain_length calls both for each pre-training length.  The online
-phase acts in log-odds (egan.policy).
+phase acts in log-odds (egan.policy).  CartPole's physics are egan.cartpole's
+constants; the one environment setting a run varies, config.env_max_steps,
+reaches the collection and the online episodes as an int.
 
 The x-axis of every comparison is cumulative REAL environment samples:
 synthetic replay costs zero, pre-training experience is charged as a fixed
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cartpole, enhancer, experience, gan, nn, policy
+from . import enhancer, experience, gan, nn, policy
 from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, CsvParseError, UsageError
 
@@ -74,13 +76,8 @@ class PretrainResult:
     useful_synthetic_batches: int  # synthetic batches with terminal and non-terminal rows
 
 
-def _env_params(config: ExperimentConfig) -> cartpole.EnvParams:
-    return replace(cartpole.DEFAULT_PARAMS, max_steps=config.env_max_steps)
-
-
 def _synthetic_batches(pair: gan.GanPair, stats: experience.NormalizationStats,
-                       config: ExperimentConfig, rng: np.random.Generator,
-                       params: cartpole.EnvParams):
+                       config: ExperimentConfig, rng: np.random.Generator):
     """config.synthetic_batches generated batches of pair.batch_size rows.
 
     The generator runs once per SYNTHETIC_CHUNK_BATCHES batches; the noise
@@ -91,20 +88,19 @@ def _synthetic_batches(pair: gan.GanPair, stats: experience.NormalizationStats,
     for first in range(0, config.synthetic_batches, SYNTHETIC_CHUNK_BATCHES):
         n = min(SYNTHETIC_CHUNK_BATCHES, config.synthetic_batches - first)
         encoded = gan.generate_encoded(pair, n * size, rng)
-        chunk = experience.decode_batch(encoded, stats, params)
+        chunk = experience.decode_batch(encoded, stats)
         for i in range(n):
             yield chunk.slice(i * size, (i + 1) * size)
 
 
 def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
-                      rng: np.random.Generator,
-                      params: cartpole.EnvParams) -> PretrainResult:
+                      rng: np.random.Generator) -> PretrainResult:
     """Collect random experience, train the GAN (and, for egan, the enhancer
     plus the refinement loop), then pre-train the agent on generated batches;
     returns the models and the buffer whose size the curve is offset by."""
     if config.mode not in ("gan", "egan"):
         raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
-    buffer = experience.collect_random(params, config.pretrain_episodes, rng)
+    buffer = experience.collect_random(config.pretrain_episodes, rng, config.env_max_steps)
     stats = experience.compute_stats(buffer)
     encoded = experience.encode_batch(buffer, stats)
 
@@ -122,7 +118,7 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
     del encoded  # freed before the synthetic phase, whose generator chunks set peak RSS
     useful_synthetic_batches = policy.pretrain_on_synthetic(
         agent,
-        _synthetic_batches(pair, stats, config, rng, params),
+        _synthetic_batches(pair, stats, config, rng),
         learning_rate=config.pretrain_learning_rate,
     )
     return PretrainResult(
@@ -156,12 +152,11 @@ def run_experiment(config: ExperimentConfig) -> Run:
     group then takes one update (a trailing partial group takes none).
     """
     validate(config)
-    params = _env_params(config)
     pretrain_ss, agent_ss, train_ss = np.random.SeedSequence(config.seed).spawn(3)
     agent = policy.make_agent(np.random.default_rng(agent_ss))
     pre = None
     if config.mode in ("gan", "egan"):
-        pre = pretrain_pipeline(config, agent, np.random.default_rng(pretrain_ss), params)
+        pre = pretrain_pipeline(config, agent, np.random.default_rng(pretrain_ss))
     offset = len(pre.buffer) if pre else 0
 
     n_episodes = config.total_episodes()
@@ -172,7 +167,7 @@ def run_experiment(config: ExperimentConfig) -> Run:
     for start in range(0, n_episodes, group):
         logit = policy.logit_function(agent.net)
         rngs = [np.random.default_rng(s) for s in train_ss.spawn(min(group, n_episodes - start))]
-        episodes = experience.run_episodes(logit, rngs, params)
+        episodes = experience.run_episodes(logit, rngs, config.env_max_steps)
         for ep, episode in enumerate(episodes, start):
             total += len(episode)
             rewards[ep] = len(episode)
@@ -294,7 +289,7 @@ def write_run(run: Run, config: ExperimentConfig) -> str:
 
     curve_path = os.path.join(config.out_dir, curve_filename(config.mode, config.seed))
     save_curve_csv(curve, curve_path)
-    with open(path("meta"), "w") as fh:
+    with open(path("meta"), "w", encoding="utf-8") as fh:
         fh.write(config_to_text(config))
     nn.save_network(agent.net, path("policy"))
     if pre is not None:

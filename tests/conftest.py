@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from egan import cartpole, experience
+from egan import experience
 
 
 @pytest.fixture(scope="session")
 def small_buffer():
     """60 random-policy episodes; enough transitions for distribution checks."""
-    return experience.collect_random(
-        cartpole.DEFAULT_PARAMS, 60, np.random.default_rng(2024)
-    )
+    return experience.collect_random(60, np.random.default_rng(2024), 200)
 
 
 @pytest.fixture(scope="session")

@@ -66,6 +66,30 @@ def test_run_respects_config_file(tmp_path):
     assert len(curve) == 12
 
 
+def test_flags_beat_set_beats_config_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = egan\nseed = 5\nout_dir = {tmp_path / 'file'}\n")
+    base = ["run", "--mode", "none", "--config", str(cfg), "--out", str(tmp_path / "flag"),
+            "--set", "mode=gan", "--set", "seed=9", "--set", f"out_dir={tmp_path / 'set'}"]
+    assert main(base + TINY_SETS) == 0
+    assert main(base + ["--seed", "1"] + TINY_SETS) == 0
+    # --mode and --out beat --set; --set seed beats the file's until --seed is given
+    assert sorted(p.name for p in (tmp_path / "flag").glob("curve_*")) == [
+        "curve_none_1.csv", "curve_none_9.csv"]
+    assert not (tmp_path / "set").exists() and not (tmp_path / "file").exists()
+
+
+@pytest.mark.parametrize("out", ["a#b", "a\nb"])
+def test_out_dir_that_cannot_read_back_exits_2(tmp_path, capsys, monkeypatch, out):
+    # meta_<mode>_<seed>.txt would not read back as the run's config
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--mode", "none", "--out", out] + TINY_SETS)
+    assert code == 2
+    assert "out_dir must hold no '#' or line break" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = main(["run", "--mode", "none", "--seed", "0", "--out", str(tmp_path),
                  "--set", "training_episodes=0"])

@@ -1,10 +1,15 @@
 import inspect
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from egan import enhancer, gan, harness, policy
 from egan.config import (
+    MODES,
     ExperimentConfig,
     apply_overrides,
     config_to_text,
@@ -98,6 +103,41 @@ def test_text_round_trip(tmp_path):
     path = tmp_path / "meta_egan_3.txt"  # what `egan run` writes, and --config reads
     path.write_text(config_to_text(cfg))
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["a#b", "#", "a\nb", "a\rb", " a", "a ", "a\t"])
+def test_validate_rejects_out_dir_that_cannot_read_back(out_dir):
+    with pytest.raises(ConfigError, match="out_dir"):
+        validate(ExperimentConfig(out_dir=out_dir))
+
+
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    mode=st.sampled_from(MODES),
+    seed=st.integers(min_value=0),
+    out_dir=st.text(),
+    pretrain_episodes=st.integers(min_value=1),
+    gan_train_steps=st.integers(min_value=1),
+    enhancer_train_steps=st.integers(min_value=1),
+    training_episodes=st.integers(min_value=1),
+    synthetic_batches=st.integers(min_value=0),
+    pretrain_learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    env_max_steps=st.integers(min_value=1),
+)
+
+
+@given(VALID_CONFIGS)
+@settings(max_examples=300, deadline=None)
+def test_text_round_trip_of_every_valid_config(cfg):
+    try:
+        validate(cfg)
+    except ConfigError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "meta.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config_to_text(cfg))
+        assert load_config(path) == cfg
 
 
 def test_every_field_present_in_text():

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egan import cartpole, experience, nn, policy
-from egan.cartpole import CartPoleState, DEFAULT_PARAMS
+from egan.cartpole import CartPoleState
 from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
 from test_cartpole import is_terminal
+
+CAP = 200  # the default env_max_steps
 
 
 def one_row(s, a, s_next, done=False) -> Transitions:
@@ -56,12 +58,12 @@ def reference_encode(s, a, s_next, stats):
     return x
 
 
-def reference_decode(x, stats, params=DEFAULT_PARAMS):
+def reference_decode(x, stats):
     x = np.asarray(x, dtype=np.float64)
     s_t = CartPoleState(*_ref_unscale(x[0:4], stats).tolist())
     a = 1 if x[4] >= 0.0 else 0
     s_next = CartPoleState(*_ref_unscale(x[5:9], stats).tolist())
-    done = is_terminal(s_next, params)
+    done = is_terminal(s_next)
     return s_t, a, s_next, done
 
 
@@ -70,8 +72,8 @@ def reference_encode_batch(t: Transitions, stats):
     return np.array([reference_encode(s, a, s2, stats) for s, a, s2 in rows])
 
 
-def reference_decode_batch(xs, stats, params=DEFAULT_PARAMS) -> Transitions:
-    rows = [reference_decode(x, stats, params) for x in xs]
+def reference_decode_batch(xs, stats) -> Transitions:
+    rows = [reference_decode(x, stats) for x in xs]
     return Transitions(
         states=np.array([r[0] for r in rows]),
         actions=np.array([r[1] for r in rows], dtype=np.intp),
@@ -95,7 +97,7 @@ def test_transitions_are_four_columns():
 
 def test_single_episode_buffer_size_equals_length():
     rng = np.random.default_rng(0)
-    buf = experience.collect_random(DEFAULT_PARAMS, 1, rng)
+    buf = experience.collect_random(1, rng, CAP)
     assert len(buf) == buf.states.shape[0] == buf.next_states.shape[0]
     assert len(buf) == buf.actions.size == buf.dones.size
     assert 1 <= len(buf) <= 200
@@ -105,17 +107,17 @@ def test_single_episode_buffer_size_equals_length():
 
 
 def test_collection_deterministic():
-    b1 = experience.collect_random(DEFAULT_PARAMS, 5, np.random.default_rng(9))
-    b2 = experience.collect_random(DEFAULT_PARAMS, 5, np.random.default_rng(9))
+    b1 = experience.collect_random(5, np.random.default_rng(9), CAP)
+    b2 = experience.collect_random(5, np.random.default_rng(9), CAP)
     assert_same(b1, b2)
 
 
 def test_collect_requires_episodes():
     with pytest.raises(UsageError):
-        experience.collect_random(DEFAULT_PARAMS, 0, np.random.default_rng(0))
+        experience.collect_random(0, np.random.default_rng(0), CAP)
 
 
-def reference_collect_random(params, n_episodes, rng) -> Transitions:
+def reference_collect_random(n_episodes, rng, max_steps) -> Transitions:
     """The per-step rollout collect_random replaced: one rng.spawn(1) child
     per episode, and every step a 1-row state stack and an np.full p0.  The
     last row is done only when the step reported a terminal successor, not
@@ -124,13 +126,13 @@ def reference_collect_random(params, n_episodes, rng) -> Transitions:
     for _ in range(n_episodes):
         child, = rng.spawn(1)
         path = [cartpole.reset(child)]
-        draws = child.random(params.max_steps).tolist()
+        draws = child.random(max_steps).tolist()
         actions = []
-        for t in range(params.max_steps):
+        for t in range(max_steps):
             states = np.array([path[-1]])
             p0 = np.full(len(states), 0.5).tolist()[0]
             action = int(draws[t] >= p0)
-            state, _, done = cartpole.step(path[-1], action, params)
+            state, done = cartpole.step(path[-1], action)
             path.append(state)
             actions.append(action)
             if done:
@@ -147,9 +149,8 @@ def reference_collect_random(params, n_episodes, rng) -> Transitions:
 def test_collect_random_matches_per_step_reference():
     # an 8-step cap cuts most episodes short; one episode steps alone
     for n_episodes, max_steps in [(50, 200), (50, 8), (1, 200)]:
-        params = replace(DEFAULT_PARAMS, max_steps=max_steps)
-        got = experience.collect_random(params, n_episodes, np.random.default_rng(70))
-        want = reference_collect_random(params, n_episodes, np.random.default_rng(70))
+        got = experience.collect_random(n_episodes, np.random.default_rng(70), max_steps)
+        want = reference_collect_random(n_episodes, np.random.default_rng(70), max_steps)
         assert len(got) > n_episodes
         assert_same(got, want)
         if max_steps == 8:
@@ -160,9 +161,8 @@ def test_buffer_transitions_replay_exactly(small_buffer):
     """Every stored transition must agree with the deterministic dynamics."""
     for i in range(400):
         s = CartPoleState(*small_buffer.states[i].tolist())
-        nxt, reward, done = cartpole.step(s, int(small_buffer.actions[i]), DEFAULT_PARAMS)
+        nxt, done = cartpole.step(s, int(small_buffer.actions[i]))
         assert nxt == tuple(small_buffer.next_states[i].tolist())
-        assert reward == 1.0
         if not small_buffer.dones[i]:
             assert done is False
 
@@ -177,18 +177,20 @@ def rngs_from(seed, k):
 
 
 def test_episode_reward_sum_equals_length():
-    # the harness records len(episode) as the episode's reward
-    episode, = experience.run_episodes(uniform, [np.random.default_rng(4)])
-    rewards = [cartpole.step(CartPoleState(*s), a)[1]
-               for s, a in zip(episode.states.tolist(), episode.actions.tolist())]
-    assert sum(rewards) == len(episode) > 1
+    # the harness records len(episode) as the episode's reward: CartPole pays
+    # 1.0 on every step, and the episode stops at its first done step
+    episode, = experience.run_episodes(uniform, [np.random.default_rng(4)], CAP)
+    dones = [cartpole.step(CartPoleState(*s), a)[1]
+             for s, a in zip(episode.states.tolist(), episode.actions.tolist())]
+    assert dones == episode.dones.tolist()
+    assert dones.index(True) == len(episode) - 1 > 0
 
 
 def test_constant_action_topples_quickly():
     # g = -1e300 is below every threshold a draw in [0, 1) gives (the lowest
     # is about -36.7), so the episode always pushes left
     episode, = experience.run_episodes(lambda s: np.full(len(s), -1e300),
-                                       [np.random.default_rng(11)])
+                                       [np.random.default_rng(11)], CAP)
     assert len(episode) < 200
     assert np.all(episode.actions == 0)
     assert episode.dones[-1]
@@ -196,8 +198,8 @@ def test_constant_action_topples_quickly():
 
 
 def test_episode_determinism():
-    e1 = experience.run_episodes(uniform, rngs_from(5, 4))
-    e2 = experience.run_episodes(uniform, rngs_from(5, 4))
+    e1 = experience.run_episodes(uniform, rngs_from(5, 4), CAP)
+    e2 = experience.run_episodes(uniform, rngs_from(5, 4), CAP)
     assert len(e1) == len(e2) == 4
     for a, b in zip(e1, e2):
         assert_same(a, b)
@@ -206,8 +208,7 @@ def test_episode_determinism():
 def test_episode_cap_marks_done():
     # tiny cap so even a random policy reaches it; the cap truncates the
     # episode, the pole has not fallen, so no row is done
-    params = replace(DEFAULT_PARAMS, max_steps=3)
-    episode, = experience.run_episodes(uniform, [np.random.default_rng(5)], params)
+    episode, = experience.run_episodes(uniform, [np.random.default_rng(5)], 3)
     assert len(episode) == 3
     assert not is_terminal(episode.next_states[-1])
     assert episode.dones.tolist() == [False, False, False]
@@ -243,8 +244,8 @@ class TestRunEpisodes:
         # compare Transitions, never logits: the forward of k rows can differ
         # from k one-row forwards in the last bits, an action cannot
         probs = frozen_policy()
-        together = experience.run_episodes(probs, rngs_from(21, 5))
-        serial = [experience.run_episodes(probs, [rng])[0] for rng in rngs_from(21, 5)]
+        together = experience.run_episodes(probs, rngs_from(21, 5), CAP)
+        serial = [experience.run_episodes(probs, [rng], CAP)[0] for rng in rngs_from(21, 5)]
         assert len({len(e) for e in together}) > 1  # the group really shrank
         for a, b in zip(together, serial):
             assert_same(a, b)
@@ -256,7 +257,7 @@ class TestRunEpisodes:
             seen.append(states.shape)
             return np.zeros(len(states))
 
-        episodes = experience.run_episodes(logits, rngs_from(8, 5))
+        episodes = experience.run_episodes(logits, rngs_from(8, 5), CAP)
         lengths = [len(e) for e in episodes]
         assert len(seen) == max(lengths)
         assert [shape[0] for shape in seen] == [
@@ -265,8 +266,7 @@ class TestRunEpisodes:
         assert all(shape[1] == 4 for shape in seen)
 
     def test_cap_truncates_some_episodes_only(self):
-        params = replace(DEFAULT_PARAMS, max_steps=25)
-        episodes = experience.run_episodes(uniform, rngs_from(2, 12), params)
+        episodes = experience.run_episodes(uniform, rngs_from(2, 12), 25)
         lengths = [len(e) for e in episodes]
         assert max(lengths) == 25 and min(lengths) < 25
         truncated = 0
@@ -284,34 +284,34 @@ class TestRunEpisodes:
     def test_action_frequency_follows_probability(self):
         # P(action 1) = 0.7, so P(action 0) = 0.3
         episodes = experience.run_episodes(lambda s: np.full(len(s), np.log(0.7 / 0.3)),
-                                           rngs_from(6, 100))
+                                           rngs_from(6, 100), CAP)
         actions = np.concatenate([e.actions for e in episodes])
         assert actions.size > 1000
         assert abs(np.mean(actions == 0) - 0.3) < 0.03
 
     def test_no_generators_no_episodes(self):
-        assert experience.run_episodes(uniform, []) == []
+        assert experience.run_episodes(uniform, [], CAP) == []
 
 
-def reference_run_episodes(probs_fn, rngs, params=DEFAULT_PARAMS):
+def reference_run_episodes(probs_fn, rngs, max_steps):
     """The lockstep loop run_episodes replaced, kept verbatim: np.array over
     the CartPoleState NamedTuples, per-episode action lists, and action
     int(u >= p0) for probs_fn's P(action 0).  Only its done rule
     follows run_episodes: the last row is done only on a terminal successor,
     not when the cap cut the episode short."""
     paths = [[cartpole.reset(rng)] for rng in rngs]
-    draws = [rng.random(params.max_steps).tolist() for rng in rngs]
+    draws = [rng.random(max_steps).tolist() for rng in rngs]
     steps = [[] for _ in rngs]
     terminal = [False for _ in rngs]
     live = list(range(len(paths)))
-    for t in range(params.max_steps):
+    for t in range(max_steps):
         if not live:
             break
         p0 = probs_fn(np.array([paths[i][-1] for i in live])).tolist()
         still = []
         for i, p in zip(live, p0):
             action = int(draws[i][t] >= p)
-            state, _, done = cartpole.step(paths[i][-1], action, params)
+            state, done = cartpole.step(paths[i][-1], action)
             paths[i].append(state)
             steps[i].append(action)
             terminal[i] = done
@@ -344,7 +344,6 @@ class TestRunEpisodesMatchesReference:
     def test_same_columns(self, scale, k, cap):
         # the log-odds rule g >= log((1 - u) / u) against the probability
         # rule u >= sigmoid(-g), on one policy at two parameter scales
-        params = replace(DEFAULT_PARAMS, max_steps=cap)
         if scale is None:
             logit_fn = uniform
         else:
@@ -352,8 +351,8 @@ class TestRunEpisodesMatchesReference:
             agent.net.params *= scale
             logit_fn = policy.logit_function(agent.net)
         probs_fn = sigmoid_of(logit_fn)
-        got = experience.run_episodes(logit_fn, rngs_from(40 + k, k), params)
-        want = reference_run_episodes(probs_fn, rngs_from(40 + k, k), params)
+        got = experience.run_episodes(logit_fn, rngs_from(40 + k, k), cap)
+        want = reference_run_episodes(probs_fn, rngs_from(40 + k, k), cap)
         assert len(got) == len(want) == k
         for a, b in zip(got, want):
             assert_same(a, b)
@@ -369,7 +368,7 @@ class TestRunEpisodesMatchesReference:
             return step(*args)
 
         monkeypatch.setattr(cartpole, "step", counted)
-        episodes = experience.run_episodes(uniform, rngs_from(13, 7))
+        episodes = experience.run_episodes(uniform, rngs_from(13, 7), CAP)
         assert len(calls) == sum(len(e) for e in episodes) > 7
 
 
@@ -411,9 +410,8 @@ class StubGenerator:
 def constant_logit_actions(g, draws):
     """The actions of one episode acting on logit g everywhere, one step per
     draw."""
-    params = replace(DEFAULT_PARAMS, max_steps=len(draws))
     episode, = experience.run_episodes(lambda s: np.full(len(s), g),
-                                       [StubGenerator(draws)], params)
+                                       [StubGenerator(draws)], len(draws))
     return episode.actions.tolist()
 
 
@@ -559,7 +557,7 @@ class TestEncoding:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, seed):
         rng = np.random.default_rng(seed)
-        buf = experience.collect_random(DEFAULT_PARAMS, 2, rng)
+        buf = experience.collect_random(2, rng, CAP)
         stats = experience.compute_stats(buf)
         back = experience.decode_batch(experience.encode_batch(buf, stats), stats)
         assert np.allclose(back.states, buf.states, atol=1e-9)
@@ -609,13 +607,13 @@ class TestReferenceCodec:
     def test_roundtrip_replays_through_simulator(self):
         """Control for the physics residual of generated data: real transitions
         after encode and decode still obey cartpole.step to rounding level."""
-        buf = experience.collect_random(DEFAULT_PARAMS, 20, np.random.default_rng(0))
+        buf = experience.collect_random(20, np.random.default_rng(0), CAP)
         stats = experience.compute_stats(buf)
         back = experience.decode_batch(experience.encode_batch(buf, stats), stats)
         residuals = []
         for s, a, s_next in zip(back.states.tolist(), back.actions.tolist(),
                                 back.next_states.tolist()):
-            nxt, _, _ = cartpole.step(CartPoleState(*s), a, DEFAULT_PARAMS)
+            nxt, _ = cartpole.step(CartPoleState(*s), a)
             residuals.append(np.abs(np.array(nxt) - s_next))
         assert len(residuals) == len(buf)
         assert np.mean(residuals) < 1e-9

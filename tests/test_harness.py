@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egan import experience, gan, harness, nn, policy
-from egan.cartpole import EnvParams
 from egan.config import ExperimentConfig, apply_overrides
 from egan.errors import ConfigError, CsvParseError, UsageError
 from egan.experience import Transitions
@@ -183,8 +182,7 @@ class TestRunExperiment:
         lengths, pending = [], []
         for ss in train_ss.spawn(cfg.total_episodes()):
             episode, = experience.run_episodes(
-                forward_logit(agent.net), [np.random.default_rng(ss)],
-                EnvParams(max_steps=cfg.env_max_steps))
+                forward_logit(agent.net), [np.random.default_rng(ss)], cfg.env_max_steps)
             lengths.append(len(episode))
             pending.append(episode)
             if len(pending) == harness.EPISODES_PER_UPDATE:
@@ -225,8 +223,7 @@ class TestPipeline:
     @staticmethod
     def pretrain(cfg, seed):
         agent = policy.make_agent(np.random.default_rng(100 + seed))
-        return harness.pretrain_pipeline(cfg, agent, np.random.default_rng(seed),
-                                         EnvParams(max_steps=cfg.env_max_steps))
+        return harness.pretrain_pipeline(cfg, agent, np.random.default_rng(seed))
 
     def test_gan_mode_skips_enhancer(self):
         cfg = ExperimentConfig(mode="gan", pretrain_episodes=3, gan_train_steps=20,
@@ -275,7 +272,7 @@ def test_pretrain_rng_consumption_pinned(mode, seed):
     pretrain_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
     agent = policy.make_agent(np.random.default_rng(agent_ss))
     rng = np.random.default_rng(pretrain_ss)
-    harness.pretrain_pipeline(cfg, agent, rng, harness._env_params(cfg))
+    harness.pretrain_pipeline(cfg, agent, rng)
     state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
     assert hashlib.sha256(state).hexdigest() == PRETRAIN_RNG_DIGESTS[(mode, seed)]
 
@@ -288,8 +285,7 @@ def test_default_pretraining_moves_the_policy():
     cfg = ExperimentConfig(mode="gan", seed=0, training_episodes=5)
     pretrain_ss, agent_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
     pretrained, fresh = (policy.make_agent(np.random.default_rng(agent_ss)) for _ in range(2))
-    pre = harness.pretrain_pipeline(cfg, pretrained, np.random.default_rng(pretrain_ss),
-                                    harness._env_params(cfg))
+    pre = harness.pretrain_pipeline(cfg, pretrained, np.random.default_rng(pretrain_ss))
     assert pre.useful_synthetic_batches > 0
     assert not np.array_equal(pretrained.net.params, fresh.net.params)
 
@@ -300,12 +296,11 @@ class TestSyntheticBatches:
         cfg = ExperimentConfig(mode="gan", synthetic_batches=n_batches)
         pair = gan.make_gan(np.random.default_rng(2))
         stats = experience.NormalizationStats(np.full(4, -0.5), np.full(4, 0.5))
-        params = EnvParams()
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        got = list(harness._synthetic_batches(pair, stats, cfg, rng, params))
+        got = list(harness._synthetic_batches(pair, stats, cfg, rng))
         # the reference: one generator call per batch
         ref = [experience.decode_batch(gan.generate_encoded(pair, pair.batch_size, ref_rng),
-                                       stats, params)
+                                       stats)
                for _ in range(n_batches)]
         assert len(got) == n_batches
         for batch, expected in zip(got, ref):
@@ -317,7 +312,7 @@ def fixed_done_batches(dones):
     """Stands in for the generator: every synthetic batch carries `dones`."""
     dones = np.asarray(dones, dtype=bool)
 
-    def batches(pair, stats, config, rng, params):
+    def batches(pair, stats, config, rng):
         for _ in range(config.synthetic_batches):
             states = rng.uniform(-0.05, 0.05, size=(dones.size, 4))
             actions = rng.integers(0, 2, size=dones.size).astype(np.intp)

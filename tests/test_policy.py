@@ -1,14 +1,13 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egan import experience, harness, nn, policy
+from egan import cartpole, experience, harness, nn, policy
 from egan.config import ExperimentConfig
-from egan.cartpole import DEFAULT_PARAMS, CartPoleState
+from egan.cartpole import CartPoleState
 from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
@@ -46,7 +45,7 @@ def logit_of(agent, states):
 LOGIT_BOUND = 128 * 2.0**-53
 # the CartPole box: position and angle to their limits, velocities past what
 # random-policy episodes reach
-STATE_BOX = np.array([DEFAULT_PARAMS.x_limit, 3.0, DEFAULT_PARAMS.theta_limit, 3.5])
+STATE_BOX = np.array([cartpole.X_LIMIT, 3.0, cartpole.THETA_LIMIT, 3.5])
 
 
 class TestP0Function:
@@ -151,7 +150,7 @@ class TestSelectAction:
         agent.net.weights[0][:] = 0.0
         agent.net.biases[0][:] = [1.0, 0.0]
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(77).spawn(300)]
-        episodes = experience.run_episodes(lambda s: logit_of(agent, s), rngs)
+        episodes = experience.run_episodes(lambda s: logit_of(agent, s), rngs, 200)
         actions = np.concatenate([e.actions for e in episodes])
         assert actions.size > 3000
         assert abs(np.mean(actions == 0) - 0.7310585786300049) < 0.02
@@ -161,7 +160,7 @@ class TestSelectAction:
 
         def play():
             rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(5)]
-            return experience.run_episodes(lambda s: logit_of(agent, s), rngs)
+            return experience.run_episodes(lambda s: logit_of(agent, s), rngs, 200)
 
         for a, b in zip(play(), play()):
             assert np.array_equal(a.actions, b.actions)
@@ -287,12 +286,11 @@ class TestUpdateOnEpisodes:
     def test_mixed_lengths_match_the_reference_recursion(self):
         # a group of five episodes under a 25-step cap: lengths differ and one
         # is cut by the cap, so every episode reads a different table slice
-        params = replace(DEFAULT_PARAMS, max_steps=25)
         agent, reference = (policy.make_agent(np.random.default_rng(3)) for _ in range(2))
         for group in range(3):
             rngs = [np.random.default_rng(s)
                     for s in np.random.SeedSequence(group).spawn(5)]
-            episodes = experience.run_episodes(policy.logit_function(agent.net), rngs, params)
+            episodes = experience.run_episodes(policy.logit_function(agent.net), rngs, 25)
             lengths = [len(e) for e in episodes]
             assert len(set(lengths)) > 1 and 25 in lengths
             assert not all(e.dones[-1] for e in episodes)
