@@ -8,6 +8,7 @@ print one stderr warning per run whose synthetic phase left the policy
 unchanged; stdout stays one summary line per run or per length.
 A config value comes from its flag (--mode, --seed, --out), else from --set,
 else from the --config file, else from the ExperimentConfig default.
+`sweep` rejects seed and pretrain_episodes there: --seeds and --lengths set them.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -18,20 +19,24 @@ import math
 import sys
 
 from . import harness
-from .config import ExperimentConfig, apply_overrides, load_config, validate
+from .config import ExperimentConfig, apply_overrides, read_config_file, validate
 from .errors import ConfigError
 
 
-def _build_config(args) -> ExperimentConfig:
-    config = ExperimentConfig()
-    if getattr(args, "config", None):
-        config = load_config(args.config, base=config)
+def _build_config(args, fixed: dict[str, str]) -> ExperimentConfig:
+    """The command's config; a `fixed` key (key -> its flag) in --set or --config is an error."""
+    items = read_config_file(args.config) if getattr(args, "config", None) else {}
+    config = apply_overrides(ExperimentConfig(), items)
     overrides = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
+    named = sorted(fixed.keys() & (items.keys() | overrides.keys()))
+    if named:
+        raise ConfigError(f"{args.command} takes {named[0]} from {fixed[named[0]]}, "
+                          "not from --set or --config")
     # a flag beats a --set of its key, as --set beats the config file
     flags = {"mode": args.mode, "seed": getattr(args, "seed", None), "out_dir": args.out}
     overrides.update({name: str(value) for name, value in flags.items() if value is not None})
@@ -49,7 +54,7 @@ def _warn_if_unmoved(run: harness.Run, synthetic_batches: int, label: str) -> No
 
 
 def _cmd_run(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, {})
     harness.make_out_dir(config.out_dir)
     run = harness.run_experiment(config)
     path = harness.write_run(run, config)
@@ -68,7 +73,7 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, {"seed": "--seeds", "pretrain_episodes": "--lengths"})
     lengths = _int_list("--lengths", args.lengths)
     seeds = (list(harness.DEFAULT_SEEDS) if args.seeds is None
              else _int_list("--seeds", args.seeds))

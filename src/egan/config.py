@@ -108,9 +108,10 @@ def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
     return replace(config, **updates)
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read `key = value` lines; '#' starts a comment, blank lines are ignored."""
-    overrides = {}
+def read_config_file(path) -> dict[str, str]:
+    """A config file's `key = value` lines as {key: value}; '#' starts a
+    comment, blank lines are ignored."""
+    items = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -120,10 +121,15 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
                 key, value = line.split("=", 1)
-                overrides[key.strip()] = value.strip()
+                items[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return apply_overrides(base or ExperimentConfig(), overrides)
+    return items
+
+
+def load_config(path) -> ExperimentConfig:
+    """The defaults with a config file's values applied."""
+    return apply_overrides(ExperimentConfig(), read_config_file(path))
 
 
 def config_to_text(config: ExperimentConfig) -> str:

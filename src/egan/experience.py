@@ -1,8 +1,9 @@
 """Experience collection and the 9-dim encoded representation.
 
-Every layer passes transitions as one struct-of-arrays, `Transitions`: row i
-is the transition (s_t, a, s_{t+1}, done); CartPole pays 1.0 on every step,
-so no row stores its reward.  For the GAN a row is encoded as a vector
+The random-policy buffer, the codec and the synthetic phase pass
+transitions as one struct-of-arrays, `Transitions`: row i is the transition
+(s_t, a, s_{t+1}, done); CartPole pays 1.0 on every step, so no row stores
+its reward.  For the GAN a row is encoded as a vector
 x = x1 || x2 with x1 = (normalized s_t, action code), SA_DIM wide, and
 x2 = normalized s_{t+1}, every channel mapped into [-1, 1]:
 
@@ -12,9 +13,10 @@ x2 = normalized s_{t+1}, every channel mapped into [-1, 1]:
 Only this module knows that layout; the GAN and the enhancer read its widths
 ENCODED_DIM and SA_DIM.  done is not part of x: decoding reconstructs it
 from the successor state.  Encoding and decoding are column operations.
-A real row is done only when its successor is terminal,
-so a row that an episode cap cut short reads as a non-failure in both places.
-Episodes act in log-odds space; run_episodes gives the rule.
+A buffer row is done only when its successor is terminal, so a row that an
+episode cap cut short reads as a non-failure in both places.  The online
+phase uses no Transitions: run_episodes returns pooled rows and episode
+lengths, acting in log-odds space by the rule it gives.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ class NormalizationStats:
     state_max: np.ndarray
 
 
-def run_episodes(logit_fn, rngs, max_steps: int) -> list[Transitions]:
+def run_episodes(logit_fn, rngs, max_steps: int):
     """Roll out one episode per generator, stepping the live ones together,
-    each for at most max_steps steps.
+    each for at most max_steps steps; returns (states, actions, lengths).
+    states (n, 4) and actions (n,) intp hold each episode's s_0 .. s_{T-1}
+    and actions, episode-major; an episode ends on a terminal state or at
+    max_steps, and the successor of its last step is not returned.
 
     Acting is in log-odds space.  Each step calls logit_fn once on the live
     states stacked to (k_live, 4) for g, the log-odds of action 1.  Episode
@@ -69,12 +74,10 @@ def run_episodes(logit_fn, rngs, max_steps: int) -> list[Transitions]:
     step needs a sigmoid; u == 0 gives c = +inf (action 0 for every finite
     g) and a NaN logit takes action 0.  An episode does not depend on its
     group.  The dynamics stay scalar: at the few live episodes of the online
-    phase, k scalar steps beat one cartpole.step_batch.  An episode ends on
-    a terminal state or at max_steps; its last row is done only in
-    the first case, since a cap-truncated episode did not fail.
+    phase, k scalar steps beat one cartpole.step_batch.
 
-    Each live episode is one record (path, thresholds, actions),
-    and the states are stacked by _stack, a flat np.fromiter over the state
+    Each live episode is one record (path, thresholds, actions), and the
+    states are stacked once by _stack, a flat np.fromiter over the state
     tuples: the same float64 values np.array gives, without its per-row
     sequence probing, so every column is bit-identical to np.array stacking.
     cartpole.step is looked up once per call, not once per step, so a wrapper
@@ -100,8 +103,9 @@ def run_episodes(logit_fn, rngs, max_steps: int) -> list[Transitions]:
             if not done:
                 still.append(episode)
         live = still
-    cut = {id(episode) for episode in live}  # still running at the cap
-    return [_episode(episode, id(episode) not in cut) for episode in episodes]
+    states = _stack([s for path in paths for s in path[:-1]])
+    actions = np.fromiter(chain.from_iterable(e[2] for e in episodes), np.intp, len(states))
+    return states, actions, [len(e[2]) for e in episodes]
 
 
 def logistic_thresholds(u) -> np.ndarray:
@@ -119,20 +123,6 @@ def _stack(states) -> np.ndarray:
     """k CartPoleStates -> (k, 4) float64, as np.array(states) but flat."""
     k = len(states)
     return np.fromiter(chain.from_iterable(states), np.float64, 4 * k).reshape(k, 4)
-
-
-def _episode(record, terminal: bool) -> Transitions:
-    visited, _, actions = record
-    path = _stack(visited)
-    path.flags.writeable = False  # states and next_states are views of it
-    dones = np.zeros(len(actions), dtype=bool)
-    dones[-1] = terminal  # False when the cap cut the episode short
-    return Transitions(
-        states=path[:-1],
-        actions=np.array(actions, dtype=np.intp),
-        next_states=path[1:],
-        dones=dones,
-    )
 
 
 def collect_random(n_episodes: int, rng: np.random.Generator, max_steps: int) -> Transitions:

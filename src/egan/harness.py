@@ -5,9 +5,10 @@ draws all pre-training rng values from one generator, in a fixed order.
 run_experiment returns one Run record.  This module names every file the
 package writes: write_run a run's and write_report a report's, and
 sweep_pretrain_length calls both for each pre-training length.  The online
-phase acts in log-odds (egan.policy).  CartPole's physics are egan.cartpole's
-constants; the one environment setting a run varies, config.env_max_steps,
-reaches the collection and the online episodes as an int.
+phase acts in log-odds (egan.policy) and updates on pooled rows and episode
+lengths.  CartPole's physics are egan.cartpole's constants; the one
+environment setting a run varies, config.env_max_steps, reaches the
+collection and the online episodes as an int.
 
 The x-axis of every comparison is cumulative REAL environment samples:
 synthetic replay costs zero, pre-training experience is charged as a fixed
@@ -149,7 +150,8 @@ def run_experiment(config: ExperimentConfig) -> Run:
     of EPISODES_PER_UPDATE on the frozen policy, each on its own child of the
     training SeedSequence; each group acts through one policy.logit_function
     built at its start (log-odds acting, see egan.policy), and each full
-    group then takes one update (a trailing partial group takes none).
+    group then takes one update on its pooled rows (a trailing partial group
+    takes none).  The curve is made once, from the episode lengths alone.
     """
     validate(config)
     pretrain_ss, agent_ss, train_ss = np.random.SeedSequence(config.seed).spawn(3)
@@ -160,20 +162,17 @@ def run_experiment(config: ExperimentConfig) -> Run:
     offset = len(pre.buffer) if pre else 0
 
     n_episodes = config.total_episodes()
-    rewards = np.empty(n_episodes)
-    cumulative = np.empty(n_episodes, dtype=np.int64)
-    total = offset
+    lengths = []
     group = EPISODES_PER_UPDATE
     for start in range(0, n_episodes, group):
         logit = policy.logit_function(agent.net)
         rngs = [np.random.default_rng(s) for s in train_ss.spawn(min(group, n_episodes - start))]
-        episodes = experience.run_episodes(logit, rngs, config.env_max_steps)
-        for ep, episode in enumerate(episodes, start):
-            total += len(episode)
-            rewards[ep] = len(episode)
-            cumulative[ep] = total
-        if len(episodes) == group:
-            policy.update_on_episodes(agent, episodes)
+        states, actions, group_lengths = experience.run_episodes(logit, rngs, config.env_max_steps)
+        if len(group_lengths) == group:
+            policy.update_on_episodes(agent, states, actions, group_lengths)
+        lengths += group_lengths
+    rewards = np.array(lengths, dtype=np.float64)
+    cumulative = offset + np.cumsum(lengths, dtype=np.int64)
     return Run(LearningCurve(config.mode, config.seed, rewards, cumulative, offset), pre, agent)
 
 

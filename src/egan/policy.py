@@ -3,9 +3,9 @@
 Updates are plain likelihood-ratio steps: one optimizer step down the
 gradient of -mean(log pi(a|s) * w).  The loss value itself is never formed
 (nothing reads it), so the update functions return None.  For on-policy
-updates w is the pooled z-scored discounted return of the episodes the
-caller passes (the agent keeps no episode queue); for synthetic pre-training
-w is the z-scored 1 - done of one generated batch.
+updates w is the z-scored discounted return of the episodes the caller
+passes as pooled rows (the agent keeps no episode queue); for synthetic
+pre-training w is the z-scored 1 - done of one generated batch.
 Z-scoring a constant batch yields w = 0, so a batch that lacks a terminal or
 a non-terminal row has a zero gradient: its optimizer step skips the forward
 and backward pass (an Adam step on it still applies the moments).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import UsageError
+from .errors import ShapeError, UsageError
 
 Z_EPS = 1e-8
 
@@ -139,18 +139,17 @@ def normalize_weights(values: np.ndarray) -> np.ndarray:
     return d / (std + Z_EPS)
 
 
-def update_on_episodes(agent: PolicyAgent, episodes) -> None:
-    """Pool the episodes, z-score their discounted returns (read off one
-    return_table for the longest), take one step."""
-    episodes = list(episodes)
-    if not episodes:
+def update_on_episodes(agent: PolicyAgent, states, actions, lengths) -> None:
+    """One step on episodes pooled as experience.run_episodes returns them
+    (lengths sum to n rows), weighted by their z-scored discounted returns,
+    read off one return_table for the longest."""
+    if not lengths:
         raise UsageError("update_on_episodes needs at least one episode")
-    lengths = [len(e) for e in episodes]
     if min(lengths) < 1:
         raise UsageError("every episode needs at least one step")
+    if not len(states) == len(actions) == sum(lengths):
+        raise ShapeError(f"{len(states)} states, {len(actions)} actions, {sum(lengths)} steps")
     table = return_table(max(lengths), agent.gamma)
-    states = np.concatenate([e.states for e in episodes])
-    actions = np.concatenate([e.actions for e in episodes])
     returns = np.concatenate([table[n - 1::-1] for n in lengths])
     policy_gradient_step(agent, states, actions, normalize_weights(returns))
 

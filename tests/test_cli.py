@@ -11,13 +11,14 @@ from egan.errors import UsageError
 
 from test_harness import fixed_done_batches, never_called
 
-TINY_SETS = [
+# sweep sets pretrain_episodes itself, from --lengths
+SWEEP_SETS = [
     "--set", "training_episodes=60",
-    "--set", "pretrain_episodes=3",
     "--set", "gan_train_steps=20",
     "--set", "enhancer_train_steps=20",
     "--set", "synthetic_batches=5",
 ]
+TINY_SETS = SWEEP_SETS + ["--set", "pretrain_episodes=3"]
 
 # the keys of the paper's fixed hyperparameters, which are no config keys
 FIXED_KEYS = ["g_hidden=8,4", "d_hidden=8,4", "noise_dim=4", "gan_learning_rate=1e-4",
@@ -178,7 +179,7 @@ def test_sweep_writes_curves_and_aggregates(tmp_path, capsys):
     code = main([
         "sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
         "--out", str(out),
-    ] + TINY_SETS)
+    ] + SWEEP_SETS)
     assert code == 0
     out_text, err = capsys.readouterr()
     # no tiny run's synthetic phase moves its policy: one warning per run
@@ -218,7 +219,7 @@ def _run_files(out_dir, mode, seed):
 def test_sweep_runs_equal_lone_runs_and_re_report(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
-                 "--out", str(out)] + TINY_SETS) == 0
+                 "--out", str(out)] + SWEEP_SETS) == 0
     for length in (2, 4):
         for seed in (0, 1):
             lone = tmp_path / f"lone_{length}_{seed}"
@@ -270,7 +271,7 @@ def test_sweep_failed_aggregation_keeps_finished_lengths_tables(tmp_path, capsys
     monkeypatch.setattr(harness, "write_report", fail_on_second_length)
     out = tmp_path / "sweep"
     code = main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
-                 "--out", str(out)] + TINY_SETS)
+                 "--out", str(out)] + SWEEP_SETS)
     assert code == 3
     assert capsys.readouterr().out.startswith("pretrain_episodes=2 seeds=2 ")
     for name in ("report.csv", "aggregate_episodes_gan.csv", "aggregate_gan.csv"):
@@ -286,7 +287,7 @@ def test_every_csv_cell_reads_back_as_a_number(tmp_path):
                     + TINY_SETS) == 0
     assert main(["report", "--runs", str(runs), "--threshold", "20", "--window", "10"]) == 0
     assert main(["sweep", "--lengths", "2,4", "--seeds", "0,1", "--mode", "gan",
-                 "--out", str(tmp_path / "sweep")] + TINY_SETS) == 0
+                 "--out", str(tmp_path / "sweep")] + SWEEP_SETS) == 0
     tables = sorted(tmp_path.rglob("*.csv"))
     assert {p.name for p in tables} >= {
         "curve_egan_0.csv", "gan_losses_egan_0.csv", "kl_history_egan_0.csv",
@@ -337,9 +338,26 @@ def test_sweep_failed_aggregation_keeps_trained_curves(tmp_path, capsys):
 def test_sweep_bad_lists_exit_2_before_any_run(tmp_path, capsys, monkeypatch, lists):
     monkeypatch.setattr(harness, "run_experiment", never_called)
     code = main(["sweep", "--mode", "gan", "--out", str(tmp_path / "sweep")] + lists
-                + TINY_SETS)
+                + SWEEP_SETS)
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("key,flag", [("seed", "--seeds"), ("pretrain_episodes", "--lengths")])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_sweep_rejects_the_keys_it_sets(tmp_path, capsys, monkeypatch, key, flag, source):
+    # each run's seed and pre-training length come from --seeds and
+    # --lengths; the same key given another way would be dropped unread
+    monkeypatch.setattr(harness, "run_experiment", never_called)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = 9\n")
+    given = ["--set", f"{key}=9"] if source == "set" else ["--config", str(cfg)]
+    code = main(["sweep", "--mode", "gan", "--lengths", "2", "--seeds", "0,1",
+                 "--out", str(tmp_path / "sweep")] + SWEEP_SETS + given)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: sweep takes {key} from {flag}, not from --set or --config\n")
     assert not (tmp_path / "sweep").exists()
 
 
@@ -353,7 +371,7 @@ def test_unusable_out_dir_exits_2_before_any_run(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(harness, "run_experiment", never_called)
     (tmp_path / taken).parent.mkdir(exist_ok=True)
     (tmp_path / taken).write_text("keep")
-    code = main(argv + ["--out", str(tmp_path / "out")] + TINY_SETS)
+    code = main(argv + ["--out", str(tmp_path / "out")] + SWEEP_SETS)
     assert code == 2
     assert "configuration error: output directory" in capsys.readouterr().err
     assert (tmp_path / taken).read_text() == "keep"

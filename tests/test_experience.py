@@ -176,42 +176,83 @@ def rngs_from(seed, k):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k)]
 
 
+def step_dones(states, actions):
+    """The done flag cartpole.step reports for each pooled row."""
+    return [cartpole.step(CartPoleState(*s), a)[1]
+            for s, a in zip(states.tolist(), actions.tolist())]
+
+
+def episodes_of(states, actions, lengths):
+    """run_episodes' pooled rows cut back into one (states, actions) per episode."""
+    cuts = np.cumsum(lengths)[:-1]
+    return list(zip(np.split(states, cuts), np.split(actions, cuts)))
+
+
+def last_successors(states, actions, lengths):
+    """The successor each episode's last step reaches, and whether it is done."""
+    return [cartpole.step(CartPoleState(*s[-1].tolist()), int(a[-1]))
+            for s, a in episodes_of(states, actions, lengths)]
+
+
+def assert_same_group(got, want):
+    """Two (states, actions, lengths) groups agree bit for bit."""
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got[2] == want[2]
+
+
 def test_episode_reward_sum_equals_length():
-    # the harness records len(episode) as the episode's reward: CartPole pays
+    # the harness records an episode's length as its reward: CartPole pays
     # 1.0 on every step, and the episode stops at its first done step
-    episode, = experience.run_episodes(uniform, [np.random.default_rng(4)], CAP)
-    dones = [cartpole.step(CartPoleState(*s), a)[1]
-             for s, a in zip(episode.states.tolist(), episode.actions.tolist())]
-    assert dones == episode.dones.tolist()
-    assert dones.index(True) == len(episode) - 1 > 0
+    states, actions, (length,) = experience.run_episodes(uniform, [np.random.default_rng(4)],
+                                                         CAP)
+    dones = step_dones(states, actions)
+    assert len(dones) == length == len(states)
+    assert dones.index(True) == length - 1 > 0
 
 
 def test_constant_action_topples_quickly():
     # g = -1e300 is below every threshold a draw in [0, 1) gives (the lowest
     # is about -36.7), so the episode always pushes left
-    episode, = experience.run_episodes(lambda s: np.full(len(s), -1e300),
-                                       [np.random.default_rng(11)], CAP)
-    assert len(episode) < 200
-    assert np.all(episode.actions == 0)
-    assert episode.dones[-1]
-    assert not episode.dones[:-1].any()
+    states, actions, (length,) = experience.run_episodes(
+        lambda s: np.full(len(s), -1e300), [np.random.default_rng(11)], CAP)
+    assert length < 200
+    assert np.all(actions == 0)
+    assert step_dones(states, actions) == [False] * (length - 1) + [True]
 
 
 def test_episode_determinism():
-    e1 = experience.run_episodes(uniform, rngs_from(5, 4), CAP)
-    e2 = experience.run_episodes(uniform, rngs_from(5, 4), CAP)
-    assert len(e1) == len(e2) == 4
-    for a, b in zip(e1, e2):
-        assert_same(a, b)
+    g1 = experience.run_episodes(uniform, rngs_from(5, 4), CAP)
+    g2 = experience.run_episodes(uniform, rngs_from(5, 4), CAP)
+    assert len(g1[2]) == 4
+    assert_same_group(g1, g2)
 
 
-def test_episode_cap_marks_done():
+def test_episode_cap_ends_episode_without_terminal():
     # tiny cap so even a random policy reaches it; the cap truncates the
-    # episode, the pole has not fallen, so no row is done
-    episode, = experience.run_episodes(uniform, [np.random.default_rng(5)], 3)
-    assert len(episode) == 3
-    assert not is_terminal(episode.next_states[-1])
-    assert episode.dones.tolist() == [False, False, False]
+    # episode before the pole has fallen
+    states, actions, lengths = experience.run_episodes(uniform, [np.random.default_rng(5)], 3)
+    assert lengths == [3] and states.shape == (3, 4) and actions.shape == (3,)
+    (last, done), = last_successors(states, actions, lengths)
+    assert not done and not is_terminal(last)
+    assert step_dones(states, actions) == [False, False, False]
+
+
+def test_each_episode_replays_through_step():
+    # inside an episode every state is the step of the one before it, bit for
+    # bit, and an episode the cap did not cut ends on a step reported done
+    cap = 25
+    states, actions, lengths = experience.run_episodes(frozen_policy(), rngs_from(2, 12), cap)
+    assert len(lengths) == 12 and min(lengths) < cap == max(lengths)
+    assert states.dtype == np.float64 and actions.dtype == np.intp
+    assert len(states) == len(actions) == sum(lengths)
+    for (s, a), (_, done) in zip(episodes_of(states, actions, lengths),
+                                 last_successors(states, actions, lengths)):
+        for i in range(len(a) - 1):
+            nxt, _ = cartpole.step(CartPoleState(*s[i].tolist()), int(a[i]))
+            assert np.array(nxt).tobytes() == s[i + 1].tobytes()
+        assert done or len(a) == cap
 
 
 def forward_logit(net):
@@ -239,16 +280,21 @@ def test_slice_rows_are_views():
     assert np.shares_memory(part.states, t.states)
 
 
+def pooled(episodes):
+    """Per-episode (states, actions, lengths) groups pooled into one group."""
+    states, actions, lengths = zip(*episodes)
+    return np.concatenate(states), np.concatenate(actions), [n for ns in lengths for n in ns]
+
+
 class TestRunEpisodes:
     def test_one_group_equals_serial_groups(self):
-        # compare Transitions, never logits: the forward of k rows can differ
-        # from k one-row forwards in the last bits, an action cannot
+        # compare rows, never logits: the forward of k rows can differ from
+        # k one-row forwards in the last bits, an action cannot
         probs = frozen_policy()
         together = experience.run_episodes(probs, rngs_from(21, 5), CAP)
-        serial = [experience.run_episodes(probs, [rng], CAP)[0] for rng in rngs_from(21, 5)]
-        assert len({len(e) for e in together}) > 1  # the group really shrank
-        for a, b in zip(together, serial):
-            assert_same(a, b)
+        serial = pooled(experience.run_episodes(probs, [rng], CAP) for rng in rngs_from(21, 5))
+        assert len(set(together[2])) > 1  # the group really shrank
+        assert_same_group(together, serial)
 
     def test_one_forward_per_step_on_live_states(self):
         seen = []
@@ -257,8 +303,7 @@ class TestRunEpisodes:
             seen.append(states.shape)
             return np.zeros(len(states))
 
-        episodes = experience.run_episodes(logits, rngs_from(8, 5), CAP)
-        lengths = [len(e) for e in episodes]
+        _, _, lengths = experience.run_episodes(logits, rngs_from(8, 5), CAP)
         assert len(seen) == max(lengths)
         assert [shape[0] for shape in seen] == [
             sum(n > t for n in lengths) for t in range(max(lengths))
@@ -266,39 +311,35 @@ class TestRunEpisodes:
         assert all(shape[1] == 4 for shape in seen)
 
     def test_cap_truncates_some_episodes_only(self):
-        episodes = experience.run_episodes(uniform, rngs_from(2, 12), 25)
-        lengths = [len(e) for e in episodes]
+        group = experience.run_episodes(uniform, rngs_from(2, 12), 25)
+        lengths = group[2]
         assert max(lengths) == 25 and min(lengths) < 25
         truncated = 0
-        for e in episodes:
-            assert not e.dones[:-1].any()
-            # an episode ends on a terminal state unless the cap cut it short,
-            # and only a terminal last row is done
-            last = e.next_states[-1]
-            assert is_terminal(last) or len(e) == 25
-            assert e.dones[-1] == is_terminal(last)
-            truncated += not e.dones[-1]
-            assert np.array_equal(e.states[1:], e.next_states[:-1])
+        for n, (last, done) in zip(lengths, last_successors(*group)):
+            # an episode ends on a terminal state unless the cap cut it short
+            assert done == is_terminal(last)
+            assert done or n == 25
+            truncated += not done
         assert truncated > 0
 
     def test_action_frequency_follows_probability(self):
         # P(action 1) = 0.7, so P(action 0) = 0.3
-        episodes = experience.run_episodes(lambda s: np.full(len(s), np.log(0.7 / 0.3)),
-                                           rngs_from(6, 100), CAP)
-        actions = np.concatenate([e.actions for e in episodes])
+        _, actions, _ = experience.run_episodes(lambda s: np.full(len(s), np.log(0.7 / 0.3)),
+                                                rngs_from(6, 100), CAP)
         assert actions.size > 1000
         assert abs(np.mean(actions == 0) - 0.3) < 0.03
 
     def test_no_generators_no_episodes(self):
-        assert experience.run_episodes(uniform, [], CAP) == []
+        states, actions, lengths = experience.run_episodes(uniform, [], CAP)
+        assert states.shape == (0, 4) and actions.shape == (0,) and lengths == []
 
 
 def reference_run_episodes(probs_fn, rngs, max_steps):
     """The lockstep loop run_episodes replaced, kept verbatim: np.array over
     the CartPoleState NamedTuples, per-episode action lists, and action
-    int(u >= p0) for probs_fn's P(action 0).  Only its done rule
-    follows run_episodes: the last row is done only on a terminal successor,
-    not when the cap cut the episode short."""
+    int(u >= p0) for probs_fn's P(action 0).  It returns one Transitions
+    per episode; run_episodes pools their states and actions and returns
+    no next_states or dones."""
     paths = [[cartpole.reset(rng)] for rng in rngs]
     draws = [rng.random(max_steps).tolist() for rng in rngs]
     steps = [[] for _ in rngs]
@@ -353,11 +394,10 @@ class TestRunEpisodesMatchesReference:
         probs_fn = sigmoid_of(logit_fn)
         got = experience.run_episodes(logit_fn, rngs_from(40 + k, k), cap)
         want = reference_run_episodes(probs_fn, rngs_from(40 + k, k), cap)
-        assert len(got) == len(want) == k
-        for a, b in zip(got, want):
-            assert_same(a, b)
-            assert not a.states.flags.writeable
-            assert not a.next_states.flags.writeable
+        assert len(got[2]) == len(want) == k
+        assert_same_group(got, (np.concatenate([e.states for e in want]),
+                                np.concatenate([e.actions for e in want]),
+                                [len(e) for e in want]))
 
     def test_one_step_call_per_transition(self, monkeypatch):
         calls = []
@@ -368,8 +408,8 @@ class TestRunEpisodesMatchesReference:
             return step(*args)
 
         monkeypatch.setattr(cartpole, "step", counted)
-        episodes = experience.run_episodes(uniform, rngs_from(13, 7), CAP)
-        assert len(calls) == sum(len(e) for e in episodes) > 7
+        _, _, lengths = experience.run_episodes(uniform, rngs_from(13, 7), CAP)
+        assert len(calls) == sum(lengths) > 7
 
 
 def probability_rule(g, u):
@@ -410,9 +450,9 @@ class StubGenerator:
 def constant_logit_actions(g, draws):
     """The actions of one episode acting on logit g everywhere, one step per
     draw."""
-    episode, = experience.run_episodes(lambda s: np.full(len(s), g),
-                                       [StubGenerator(draws)], len(draws))
-    return episode.actions.tolist()
+    _, actions, _ = experience.run_episodes(lambda s: np.full(len(s), g),
+                                            [StubGenerator(draws)], len(draws))
+    return actions.tolist()
 
 
 class TestLogOddsRule:

@@ -29,13 +29,14 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-TINY_SETS = [
+# sweep sets pretrain_episodes itself, from --lengths
+SWEEP_SETS = [
     "--set", "training_episodes=60",
-    "--set", "pretrain_episodes=3",
     "--set", "gan_train_steps=20",
     "--set", "enhancer_train_steps=20",
     "--set", "synthetic_batches=5",
 ]
+TINY_SETS = SWEEP_SETS + ["--set", "pretrain_episodes=3"]
 
 # the CLI commands of each golden case; each writes into one output directory
 COMMANDS = {
@@ -140,7 +141,7 @@ def produce(name, out_dir) -> None:
     env = dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD)
     for argv in COMMANDS[name]:
         # a case's own --set follows TINY_SETS, so it wins
-        extra = [] if argv[0] == "report" else TINY_SETS
+        extra = {"report": [], "sweep": SWEEP_SETS}.get(argv[0], TINY_SETS)
         args = argv[:1] + extra + argv[1:] + [OUT_FLAG[argv[0]], str(out_dir)]
         proc = subprocess.run([sys.executable, "-m", "egan.cli", *args], env=env,
                               capture_output=True, text=True)

@@ -13,7 +13,7 @@ from egan.errors import ConfigError, CsvParseError, UsageError
 from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
 
-from test_experience import assert_same, forward_logit
+from test_experience import assert_same, forward_logit, pooled
 from test_golden import TINY_SETS
 
 
@@ -181,15 +181,17 @@ class TestRunExperiment:
         agent = policy.make_agent(np.random.default_rng(agent_ss))
         lengths, pending = [], []
         for ss in train_ss.spawn(cfg.total_episodes()):
-            episode, = experience.run_episodes(
+            episode = experience.run_episodes(
                 forward_logit(agent.net), [np.random.default_rng(ss)], cfg.env_max_steps)
-            lengths.append(len(episode))
+            lengths += episode[2]
             pending.append(episode)
             if len(pending) == harness.EPISODES_PER_UPDATE:
-                policy.update_on_episodes(agent, pending)
+                policy.update_on_episodes(agent, *pooled(pending))
                 pending = []
         assert agent.opt.t == cfg.total_episodes() // harness.EPISODES_PER_UPDATE > 1
-        assert curve.rewards.tolist() == lengths
+        assert curve.rewards.dtype == np.float64 and curve.rewards.tolist() == lengths
+        assert curve.cumulative_samples.dtype == np.int64
+        assert curve.cumulative_samples.tolist() == np.cumsum(lengths).tolist()
         assert np.array_equal(trained.net.params, agent.net.params)
 
     @pytest.mark.parametrize("mode", ["none", "gan", "egan"])

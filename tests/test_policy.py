@@ -11,7 +11,7 @@ from egan.cartpole import CartPoleState
 from egan.errors import ShapeError, UsageError
 from egan.experience import Transitions
 
-from test_experience import EDGE_DRAWS, forward_logit
+from test_experience import EDGE_DRAWS, assert_same_group, forward_logit, last_successors
 from test_nn import fd_param_gradient, max_rel_err, same_bytes
 
 
@@ -150,8 +150,7 @@ class TestSelectAction:
         agent.net.weights[0][:] = 0.0
         agent.net.biases[0][:] = [1.0, 0.0]
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(77).spawn(300)]
-        episodes = experience.run_episodes(lambda s: logit_of(agent, s), rngs, 200)
-        actions = np.concatenate([e.actions for e in episodes])
+        _, actions, _ = experience.run_episodes(lambda s: logit_of(agent, s), rngs, 200)
         assert actions.size > 3000
         assert abs(np.mean(actions == 0) - 0.7310585786300049) < 0.02
 
@@ -162,9 +161,7 @@ class TestSelectAction:
             rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(5)]
             return experience.run_episodes(lambda s: logit_of(agent, s), rngs, 200)
 
-        for a, b in zip(play(), play()):
-            assert np.array_equal(a.actions, b.actions)
-            assert np.array_equal(a.states, b.states)
+        assert_same_group(play(), play())
 
 
 def reference_discounted_returns(rewards, gamma):
@@ -238,14 +235,12 @@ class TestDiscountedReturns:
             assert table[k] == 1.0 + gamma * table[k - 1]
 
 
-def make_trace(rng, n_steps):
-    states = rng.uniform(-0.5, 0.5, size=(n_steps + 1, 4))
-    return Transitions(
-        states=states[:-1],
-        actions=rng.integers(0, 2, size=n_steps).astype(np.intp),
-        next_states=states[1:],
-        dones=np.arange(n_steps) == n_steps - 1,
-    )
+def make_group(rng, lengths):
+    """Random pooled rows of episodes of the given lengths, as
+    experience.run_episodes returns a group."""
+    n = sum(lengths)
+    return (rng.uniform(-0.5, 0.5, size=(n, 4)),
+            rng.integers(0, 2, size=n).astype(np.intp), list(lengths))
 
 
 def step_gradient(agent, states, actions, weights):
@@ -265,22 +260,34 @@ class TestUpdateOnEpisodes:
         # gamma=0 makes every return equal to the constant reward
         agent.gamma = 0.0
         before = agent.net.params.copy()
-        policy.update_on_episodes(agent, [make_trace(rng, 6), make_trace(rng, 4)])
+        policy.update_on_episodes(agent, *make_group(rng, [6, 4]))
         assert np.array_equal(agent.net.params, before)
 
     def test_empty_accumulator_rejected(self):
         agent = policy.make_agent(np.random.default_rng(1))
         with pytest.raises(UsageError):
-            policy.update_on_episodes(agent, [])
+            policy.update_on_episodes(agent, *make_group(np.random.default_rng(2), []))
 
     def test_empty_episode_rejected(self):
         # without the check, table[-1::-1] would hand it the whole table
         agent = policy.make_agent(np.random.default_rng(1))
         rng = np.random.default_rng(2)
         before = agent.net.params.copy()
-        for episodes in ([make_trace(rng, 0)], [make_trace(rng, 5), make_trace(rng, 0)]):
+        for lengths in ([0], [5, 0]):
             with pytest.raises(UsageError):
-                policy.update_on_episodes(agent, episodes)
+                policy.update_on_episodes(agent, *make_group(rng, lengths))
+        assert same_bytes(agent.net.params, before) and agent.opt.t == 0
+
+    @pytest.mark.parametrize("n_states,n_actions,lengths", [
+        (9, 9, [4, 4]), (10, 9, [4, 5]), (9, 10, [4, 5]),
+        (10, 10, [1]),  # one return would broadcast over every row
+    ])
+    def test_rows_must_match_the_lengths(self, n_states, n_actions, lengths):
+        agent = policy.make_agent(np.random.default_rng(1))
+        states, actions, _ = make_group(np.random.default_rng(2), [10])
+        before = agent.net.params.copy()
+        with pytest.raises(ShapeError):
+            policy.update_on_episodes(agent, states[:n_states], actions[:n_actions], lengths)
         assert same_bytes(agent.net.params, before) and agent.opt.t == 0
 
     def test_mixed_lengths_match_the_reference_recursion(self):
@@ -290,17 +297,15 @@ class TestUpdateOnEpisodes:
         for group in range(3):
             rngs = [np.random.default_rng(s)
                     for s in np.random.SeedSequence(group).spawn(5)]
-            episodes = experience.run_episodes(policy.logit_function(agent.net), rngs, 25)
-            lengths = [len(e) for e in episodes]
+            states, actions, lengths = experience.run_episodes(
+                policy.logit_function(agent.net), rngs, 25)
             assert len(set(lengths)) > 1 and 25 in lengths
-            assert not all(e.dones[-1] for e in episodes)
-            policy.update_on_episodes(agent, episodes)
+            assert not all(done for _, done in last_successors(states, actions, lengths))
+            policy.update_on_episodes(agent, states, actions, lengths)
             returns = np.concatenate([reference_discounted_returns(np.ones(n), reference.gamma)
                                       for n in lengths])
-            reference_policy_gradient_step(
-                reference, np.concatenate([e.states for e in episodes]),
-                np.concatenate([e.actions for e in episodes]),
-                policy.normalize_weights(returns))
+            reference_policy_gradient_step(reference, states, actions,
+                                           policy.normalize_weights(returns))
             assert same_bytes(agent.net.params, reference.net.params)
             assert agent.opt.t == reference.opt.t == group + 1
             assert same_bytes(agent.opt.m, reference.opt.m)
@@ -354,10 +359,8 @@ class TestUpdateOnEpisodes:
         for shift in (0.0, 100.0):
             agent = policy.make_agent(np.random.default_rng(6))
             rng = np.random.default_rng(7)
-            traces = [make_trace(rng, 5), make_trace(rng, 8)]
-            states = np.concatenate([t.states for t in traces])
-            actions = np.concatenate([t.actions for t in traces])
-            returns = np.concatenate([episode_returns(len(t), agent.gamma) for t in traces])
+            states, actions, lengths = make_group(rng, [5, 8])
+            returns = np.concatenate([episode_returns(n, agent.gamma) for n in lengths])
             grads.append(step_gradient(agent, states, actions,
                                        policy.normalize_weights(returns + shift)))
         assert np.abs(grads[0]).max() > 1e-3
