@@ -49,8 +49,7 @@ def make_enhancer(
 
 
 def predict(model: EnhancerModel, x1: np.ndarray) -> np.ndarray:
-    out, _ = nn.forward(model.net, x1)
-    return out
+    return nn.predict(model.net, x1)
 
 
 def train_enhancer(
@@ -156,4 +155,7 @@ def egan_refine(
         history.append(kl)
         grads, _ = nn.backward(gan.g, cache, grad, inputs=False)
         nn.optimizer_step(gan.g, grads, opt)
+        # freed before the next round draws its noise, so two rounds' arrays
+        # are never alive at once
+        del z, g_out, cache, grad
     return history

@@ -133,40 +133,57 @@ def collect_random(n_episodes: int, rng: np.random.Generator, max_steps: int) ->
     Each child draws its reset state, then max_steps uniforms u, as in
     run_episodes; step t pushes right iff u_t >= 0.5, which is run_episodes'
     rule at g = 0 (the sign of 0.5 - u is exact).  Rows come back
-    episode-major, and only a terminal successor makes a row done.
+    episode-major.  Each step keeps only the live episode ids and their
+    successors; after the last step the successors are scattered once into
+    episode-major rows, episode e's step t at row starts[e] + t.  The states
+    are the successors shifted down one row, with each episode's reset state
+    at its start, the actions are read from the push table, and the dones
+    come from cartpole.terminal on the successors, as in decode_batch: only
+    a terminal successor makes a row done.
     """
     if n_episodes < 1:
         raise UsageError(f"n_episodes must be >= 1, got {n_episodes}")
     children = rng.spawn(n_episodes)
-    states = np.array([cartpole.reset(child) for child in children])
+    resets = np.array([cartpole.reset(child) for child in children])
     pushes = np.array([child.random(max_steps) >= 0.5 for child in children])
-    live, steps = np.arange(n_episodes), []  # per step: episode, s, a, s', done
+    live, states, steps = np.arange(n_episodes), resets, []  # per step: ids, s'
+    lengths = np.zeros(n_episodes, np.intp)
     for t in range(max_steps):
         if not len(live):
             break
-        actions = pushes[live, t]
-        next_states, dones = cartpole.step_batch(states, actions)
-        steps.append((live, states, actions, next_states, dones))
+        next_states, dones = cartpole.step_batch(states, pushes[live, t])
+        steps.append((live, next_states))
+        lengths[live] = t + 1
         live, states = live[~dones], next_states[~dones]
-    episode, *columns = (np.concatenate(column) for column in zip(*steps))
-    order = np.argsort(episode, kind="stable")
-    states, actions, next_states, dones = (column[order] for column in columns)
-    return Transitions(states, actions.astype(np.intp), next_states, dones)
+    starts = np.cumsum(lengths) - lengths
+    next_states = np.empty((starts[-1] + lengths[-1], 4))
+    for t, (ids, successors) in enumerate(steps):
+        next_states[starts[ids] + t] = successors
+    del steps
+    states = np.empty_like(next_states)
+    states[1:] = next_states[:-1]
+    states[starts] = resets
+    actions = pushes[np.arange(max_steps) < lengths[:, None]].astype(np.intp)
+    return Transitions(states, actions, next_states, cartpole.terminal(next_states))
 
 
 def compute_stats(transitions: Transitions) -> NormalizationStats:
     if not len(transitions):
         raise UsageError("cannot compute normalization stats of an empty buffer")
-    states = np.concatenate([transitions.states, transitions.next_states])
-    return NormalizationStats(states.min(axis=0), states.max(axis=0))
+    states, next_states = transitions.states, transitions.next_states
+    return NormalizationStats(np.minimum(states.min(axis=0), next_states.min(axis=0)),
+                              np.maximum(states.max(axis=0), next_states.max(axis=0)))
 
 
-def _scale(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+def _scale(values: np.ndarray, stats: NormalizationStats) -> None:
+    """2 (v - lo) / span - 1 in place in values, on the dims with a positive span."""
     lo, hi = stats.state_min, stats.state_max
     span = hi - lo
     ok = span > 0
-    out = np.where(ok, 2.0 * (values - lo) / np.where(ok, span, 1.0) - 1.0, values)
-    return out
+    np.subtract(values, lo, out=values, where=ok)
+    np.multiply(2.0, values, out=values, where=ok)
+    np.divide(values, span, out=values, where=ok)
+    np.subtract(values, 1.0, out=values, where=ok)
 
 
 def _unscale(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -179,9 +196,11 @@ def _unscale(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
 def encode_batch(transitions: Transitions, stats: NormalizationStats) -> np.ndarray:
     """Transitions -> (n, 9); zero-range state dims pass through unscaled."""
     out = np.empty((len(transitions), ENCODED_DIM))
-    out[:, 0:4] = _scale(transitions.states, stats)
+    out[:, 0:4] = transitions.states
     out[:, 4] = np.where(transitions.actions == 1, 1.0, -1.0)
-    out[:, SA_DIM:] = _scale(transitions.next_states, stats)
+    out[:, SA_DIM:] = transitions.next_states
+    _scale(out[:, 0:4], stats)
+    _scale(out[:, SA_DIM:], stats)
     return out
 
 

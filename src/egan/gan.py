@@ -129,6 +129,5 @@ def train_gan(
 
 def generate_encoded(gan: GanPair, n: int, rng: np.random.Generator) -> np.ndarray:
     """G(z) for n >= 1 fresh noise rows."""
-    out, _ = nn.forward(gan.g, sample_noise(rng, n, gan.noise_dim))
-    return out
+    return nn.predict(gan.g, sample_noise(rng, n, gan.noise_dim))
 

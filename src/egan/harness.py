@@ -40,8 +40,11 @@ DEFAULT_SEEDS = tuple(range(10))
 DEFAULT_THRESHOLD = 120.0  # the pre-registered r*, in rolling-average reward
 CURVE_HEADER = "episode,reward,cumulative_samples"
 _CURVE_RE = re.compile(r"curve_(?P<mode>[a-z]+)_(?P<seed>\d+)\.csv$")
-# synthetic batches per generator call; 64 ran no faster and raised peak RSS
-# by 2 MB, from the 4096-row generator activations
+# synthetic batches per generator call.  At 64, synthetic_replay (bench/run.py
+# pairs) read peak RSS 1.1 MB higher, 39.9 against 38.7 MB, from
+# decode_batch's float64 columns of the 4,096-row chunk (0.91 MB traced
+# against 0.25 MB at 1,024 rows), and run_s 8 % lower, inside the spread of
+# the runs at 16
 SYNTHETIC_CHUNK_BATCHES = 16
 EPISODES_PER_UPDATE = 5  # the paper's policy update frequency
 
@@ -103,7 +106,8 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
         raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
     buffer = experience.collect_random(config.pretrain_episodes, rng, config.env_max_steps)
     stats = experience.compute_stats(buffer)
-    encoded = experience.encode_batch(buffer, stats)
+    # the one copy both trainers read: they take their rows in gan.DTYPE
+    encoded = experience.encode_batch(buffer, stats).astype(gan.DTYPE)
 
     pair = gan.make_gan(rng)
     model = None
@@ -115,8 +119,12 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
     if model is not None:
         enhancer_history = enhancer.train_enhancer(
             model, encoded, config.enhancer_train_steps, rng, batch_size=pair.batch_size)
+    # freed before the refinement, whose 6,000-row generator pass sets peak
+    # RSS in egan mode (in gan mode the cast above sets it: the synthetic
+    # phase's predict chunks stay below it)
+    del encoded
+    if model is not None:
         kl_history = enhancer.egan_refine(pair, model, rng)
-    del encoded  # freed before the synthetic phase, whose generator chunks set peak RSS
     useful_synthetic_batches = policy.pretrain_on_synthetic(
         agent,
         _synthetic_batches(pair, stats, config, rng),

@@ -37,6 +37,15 @@ place in the layer's pre-activation buffer, so one array is allocated per layer;
 The sigmoid ignores the overflow of ``exp(-z)``, which float32 reaches at
 z < -88.7 (float64 at -709.8): the quotient is then the exact limit 0.
 
+A :class:`ForwardCache` holds only the activations backward reads (Chen et
+al. 2016, arXiv:1604.06174), and one :func:`backward` spends it: backward
+pops each layer's activation as it goes, writes a tanh layer's dz into that
+activation's buffer and drops each incoming gradient once dz is made, so a
+second backward on the cache raises UsageError.  Inference that never
+backpropagates (generated rows, the enhancer's targets) calls
+:func:`predict`, which keeps no cache and runs the rows in fixed blocks of
+PREDICT_ROWS, so at most one block's activations are alive.
+
 Row and column reductions call the ufunc's ``reduce`` directly
 (``np.add.reduce``, ``np.maximum.reduce``).  ``ndarray.sum``/``.max`` make
 that same call through Python-level wrappers that cost microseconds per
@@ -60,6 +69,7 @@ ACTIVATIONS = ("tanh", "sigmoid", "softmax", "identity")
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
+PREDICT_ROWS = 1024  # rows per block of predict; see its docstring
 
 
 @dataclass
@@ -98,7 +108,7 @@ class MlpNetwork:
 
 @dataclass
 class ForwardCache:
-    """Activations recorded by :func:`forward`, consumed by :func:`backward`."""
+    """Activations recorded by :func:`forward`, spent by one :func:`backward`."""
 
     inputs: np.ndarray
     post: list[np.ndarray]  # post-activation output of every layer
@@ -172,17 +182,42 @@ def input_batch(net: MlpNetwork, inputs) -> np.ndarray:
     return x
 
 
-def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Batch forward pass; returns outputs and the cache backward() needs."""
-    x = input_batch(net, inputs)
-    post = []
+def _layer_outputs(net: MlpNetwork, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Each layer's post-activation output for the 2-D batch x, first to last."""
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
         z = np.dot(h, w.T)
         z += b
         h = _activate(act, z)
-        post.append(h)
-    return h, ForwardCache(inputs=x, post=post)
+        yield h
+
+
+def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Batch forward pass; returns outputs and the cache backward() needs."""
+    x = input_batch(net, inputs)
+    post = list(_layer_outputs(net, x))
+    return post[-1], ForwardCache(inputs=x, post=post)
+
+
+def predict(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
+    """forward's outputs, without a cache: inference for the callers that
+    never backpropagate.
+
+    Rows run in blocks of PREDICT_ROWS, so only one block's activations are
+    alive at a time.  The outputs equal forward's bit for bit at the row
+    counts the program uses (tests/test_nn.py checks them), but splitting a
+    batch is not bit-identical in general: BLAS picks its kernel by the row
+    count, and blocks under 48 rows, 1,071 rows run as 1,024 + 47, or D at
+    4,095 rows run as 2,047 + 2,048 all gave other bits.  Keep the block
+    size fixed.
+    """
+    x = input_batch(net, inputs)
+    out = np.empty((x.shape[0], net.layer_sizes[-1]), dtype=net.params.dtype)
+    for start in range(0, x.shape[0], PREDICT_ROWS):
+        for h in _layer_outputs(net, x[start : start + PREDICT_ROWS]):
+            pass  # each layer's output is dropped once the next one is made
+        out[start : start + PREDICT_ROWS] = h
+    return out
 
 
 def backward(
@@ -199,27 +234,36 @@ def backward(
     ``net.params``, plus the gradient w.r.t. the inputs (needed to chain the
     discriminator into the generator).  ``params=False`` or ``inputs=False``
     skips that gradient's work and returns ``None`` in its slot.
+
+    Spends the cache: each layer's activation leaves ``cache.post`` as it is
+    used, and a tanh layer's dz is written over its activation, so forward's
+    output is overwritten when the last layer is tanh (and output_gradient
+    must not be that output).  A second backward on the same cache raises
+    UsageError.
     """
-    if len(cache.post) != net.n_layers:
+    post = cache.post
+    if not post:
+        raise UsageError("cache already spent by an earlier backward")
+    if len(post) != net.n_layers:
         raise UsageError("cache does not match this network")
     g = output_gradient
     dtype = net.params.dtype
     if not (type(g) is np.ndarray and g.dtype == dtype and g.ndim == 2):
         g = np.atleast_2d(np.asarray(output_gradient, dtype=dtype))
-    if g.shape != cache.post[-1].shape:
+    if g.shape != post[-1].shape:
         raise UsageError(
             f"output_gradient shape {g.shape} does not match forward output "
-            f"{cache.post[-1].shape}"
+            f"{post[-1].shape}"
         )
     grad = np.empty_like(net.params) if params else None
     end = net.params.size  # layers run last to first, so their blocks do too
     for i in range(net.n_layers - 1, -1, -1):
         w = net.weights[i]
         start = end - w.size - w.shape[0]
-        y = cache.post[i]
+        y = post.pop()
         act = net.activations[i]
-        if act == "tanh":  # g * (1 - y * y)
-            dz = y * y
+        if act == "tanh":  # g * (1 - y * y), in y's buffer
+            dz = np.multiply(y, y, out=y)
             np.subtract(1.0, dz, out=dz)
             dz *= g
         elif act == "sigmoid":
@@ -228,14 +272,15 @@ def backward(
             dz = y * (g - np.add.reduce(g * y, axis=1, keepdims=True))
         else:  # identity
             dz = g
+        g = None  # used: dropped before the next layer's gradient is allocated
         if params:
-            h_prev = cache.inputs if i == 0 else cache.post[i - 1]
+            h_prev = post[-1] if i > 0 else cache.inputs
             np.dot(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
             np.add.reduce(dz, axis=0, out=grad[start + w.size : end])
         if i > 0 or inputs:
             g = np.dot(dz, w)
         end = start
-    return grad, (g if inputs else None)
+    return grad, g
 
 
 @dataclass

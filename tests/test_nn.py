@@ -31,6 +31,11 @@ def fd_param_gradient(net, inputs, loss_weights, h=1e-5):
     return grad
 
 
+def fresh_cache(net, x):
+    """A new forward pass's cache: backward spends the cache it is given."""
+    return nn.forward(net, x)[1]
+
+
 def max_rel_err(a, b, floor=1e-8):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
@@ -222,9 +227,8 @@ class TestBackward:
         net = nn.init_network([3, 4, 2], ["tanh", "identity"], np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(5, 3))
         g = np.random.default_rng(10).normal(size=(5, 2))
-        _, cache = nn.forward(net, x)
-        g1 = nn.backward(net, cache, g)[0]
-        g2 = nn.backward(net, cache, 2.5 * g)[0]
+        g1 = nn.backward(net, fresh_cache(net, x), g)[0]
+        g2 = nn.backward(net, fresh_cache(net, x), 2.5 * g)[0]
         assert np.allclose(2.5 * g1, g2, rtol=1e-12, atol=1e-12)
 
     def test_mismatched_cache_raises(self):
@@ -378,33 +382,33 @@ class TestBackwardFlags:
         sizes, acts = NET_SHAPES[request.param]
         rng = np.random.default_rng(50)
         net = nn.init_network(sizes, acts, rng)
-        out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(64, sizes[0])))
-        return net, cache, rng.normal(size=out.shape)
+        x = rng.uniform(-1.0, 1.0, size=(64, sizes[0]))
+        return net, x, rng.normal(size=(64, sizes[-1]))
 
     def test_params_off(self, setup):
-        net, cache, g = setup
-        _, gin_full = nn.backward(net, cache, g)
-        grad, gin = nn.backward(net, cache, g, params=False)
+        net, x, g = setup
+        _, gin_full = nn.backward(net, fresh_cache(net, x), g)
+        grad, gin = nn.backward(net, fresh_cache(net, x), g, params=False)
         assert grad is None
         assert np.array_equal(gin, gin_full)
 
     def test_inputs_off(self, setup):
-        net, cache, g = setup
-        grad_full, _ = nn.backward(net, cache, g)
-        grad, gin = nn.backward(net, cache, g, inputs=False)
+        net, x, g = setup
+        grad_full, _ = nn.backward(net, fresh_cache(net, x), g)
+        grad, gin = nn.backward(net, fresh_cache(net, x), g, inputs=False)
         assert gin is None
         assert np.array_equal(grad, grad_full)
 
     def test_output_gradient_left_untouched(self, setup):
-        net, cache, g = setup
+        net, x, g = setup
         before = g.copy()
-        nn.backward(net, cache, g)
+        nn.backward(net, fresh_cache(net, x), g)
         assert np.array_equal(g, before)
 
     def test_flags_are_keyword_only(self, setup):
-        net, cache, g = setup
+        net, x, g = setup
         with pytest.raises(TypeError):
-            nn.backward(net, cache, g, False)
+            nn.backward(net, fresh_cache(net, x), g, False)
 
 
 def reference_softmax(z):
@@ -477,11 +481,12 @@ class TestReductionsMatchReference:
         # each net as the pipeline builds it, and with a softmax head
         for head in dict.fromkeys([acts[-1], "softmax"]):
             net = nn.init_network(sizes, acts[:-1] + [head], rng)
-            out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(rows, sizes[0])))
-            g = rng.normal(size=out.shape)
+            x = rng.uniform(-1.0, 1.0, size=(rows, sizes[0]))
+            g = rng.normal(size=(rows, sizes[-1]))
             for params, inputs in FLAGS:
-                got = nn.backward(net, cache, g, params=params, inputs=inputs)
+                cache = fresh_cache(net, x)
                 want = reference_backward(net, cache, g, params=params, inputs=inputs)
+                got = nn.backward(net, cache, g, params=params, inputs=inputs)
                 assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
     @pytest.mark.parametrize("convert", [
@@ -493,8 +498,63 @@ class TestReductionsMatchReference:
         net = nn.init_network(sizes, acts, rng)
         out, cache = nn.forward(net, rng.uniform(-1.0, 1.0, size=(1, sizes[0])))
         g = convert(rng.normal(size=out.shape))
-        got, want = nn.backward(net, cache, g), reference_backward(net, cache, g)
+        want = reference_backward(net, cache, g)  # first: backward spends the cache
+        got = nn.backward(net, cache, g)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+class TestSpentCache:
+    """backward spends its cache; a check that fails first leaves it intact."""
+
+    @pytest.mark.parametrize("name", sorted(NET_SHAPES))
+    def test_second_backward_on_a_cache_raises(self, name):
+        sizes, acts = NET_SHAPES[name]
+        net = nn.init_network(sizes, acts, np.random.default_rng(11))
+        out, cache = nn.forward(net, np.random.default_rng(12).normal(size=(4, sizes[0])))
+        g = np.ones_like(out)
+        nn.backward(net, cache, g)
+        assert cache.post == []
+        for flags in FLAGS:
+            with pytest.raises(UsageError, match="spent"):
+                nn.backward(net, cache, g, params=flags[0], inputs=flags[1])
+
+    def test_failed_check_leaves_the_cache_usable(self):
+        net = nn.init_network([3, 5, 2], ["tanh", "softmax"], np.random.default_rng(2))
+        x = np.random.default_rng(4).normal(size=(2, 3))
+        cache = fresh_cache(net, x)
+        with pytest.raises(UsageError):
+            nn.backward(net, cache, np.zeros((3, 2)))
+        got = nn.backward(net, cache, np.ones((2, 2)))
+        want = nn.backward(net, fresh_cache(net, x), np.ones((2, 2)))
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+# (net, rows) as the program predicts: the refinement's enhancer targets,
+# and G's synthetic chunks and probe rows; D and the float64 policy net at
+# the same counts
+PREDICT_CASES = [("enh", 6000), *((name, rows) for name in ("d", "g", "pi")
+                                  for rows in (1, 64, 1024, 2000))]
+
+
+class TestPredict:
+    """predict's PREDICT_ROWS blocks give forward's output bit for bit."""
+
+    @pytest.mark.parametrize("name, rows", PREDICT_CASES)
+    def test_equals_forward(self, name, rows):
+        sizes, acts = NET_SHAPES[name]
+        dtype = np.float64 if name == "pi" else np.float32
+        rng = np.random.default_rng(rows)
+        net = nn.init_network(sizes, acts, rng, dtype)
+        wide = rng.uniform(-1.0, 1.0, size=(rows, sizes[0] + 4)).astype(dtype)
+        # contiguous rows, and a column slice as kl_penalty passes the enhancer
+        for x in (np.ascontiguousarray(wide[:, :sizes[0]]), wide[:, :sizes[0]]):
+            got = nn.predict(net, x)
+            assert same_bytes(got, nn.forward(net, x)[0])
+
+    def test_checks_the_input_width(self):
+        net = nn.init_network([3, 2], ["identity"], np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            nn.predict(net, np.zeros((2, 4)))
 
 
 class TestCopyAndPickle:
@@ -556,12 +616,14 @@ class TestFlatParameters:
         x = rng.uniform(-1.0, 1.0, size=(64, sizes[0]))
         out, cache = nn.forward(net, x)
         g_out = rng.normal(size=out.shape)
+        # the last layer's gradient by hand, before backward spends the
+        # cache: dz = g * (1 - y^2)
+        dz = g_out * (1.0 - out * out)
+        want_w, want_b = dz.T @ cache.post[-2], dz.sum(axis=0)
         grad, _ = nn.backward(net, cache, g_out)
         grad_w, grad_b = split_like_layers(sizes, grad)
-        # the last layer's gradient by hand: dz = g * (1 - y^2)
-        dz = g_out * (1.0 - out * out)
-        assert np.array_equal(grad_w[-1], dz.T @ cache.post[-2])
-        assert np.array_equal(grad_b[-1], dz.sum(axis=0))
+        assert np.array_equal(grad_w[-1], want_w)
+        assert np.array_equal(grad_b[-1], want_b)
 
     def _assert_views(self, net):
         assert net.params.ndim == 1 and net.params.dtype == np.float64
@@ -700,10 +762,11 @@ class TestFloat32Networks:
         x = rng.uniform(-1.0, 1.0, size=(64, sizes[0])).astype(np.float32)
         out32, cache32 = nn.forward(net, x)
         out64, cache64 = nn.forward(float64_copy(net), x)
+        outputs = out32.copy(), out64.copy()  # backward writes dz over a tanh output
         g = rng.normal(size=out32.shape).astype(np.float32)
         got = nn.backward(net, cache32, g)
         want = nn.backward(float64_copy(net), cache64, g)
-        for a, b in ((out32, out64), *zip(got, want)):
+        for a, b in (outputs, *zip(got, want)):
             assert np.abs(a - b).max() <= F32_TOL * np.abs(b).max()
 
 
