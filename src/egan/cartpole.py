@@ -3,13 +3,14 @@
 Pure state-in/state-out functions: the only stochasticity is the reset draw
 and whatever policy drives the episode.  The physics are CartPole-v0's
 constants below; no function takes an environment argument, and the episode
-cap is the caller's int (egan.experience).  step_batch steps (n, 4) rows as
-columns, bit for bit as step; terminal is the vectorised limit test.
+cap is the caller's int (egan.experience).  step and step_batch share one
+formula, _successor, of IEEE multiplies, adds and divides, so step_batch
+steps (n, 4) rows as columns bit for bit as step; terminal is the
+vectorised limit test.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 import math
@@ -39,7 +40,7 @@ class CartPoleState(NamedTuple):
     theta_dot: float
 
 
-def EnvParams(**_):
+def EnvParams(max_steps):
     """Returns None.  bench/probes.py still builds one, outside its guarded
     probes; nothing in egan calls this.  Delete it when the probes are ported
     to the column API (ROADMAP item 6)."""
@@ -55,18 +56,29 @@ def terminal(states: np.ndarray) -> np.ndarray:
     return (np.abs(states[:, 0]) > X_LIMIT) | (np.abs(states[:, 2]) > THETA_LIMIT)
 
 
+def _successor(x, x_dot, theta, theta_dot, force, cos_t, sin_t):
+    """The four successor components, semi-explicit Euler with the old
+    derivatives: positions advance on the current velocities, velocities on
+    the accelerations.  Only IEEE multiplies, adds and divides, in the
+    operand order of Gym's attribute-access form, with each square written
+    as v * v, so Python floats and float64 columns give the same bits."""
+    temp = (force + POLEMASS_LENGTH * (theta_dot * theta_dot) * sin_t) / TOTAL_MASS
+    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+        POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * (cos_t * cos_t) / TOTAL_MASS)
+    )
+    x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
+    return (x + TAU * x_dot, x_dot + TAU * x_acc,
+            theta + TAU * theta_dot, theta_dot + TAU * theta_acc)
+
+
 def step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
     """One transition -> (next state, done); CartPole pays 1.0 on every step,
     the last included, so no reward is returned.
 
-    Semi-explicit Euler with the old derivatives: positions advance on the
-    current velocities, velocities advance on the accelerations.
-
-    This is the rollout's inner loop, so the body unpacks the state once,
-    builds the successor with tuple.__new__ (no NamedTuple keyword handling)
-    and tests both limits inline, as terminal does.  Every float expression
-    keeps the operand order of Gym's attribute-access form, so each result
-    is bit-identical to it.
+    _successor on math.cos and math.sin.  This is the rollout's inner loop,
+    so the body unpacks the state once, builds the successor with
+    tuple.__new__ (no NamedTuple keyword handling) and tests both limits
+    inline, as terminal does.
     """
     if action not in (0, 1):
         raise UsageError(f"action must be 0 or 1, got {action!r}")
@@ -74,43 +86,21 @@ def step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
     if abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT:
         raise UsageError("cannot step a terminated episode")
     force = FORCE_MAG if action == 1 else -FORCE_MAG
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    temp = (force + POLEMASS_LENGTH * theta_dot**2 * sin_t) / TOTAL_MASS
-    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-        POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t**2 / TOTAL_MASS)
-    )
-    x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-    x_next = x + TAU * x_dot
-    theta_next = theta + TAU * theta_dot
-    nxt = tuple.__new__(
-        CartPoleState,
-        (x_next, x_dot + TAU * x_acc, theta_next, theta_dot + TAU * theta_acc),
-    )
-    return nxt, abs(x_next) > X_LIMIT or abs(theta_next) > THETA_LIMIT
+    nxt = tuple.__new__(CartPoleState, _successor(
+        x, x_dot, theta, theta_dot, force, math.cos(theta), math.sin(theta)))
+    return nxt, abs(nxt[0]) > X_LIMIT or abs(nxt[2]) > THETA_LIMIT
 
 
 def step_batch(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """step on every row: (n, 4) float64 states and n actions (bool or 0/1,
     true pushes right) -> ((n, 4) next states, (n,) dones).
 
-    step's float expressions in its operand order, on columns; squares go
-    through Python's float ** 2 (libm pow), which rounds differently from
-    np.square about once in a thousand.  Bit-identical to step while np.cos
-    and np.sin agree with math's.  A row that starts terminal is stepped
-    too, with no UsageError; a caller that must skip it masks by terminal.
+    _successor on columns, so bit-identical to step while np.cos and
+    np.sin agree with math's.  A row that starts terminal is stepped too,
+    with no UsageError; a caller that must skip it masks by terminal.
     """
     x, x_dot, theta, theta_dot = states.T
     force = np.where(actions, FORCE_MAG, -FORCE_MAG)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    theta_dot_sq, cos_sq = (np.fromiter(map(pow, v.tolist(), repeat(2)), np.float64, len(v))
-                            for v in (theta_dot, cos_t))
-    temp = (force + POLEMASS_LENGTH * theta_dot_sq * sin_t) / TOTAL_MASS
-    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-        POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_sq / TOTAL_MASS)
-    )
-    x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-    nxt = np.column_stack((x + TAU * x_dot, x_dot + TAU * x_acc,
-                           theta + TAU * theta_dot, theta_dot + TAU * theta_acc))
+    nxt = np.column_stack(_successor(x, x_dot, theta, theta_dot, force,
+                                     np.cos(theta), np.sin(theta)))
     return nxt, terminal(nxt)

@@ -352,10 +352,16 @@ def load_curve_csv(path) -> LearningCurve:
             if len(parts) != 3:
                 raise CsvParseError(str(path), line_no, "expected 3 fields")
             try:
-                rewards.append(float(parts[1]))
-                cumulative.append(int(parts[2]))
+                reward, total = float(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise CsvParseError(str(path), line_no, str(exc)) from exc
+            # write_run's invariant; aggregate_runs interpolates on this column
+            if cumulative and total != cumulative[-1] + reward:
+                raise CsvParseError(str(path), line_no,
+                                    f"cumulative_samples {total} is not {cumulative[-1]} "
+                                    f"plus the reward {parts[1]}")
+            rewards.append(reward)
+            cumulative.append(total)
     if not rewards:
         raise CsvParseError(str(path), 2, "curve file has no data rows")
     # episode reward equals episode length, so the offset is recoverable

@@ -28,17 +28,17 @@ def is_terminal(state) -> bool:
 
 
 def reference_successor(state, action) -> CartPoleState:
-    """The attribute-access dynamics that the lean step replaced, kept
-    verbatim on V0, with no action or limit check."""
+    """Gym's attribute-access dynamics on V0, each square written as a
+    product, with no action or limit check."""
     force = V0.force_mag if action == 1 else -V0.force_mag
     cos_t = math.cos(state.theta)
     sin_t = math.sin(state.theta)
     total_mass = V0.mass_cart + V0.mass_pole
     polemass_length = V0.mass_pole * V0.pole_half_length
-    temp = (force + polemass_length * state.theta_dot**2 * sin_t) / total_mass
+    temp = (force + polemass_length * (state.theta_dot * state.theta_dot) * sin_t) / total_mass
     theta_acc = (V0.gravity * sin_t - cos_t * temp) / (
         V0.pole_half_length
-        * (4.0 / 3.0 - V0.mass_pole * cos_t**2 / total_mass)
+        * (4.0 / 3.0 - V0.mass_pole * (cos_t * cos_t) / total_mass)
     )
     x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
     return CartPoleState(
@@ -189,6 +189,30 @@ class TestStepMatchesReference:
             else:
                 outcomes.append((np.array(nxt).tobytes(), done))
         assert outcomes[0] == outcomes[1]
+
+
+# (state, action) pairs where glibc's pow squares cos(theta) or theta_dot to
+# a different float than the product does, found by scanning default_rng(1)
+# uniform states (x +-2.4, x_dot +-3, theta +-0.2, theta_dot +-4); a step that
+# squared with ** 2 gave other successor bits here on glibc 2.36
+POW_ROUNDS_DIFFERENTLY = [
+    (CartPoleState(2.3498467006322783, 2.7545671660093003, -0.08182803448764885,
+                   2.132059194947412), 0),  # cos(theta) ** 2
+    (CartPoleState(2.0242196253934472, -2.967784984071092, 0.1488389618914489,
+                   2.369295030781732), 1),  # theta_dot ** 2
+    (CartPoleState(0.832569536888546, -1.6798757131912307, -0.160446490898494,
+                   -1.1454027810671334), 0),  # cos(theta) ** 2
+]
+
+
+@pytest.mark.parametrize("state, action", POW_ROUNDS_DIFFERENTLY)
+def test_physics_is_libm_free(state, action):
+    """step is the product formula, not libm's pow, and step_batch is step,
+    on states where the two round apart."""
+    nxt, _ = cartpole.step(state, action)
+    assert np.array(nxt).tobytes() == np.array(reference_successor(state, action)).tobytes()
+    batch_next, _ = cartpole.step_batch(np.array([state]), np.array([action]))
+    assert batch_next.tobytes() == np.array([nxt]).tobytes()
 
 
 class TestTermination:

