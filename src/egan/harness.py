@@ -1,7 +1,12 @@
 """Experiment orchestration, sample accounting, curve metrics and artifacts.
 
-This module owns every phase of a run and their order; pretrain_pipeline
-draws all pre-training rng values from one generator, in a fixed order.
+This module owns every phase of a run and their order.  pretrain_pipeline
+draws the collection, the GAN's init and training and the synthetic phase
+from one generator, in that order, in both modes; the enhancer's init and
+training and the refinement, which only egan runs, draw from one child of
+it, spawned after the collection's own.  So a gan and an egan run at one
+seed share every draw but the enhancer's and the refinement's: they train
+the same GAN, and the refinement of its generator is their one difference.
 run_experiment returns one Run record.  This module names every file the
 package writes: write_run a run's and write_report a report's, and
 sweep_pretrain_length calls both for each pre-training length.  The online
@@ -101,30 +106,29 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
                       rng: np.random.Generator) -> PretrainResult:
     """Collect random experience, train the GAN (and, for egan, the enhancer
     plus the refinement loop), then pre-train the agent on generated batches;
-    returns the models and the buffer whose size the curve is offset by."""
+    returns the models and the buffer whose size the curve is offset by.
+    The egan-only phases draw from one child of rng, the rest from rng."""
     if config.mode not in ("gan", "egan"):
         raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
     buffer = experience.collect_random(config.pretrain_episodes, rng, config.env_max_steps)
+    egan_rng = rng.spawn(1)[0]  # spawning leaves rng's state as it was
     stats = experience.compute_stats(buffer)
     # the one copy both trainers read: they take their rows in gan.DTYPE
     encoded = experience.encode_batch(buffer, stats).astype(gan.DTYPE)
 
     pair = gan.make_gan(rng)
-    model = None
-    enhancer_history, kl_history = [], []
-    if config.mode == "egan":
-        # built before train_gan, so its init draws come first from rng
-        model = enhancer.make_enhancer(rng)
     gan_history = gan.train_gan(pair, encoded, config.gan_train_steps, rng)
-    if model is not None:
+    model, enhancer_history, kl_history = None, [], []
+    if config.mode == "egan":
+        model = enhancer.make_enhancer(egan_rng)
         enhancer_history = enhancer.train_enhancer(
-            model, encoded, config.enhancer_train_steps, rng, batch_size=pair.batch_size)
+            model, encoded, config.enhancer_train_steps, egan_rng, batch_size=pair.batch_size)
     # freed before the refinement, whose 6,000-row generator pass sets peak
     # RSS in egan mode (in gan mode the cast above sets it: the synthetic
     # phase's predict chunks stay below it)
     del encoded
     if model is not None:
-        kl_history = enhancer.egan_refine(pair, model, rng)
+        kl_history = enhancer.egan_refine(pair, model, egan_rng)
     useful_synthetic_batches = policy.pretrain_on_synthetic(
         agent,
         _synthetic_batches(pair, stats, config, rng),
@@ -360,6 +364,11 @@ def load_curve_csv(path) -> LearningCurve:
                 raise CsvParseError(str(path), line_no,
                                     f"cumulative_samples {total} is not {cumulative[-1]} "
                                     f"plus the reward {parts[1]}")
+            # the offset, a buffer size, is never negative
+            if not cumulative and total < reward:
+                raise CsvParseError(str(path), line_no,
+                                    f"cumulative_samples {total} is below the reward "
+                                    f"{parts[1]}: a negative offset")
             rewards.append(reward)
             cumulative.append(total)
     if not rewards:

@@ -46,6 +46,14 @@ backpropagates (generated rows, the enhancer's targets) calls
 :func:`predict`, which keeps no cache and runs the rows in fixed blocks of
 PREDICT_ROWS, so at most one block's activations are alive.
 
+The weight gradient ``dz.T @ h`` sums over the batch rows.  A threaded
+OpenBLAS splits a long sum across its threads, so over the refinement's
+6,000 rows its bits would depend on the thread count; a batch of more than
+BLAS_GRADIENT_ROWS rows therefore takes ``np.einsum`` without
+``optimize``, which calls no BLAS and sums in one fixed order.  Smaller
+batches (the 64-row training steps; an online update, at most 5 × 200
+rows at the default episode cap) keep ``np.dot`` and its bits.
+
 Row and column reductions call the ufunc's ``reduce`` directly
 (``np.add.reduce``, ``np.maximum.reduce``).  ``ndarray.sum``/``.max`` make
 that same call through Python-level wrappers that cost microseconds per
@@ -70,6 +78,8 @@ ACTIVATIONS = ("tanh", "sigmoid", "softmax", "identity")
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
 PREDICT_ROWS = 1024  # rows per block of predict; see its docstring
+# backward's weight gradient of a larger batch skips BLAS; see the module docstring
+BLAS_GRADIENT_ROWS = 1024
 
 
 @dataclass
@@ -275,7 +285,11 @@ def backward(
         g = None  # used: dropped before the next layer's gradient is allocated
         if params:
             h_prev = post[-1] if i > 0 else cache.inputs
-            np.dot(dz.T, h_prev, out=grad[start : start + w.size].reshape(w.shape))
+            block = grad[start : start + w.size].reshape(w.shape)
+            if dz.shape[0] > BLAS_GRADIENT_ROWS:
+                np.einsum("ij,ik->jk", dz, h_prev, out=block, optimize=False)
+            else:
+                np.dot(dz.T, h_prev, out=block)
             np.add.reduce(dz, axis=0, out=grad[start + w.size : end])
         if i > 0 or inputs:
             g = np.dot(dz, w)

@@ -162,6 +162,16 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_report_over_a_negative_offset_exits_3(tmp_path, capsys):
+    for seed in (0, 1):
+        (tmp_path / f"curve_gan_{seed}.csv").write_text(
+            f"{harness.CURVE_HEADER}\n1,10.0,5\n")
+    code = main(["report", "--runs", str(tmp_path), "--threshold", "5", "--window", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "negative offset" in err
+
+
 def test_report_over_runs(tmp_path, capsys):
     out = tmp_path / "runs"
     for seed in ("0", "1"):

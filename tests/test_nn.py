@@ -503,6 +503,30 @@ class TestReductionsMatchReference:
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
+class TestLongBatchWeightGradient:
+    """Over BLAS_GRADIENT_ROWS rows, backward's weight gradient is einsum's
+    BLAS-free sum and agrees with the float64 gradient to float32 rounding."""
+
+    @pytest.mark.parametrize("rows", [nn.BLAS_GRADIENT_ROWS + 1, 6000])
+    def test_einsum_bytes_and_float64_agreement(self, rows):
+        sizes, acts = NET_SHAPES["g"]
+        rng = np.random.default_rng(rows)
+        net = nn.init_network(sizes, acts, rng, np.float32)
+        x = rng.uniform(-1.0, 1.0, size=(rows, sizes[0])).astype(np.float32)
+        g = rng.normal(size=(rows, sizes[-1])).astype(np.float32)
+        out, cache = nn.forward(net, x)
+        # the last layer's dz and input, as backward forms them
+        dz, h_prev = (1.0 - out * out) * g, cache.post[-2].copy()
+        got, _ = nn.backward(net, cache, g, inputs=False)
+        w = net.weights[-1]
+        start = net.params.size - w.size - w.shape[0]
+        assert same_bytes(got[start : start + w.size].reshape(w.shape),
+                          np.einsum("ij,ik->jk", dz, h_prev, optimize=False))
+        wide = float64_copy(net)
+        want, _ = nn.backward(wide, fresh_cache(wide, x), g, inputs=False)
+        assert np.abs(got - want).max() <= F32_TOL * np.abs(want).max()
+
+
 class TestSpentCache:
     """backward spends its cache; a check that fails first leaves it intact."""
 
