@@ -48,10 +48,6 @@ def make_enhancer(
     return EnhancerModel(net=net, opt=nn.make_optimizer(net, learning_rate))
 
 
-def predict(model: EnhancerModel, x1: np.ndarray) -> np.ndarray:
-    return nn.predict(model.net, x1)
-
-
 def train_enhancer(
     model: EnhancerModel,
     encoded: np.ndarray,
@@ -120,7 +116,7 @@ def kl_penalty(model: EnhancerModel):
     k = model.net.layer_sizes[0]
 
     def _penalty(g_out: np.ndarray) -> tuple[float, np.ndarray]:
-        target = predict(model, g_out[:, :k])
+        target = nn.predict(model.net, g_out[:, :k])
         kl, d_p = moment_kl(g_out[:, k:], target)
         grad = np.zeros_like(g_out)
         grad[:, k:] = d_p

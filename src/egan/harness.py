@@ -1,12 +1,14 @@
 """Experiment orchestration, sample accounting, curve metrics and artifacts.
 
-This module owns every phase of a run and their order.  pretrain_pipeline
-draws the collection, the GAN's init and training and the synthetic phase
-from one generator, in that order, in both modes; the enhancer's init and
-training and the refinement, which only egan runs, draw from one child of
-it, spawned after the collection's own.  So a gan and an egan run at one
-seed share every draw but the enhancer's and the refinement's: they train
-the same GAN, and the refinement of its generator is their one difference.
+This module owns every phase of a run and their order: fit_models, a
+synthetic phase, then the online phase.  fit_models collects the buffer and
+trains the GAN from one generator, and the egan-only enhancer and
+refinement from one child of it, spawned after the collection's own.  A
+synthetic phase, bandit_phase in every run, is a function (agent, pre,
+config, rng) -> int that draws from the generator fit_models leaves and
+returns its count of useful updates.  So a gan and an egan run at one seed
+share every draw but the enhancer's and the refinement's: they train the
+same GAN, and the refinement of its generator is their one difference.
 run_experiment returns one Run record.  This module names every file the
 package writes: write_run a run's and write_report a report's, and
 sweep_pretrain_length calls both for each pre-training length.  The online
@@ -82,34 +84,16 @@ class PretrainResult:
     gan_history: list
     enhancer_history: list
     kl_history: list
-    useful_synthetic_batches: int  # synthetic batches with terminal and non-terminal rows
+    useful_synthetic_batches: int = 0  # the synthetic phase's count; run_experiment sets it
 
 
-def _synthetic_batches(pair: gan.GanPair, stats: experience.NormalizationStats,
-                       config: ExperimentConfig, rng: np.random.Generator):
-    """config.synthetic_batches generated batches of pair.batch_size rows.
-
-    The generator runs once per SYNTHETIC_CHUNK_BATCHES batches; the noise
-    is drawn in order either way, so the batches and the rng state after
-    them equal one generate-and-decode call per batch.
-    """
-    size = pair.batch_size
-    for first in range(0, config.synthetic_batches, SYNTHETIC_CHUNK_BATCHES):
-        n = min(SYNTHETIC_CHUNK_BATCHES, config.synthetic_batches - first)
-        encoded = gan.generate_encoded(pair, n * size, rng)
-        chunk = experience.decode_batch(encoded, stats)
-        for i in range(n):
-            yield chunk.slice(i * size, (i + 1) * size)
-
-
-def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
-                      rng: np.random.Generator) -> PretrainResult:
-    """Collect random experience, train the GAN (and, for egan, the enhancer
-    plus the refinement loop), then pre-train the agent on generated batches;
-    returns the models and the buffer whose size the curve is offset by.
-    The egan-only phases draw from one child of rng, the rest from rng."""
+def fit_models(config: ExperimentConfig, rng: np.random.Generator) -> PretrainResult:
+    """Collect random experience and train the GAN (and, for egan, the
+    enhancer plus the refinement loop); returns the models and the buffer
+    whose size the curve is offset by.  The egan-only phases draw from one
+    child of rng, the rest from rng, which a synthetic phase draws from next."""
     if config.mode not in ("gan", "egan"):
-        raise UsageError(f"pretrain_pipeline needs mode gan or egan, got {config.mode!r}")
+        raise UsageError(f"fit_models needs mode gan or egan, got {config.mode!r}")
     buffer = experience.collect_random(config.pretrain_episodes, rng, config.env_max_steps)
     egan_rng = rng.spawn(1)[0]  # spawning leaves rng's state as it was
     stats = experience.compute_stats(buffer)
@@ -129,21 +113,29 @@ def pretrain_pipeline(config: ExperimentConfig, agent: policy.PolicyAgent,
     del encoded
     if model is not None:
         kl_history = enhancer.egan_refine(pair, model, egan_rng)
-    useful_synthetic_batches = policy.pretrain_on_synthetic(
-        agent,
-        _synthetic_batches(pair, stats, config, rng),
-        learning_rate=config.pretrain_learning_rate,
-    )
-    return PretrainResult(
-        gan=pair,
-        enhancer=model,
-        stats=stats,
-        buffer=buffer,
-        gan_history=gan_history,
-        enhancer_history=enhancer_history,
-        kl_history=kl_history,
-        useful_synthetic_batches=useful_synthetic_batches,
-    )
+    return PretrainResult(pair, model, stats, buffer, gan_history, enhancer_history,
+                          kl_history)
+
+
+def bandit_phase(agent: policy.PolicyAgent, pre: PretrainResult, config: ExperimentConfig,
+                 rng: np.random.Generator) -> int:
+    """The synthetic phase of every run: config.synthetic_batches batches of
+    pre.gan.batch_size generated rows, each one pretrain_on_synthetic update;
+    returns the count of useful batches.  The generator runs once per
+    SYNTHETIC_CHUNK_BATCHES batches and the noise is drawn in order, so the
+    batches and rng's state after them equal one generate-and-decode per batch."""
+    size = pre.gan.batch_size
+
+    def batches():
+        for first in range(0, config.synthetic_batches, SYNTHETIC_CHUNK_BATCHES):
+            n = min(SYNTHETIC_CHUNK_BATCHES, config.synthetic_batches - first)
+            chunk = experience.decode_batch(gan.generate_encoded(pre.gan, n * size, rng),
+                                            pre.stats)
+            for i in range(n):
+                yield chunk.slice(i * size, (i + 1) * size)
+
+    return policy.pretrain_on_synthetic(agent, batches(),
+                                        learning_rate=config.pretrain_learning_rate)
 
 
 class Run(NamedTuple):
@@ -156,21 +148,24 @@ class Run(NamedTuple):
 def run_experiment(config: ExperimentConfig) -> Run:
     """One full run of the configured mode.
 
-    Mode none trains from scratch; gan/egan first run pretrain_pipeline
-    (zero real samples on the synthetic batches) and start the curve offset
-    by the pre-training buffer size.  Online episodes run in lockstep groups
-    of EPISODES_PER_UPDATE on the frozen policy, each on its own child of the
-    training SeedSequence; each group acts through one policy.logit_function
-    built at its start (log-odds acting, see egan.policy), and each full
-    group then takes one update on its pooled rows (a trailing partial group
-    takes none).  The curve is made once, from the episode lengths alone.
+    Mode none trains from scratch; gan/egan first run fit_models, then
+    bandit_phase on the same generator (zero real samples on the synthetic
+    batches), and start the curve offset by the pre-training buffer size.
+    Online episodes run in lockstep groups of EPISODES_PER_UPDATE on the
+    frozen policy, each on its own child of the training SeedSequence; each
+    group acts through one policy.logit_function built at its start
+    (log-odds acting, see egan.policy), and each full group then takes one
+    update on its pooled rows (a trailing partial group takes none).  The
+    curve is made once, from the episode lengths alone.
     """
     validate(config)
     pretrain_ss, agent_ss, train_ss = np.random.SeedSequence(config.seed).spawn(3)
     agent = policy.make_agent(np.random.default_rng(agent_ss))
     pre = None
     if config.mode in ("gan", "egan"):
-        pre = pretrain_pipeline(config, agent, np.random.default_rng(pretrain_ss))
+        rng = np.random.default_rng(pretrain_ss)
+        pre = fit_models(config, rng)
+        pre.useful_synthetic_batches = bandit_phase(agent, pre, config, rng)
     offset = len(pre.buffer) if pre else 0
 
     n_episodes = config.total_episodes()
@@ -359,6 +354,10 @@ def load_curve_csv(path) -> LearningCurve:
                 reward, total = float(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise CsvParseError(str(path), line_no, str(exc)) from exc
+            # a reward is an episode length
+            if not (reward >= 1 and reward.is_integer()):
+                raise CsvParseError(str(path), line_no,
+                                    f"reward {parts[1]} is not a whole number of at least 1")
             # write_run's invariant; aggregate_runs interpolates on this column
             if cumulative and total != cumulative[-1] + reward:
                 raise CsvParseError(str(path), line_no,

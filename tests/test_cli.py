@@ -9,7 +9,7 @@ from egan import harness
 from egan.cli import main
 from egan.errors import UsageError
 
-from test_harness import fixed_done_batches, never_called
+from test_harness import fixed_done_phase, never_called
 
 # sweep sets pretrain_episodes itself, from --lengths
 SWEEP_SETS = [
@@ -170,6 +170,17 @@ def test_report_over_a_negative_offset_exits_3(tmp_path, capsys):
     assert code == 3
     out, err = capsys.readouterr()
     assert out == "" and "negative offset" in err
+
+
+def test_report_over_an_impossible_reward_exits_3(tmp_path, capsys):
+    # rewards 10, -4, 0, 30 with a cumulative column that falls and stalls
+    (tmp_path / "curve_gan_0.csv").write_text(
+        f"{harness.CURVE_HEADER}\n1,10.0,10\n2,-4.0,6\n3,0.0,6\n4,30.0,36\n")
+    (tmp_path / "curve_gan_1.csv").write_text(f"{harness.CURVE_HEADER}\n1,10.0,10\n2,20.0,30\n")
+    code = main(["report", "--runs", str(tmp_path), "--threshold", "5", "--window", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "reward -4.0" in err
 
 
 def test_report_over_runs(tmp_path, capsys):
@@ -408,7 +419,7 @@ def test_same_seed_cli_runs_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("dones,warned", [([False] * 8, True), ([False] * 7 + [True], False)])
 def test_unmoved_policy_warns_on_stderr(tmp_path, capsys, monkeypatch, dones, warned):
-    monkeypatch.setattr(harness, "_synthetic_batches", fixed_done_batches(dones))
+    monkeypatch.setattr(harness, "bandit_phase", fixed_done_phase(dones))
     code = main(["run", "--mode", "gan", "--seed", "0", "--out", str(tmp_path)] + TINY_SETS)
     out, err = capsys.readouterr()
     assert code == 0

@@ -13,7 +13,8 @@ from egan.errors import ConfigError, CsvParseError, UsageError
 from egan.experience import Transitions
 from egan.harness import Aggregate, LearningCurve
 
-from test_experience import assert_same, forward_logit, pooled
+from test_experience import forward_logit, pooled
+from test_policy import recording
 from test_golden import TINY_SETS
 
 
@@ -214,7 +215,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("dones,useful", [([False] * 8, 0), ([True] * 8, 0),
                                               ([False] * 7 + [True], 10)])
     def test_synthetic_phase_counts_useful_batches(self, monkeypatch, dones, useful):
-        monkeypatch.setattr(harness, "_synthetic_batches", fixed_done_batches(dones))
+        monkeypatch.setattr(harness, "bandit_phase", fixed_done_phase(dones))
         cfg = ExperimentConfig(mode="gan", seed=4, **TINY)
         _, pre, _ = harness.run_experiment(cfg)
         assert cfg.synthetic_batches == 10
@@ -225,7 +226,7 @@ class TestPipeline:
     @staticmethod
     def pretrain(cfg, seed):
         agent = policy.make_agent(np.random.default_rng(100 + seed))
-        return harness.pretrain_pipeline(cfg, agent, np.random.default_rng(seed))
+        return pretrain(cfg, agent, np.random.default_rng(seed))
 
     def test_gan_mode_skips_enhancer(self):
         cfg = ExperimentConfig(mode="gan", pretrain_episodes=3, gan_train_steps=20,
@@ -256,8 +257,16 @@ class TestPipeline:
             self.pretrain(ExperimentConfig(mode="none"), 0)
 
 
+def pretrain(cfg, agent, rng):
+    """run_experiment's pre-training: fit_models, then bandit_phase on the
+    generator it leaves, with the count stored as run_experiment stores it."""
+    pre = harness.fit_models(cfg, rng)
+    pre.useful_synthetic_batches = harness.bandit_phase(agent, pre, cfg, rng)
+    return pre
+
+
 # sha256 of the json (sorted keys) of the pre-training rng's bit_generator
-# state after pretrain_pipeline, at the golden runs' tiny config, recorded
+# state after fit_models and bandit_phase, at the golden runs' tiny config, recorded
 # with the 9-column encoded row (generator [16, 40, 20, 9], discriminator
 # [9, 40, 20, 1], enhancer [5, 60, 60, 4]): a change of the models' precision
 # or of a speed path must leave every rng draw of a run as it was.  One
@@ -277,7 +286,7 @@ def test_pretrain_rng_consumption_pinned(mode, seed):
     pretrain_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
     agent = policy.make_agent(np.random.default_rng(agent_ss))
     rng = np.random.default_rng(pretrain_ss)
-    harness.pretrain_pipeline(cfg, agent, rng)
+    pretrain(cfg, agent, rng)
     state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
     assert hashlib.sha256(state).hexdigest() == PRETRAIN_RNG_DIGESTS[seed]
 
@@ -314,40 +323,54 @@ def test_default_pretraining_moves_the_policy():
     cfg = ExperimentConfig(mode="gan", seed=0, training_episodes=5)
     pretrain_ss, agent_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
     pretrained, fresh = (policy.make_agent(np.random.default_rng(agent_ss)) for _ in range(2))
-    pre = harness.pretrain_pipeline(cfg, pretrained, np.random.default_rng(pretrain_ss))
+    pre = pretrain(cfg, pretrained, np.random.default_rng(pretrain_ss))
     assert pre.useful_synthetic_batches > 0
     assert not np.array_equal(pretrained.net.params, fresh.net.params)
 
 
 class TestSyntheticBatches:
     @pytest.mark.parametrize("n_batches", [0, 1, 16, 17, 64, 70, 129])
-    def test_chunked_generation_equals_per_batch_loop(self, n_batches):
+    def test_chunked_generation_equals_per_batch_loop(self, monkeypatch, n_batches):
+        # bandit_phase against one generate-and-decode call per batch, fed
+        # through the same pretrain_on_synthetic
         cfg = ExperimentConfig(mode="gan", synthetic_batches=n_batches)
         pair = gan.make_gan(np.random.default_rng(2))
-        stats = experience.NormalizationStats(np.full(4, -0.5), np.full(4, 0.5))
+        # wide enough that some batches have no terminal row: the untrained
+        # generator's batches then take both of pretrain_on_synthetic's paths
+        stats = experience.NormalizationStats(np.full(4, -5.0), np.full(4, 5.0))
+        pre = harness.PretrainResult(gan=pair, enhancer=None, stats=stats, buffer=None,
+                                     gan_history=[], enhancer_history=[], kl_history=[])
+        agent, reference = (policy.make_agent(np.random.default_rng(10)) for _ in range(2))
+        optimizers = []
+        monkeypatch.setattr(nn, "make_optimizer", recording(nn.make_optimizer, optimizers))
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        got = list(harness._synthetic_batches(pair, stats, cfg, rng))
-        # the reference: one generator call per batch
+        got = harness.bandit_phase(agent, pre, cfg, rng)
         ref = [experience.decode_batch(gan.generate_encoded(pair, pair.batch_size, ref_rng),
                                        stats)
                for _ in range(n_batches)]
-        assert len(got) == n_batches
-        for batch, expected in zip(got, ref):
-            assert_same(batch, expected)
+        want = policy.pretrain_on_synthetic(reference, ref, cfg.pretrain_learning_rate)
+        got_opt, want_opt = optimizers
+        assert got == want <= n_batches
+        assert got_opt.t == want_opt.t == n_batches
+        assert agent.net.params.tobytes() == reference.net.params.tobytes()
+        assert got_opt.m.tobytes() == want_opt.m.tobytes()
+        assert got_opt.v.tobytes() == want_opt.v.tobytes()
         assert rng.random() == ref_rng.random()
 
 
-def fixed_done_batches(dones):
-    """Stands in for the generator: every synthetic batch carries `dones`."""
+def fixed_done_phase(dones):
+    """Stands in for bandit_phase: every synthetic batch carries `dones`."""
     dones = np.asarray(dones, dtype=bool)
 
-    def batches(pair, stats, config, rng):
+    def phase(agent, pre, config, rng):
+        batches = []
         for _ in range(config.synthetic_batches):
             states = rng.uniform(-0.05, 0.05, size=(dones.size, 4))
             actions = rng.integers(0, 2, size=dones.size).astype(np.intp)
-            yield Transitions(states, actions, states, dones)
+            batches.append(Transitions(states, actions, states, dones))
+        return policy.pretrain_on_synthetic(agent, batches, config.pretrain_learning_rate)
 
-    return batches
+    return phase
 
 
 # sha256 of the curve CSV and the policy file of the online workload config;
@@ -420,6 +443,19 @@ class TestCurveCsv:
         assert info.value.line_number == 2
         path.write_text(f"{harness.CURVE_HEADER}\n1,10.0,10\n2,10.0,20\n")
         assert harness.load_curve_csv(path).offset == 0
+
+    @pytest.mark.parametrize("rows,line_number", [
+        # a reward is an episode length: a whole number of at least 1
+        ("1,10.0,10\n2,-4.0,6\n3,0.0,6\n4,30.0,36\n", 3),
+        ("1,10.5,11\n2,10.0,21\n", 2),
+        ("1,nan,10\n", 2),
+    ], ids=["negative_and_zero", "fractional", "nan"])
+    def test_impossible_reward_rejected(self, tmp_path, rows, line_number):
+        path = tmp_path / "curve_none_0.csv"
+        path.write_text(f"{harness.CURVE_HEADER}\n{rows}")
+        with pytest.raises(CsvParseError) as info:
+            harness.load_curve_csv(path)
+        assert info.value.line_number == line_number
 
 
 class TestReport:
