@@ -15,6 +15,12 @@ pulls the generator toward transition-consistent samples.
 The enhancer net is float32, like the GAN (gan.DTYPE); train_enhancer casts
 its real rows once.  The moments and the KL are computed in float64 from the
 float32 batches, and the gradient is rounded to the generator's dtype.
+
+train_enhancer runs every step in arrays allocated once per call
+(nn.make_buffers), with the bytes fresh arrays would give; each step's
+backward pass spends its own forward pass (egan.nn).  The refinement keeps
+the allocating nn.forward and nn.backward: it runs two rounds, not
+thousands.
 """
 
 from __future__ import annotations
@@ -56,22 +62,28 @@ def train_enhancer(
     batch_size: int,
 ) -> list[float]:
     """Minimize MSE(E(x1), x2) over minibatches of encoded real samples; the
-    pipeline passes the GAN's batch size."""
-    data = np.atleast_2d(np.asarray(encoded, dtype=model.net.params.dtype))
+    pipeline passes the GAN's batch size.  Every step runs in the same
+    arrays, made once per call."""
+    net = model.net
+    data = np.atleast_2d(np.asarray(encoded, dtype=net.params.dtype))
     if data.shape[0] == 0:
         raise UsageError("cannot train the enhancer on an empty dataset")
+    rows = min(batch_size, data.shape[0])
+    bufs = nn.make_buffers(net, rows, inputs=False)
+    diff, grad = np.empty((2, rows, net.layer_sizes[-1]), net.params.dtype)
+    two, size = nn.constant(2.0, diff.dtype), nn.constant(diff.size, diff.dtype)
     batches = nn.minibatches(data, batch_size, rng)
-    k = model.net.layer_sizes[0]
+    k = net.layer_sizes[0]
     losses = []
-    for _ in range(n_steps):
-        batch = next(batches)
-        x1, x2 = batch[:, :k], batch[:, k:]
-        pred, cache = nn.forward(model.net, x1)
-        diff = pred - x2
-        loss = float((diff**2).sum() / diff.size)
-        grads, _ = nn.backward(model.net, cache, 2.0 * diff / diff.size, inputs=False)
-        nn.optimizer_step(model.net, grads, model.opt)
-        losses.append(loss)
+    with np.errstate(over="ignore"):
+        for _ in range(n_steps):
+            batch = next(batches)
+            x1, x2 = batch[:, :k], batch[:, k:]
+            np.subtract(nn.forward_into(net, x1, bufs.post), x2, diff)
+            losses.append(float(np.add.reduce(np.square(diff, grad), None) / diff.size))
+            np.divide(np.multiply(diff, two, grad), size, grad)  # 2 diff / size
+            nn.backward_into(net, x1, bufs, grad)
+            nn.optimizer_step(net, bufs.grad, model.opt)
     return losses
 
 

@@ -53,6 +53,9 @@ _CURVE_RE = re.compile(r"curve_(?P<mode>[a-z]+)_(?P<seed>\d+)\.csv$")
 # against 0.25 MB at 1,024 rows), and run_s 8 % lower, inside the spread of
 # the runs at 16
 SYNTHETIC_CHUNK_BATCHES = 16
+# buffer rows encoded per encode_batch call in fit_models: one block's float64
+# rows are alive beside the gan.DTYPE copy, not the whole buffer's
+ENCODE_BLOCK_ROWS = 1024
 EPISODES_PER_UPDATE = 5  # the paper's policy update frequency
 
 
@@ -97,8 +100,12 @@ def fit_models(config: ExperimentConfig, rng: np.random.Generator) -> PretrainRe
     buffer = experience.collect_random(config.pretrain_episodes, rng, config.env_max_steps)
     egan_rng = rng.spawn(1)[0]  # spawning leaves rng's state as it was
     stats = experience.compute_stats(buffer)
-    # the one copy both trainers read: they take their rows in gan.DTYPE
-    encoded = experience.encode_batch(buffer, stats).astype(gan.DTYPE)
+    # the one copy both trainers read: they take their rows in gan.DTYPE.
+    # Encoding is elementwise, so block by block gives the same values
+    encoded = np.empty((len(buffer), experience.ENCODED_DIM), dtype=gan.DTYPE)
+    for start in range(0, len(buffer), ENCODE_BLOCK_ROWS):
+        stop = start + ENCODE_BLOCK_ROWS
+        encoded[start:stop] = experience.encode_batch(buffer.slice(start, stop), stats)
 
     pair = gan.make_gan(rng)
     gan_history = gan.train_gan(pair, encoded, config.gan_train_steps, rng)
@@ -108,8 +115,7 @@ def fit_models(config: ExperimentConfig, rng: np.random.Generator) -> PretrainRe
         enhancer_history = enhancer.train_enhancer(
             model, encoded, config.enhancer_train_steps, egan_rng, batch_size=pair.batch_size)
     # freed before the refinement, whose 6,000-row generator pass sets peak
-    # RSS in egan mode (in gan mode the cast above sets it: the synthetic
-    # phase's predict chunks stay below it)
+    # RSS in egan mode
     del encoded
     if model is not None:
         kl_history = enhancer.egan_refine(pair, model, egan_rng)

@@ -23,25 +23,38 @@ checkpoint format writes the same vector one layer array per line.  It
 records no dtype: every float32 value is written exactly, and
 :func:`load_network` reads it back as that value in float64.
 
+One layer loop serves every caller.  :func:`forward_into` runs the layers
+in caller-held arrays (``np.dot(h, w.T, z)``, then the bias and the
+activation in place); :func:`backward_into` writes each layer's dz over its
+output and the gradients into caller-held blocks.  Trainers make the arrays
+once per training call (:func:`make_buffers`); :func:`forward`,
+:func:`backward` and :func:`predict` run the same loops over arrays made per
+call.  Reuse changes no bit: every matmul keeps its operands and row count.
+
 :func:`backward` computes only what its caller keeps.  Its keyword-only flags
-``params`` and ``inputs`` (both on by default) select the parameter gradient
-and the input gradient; a slot whose flag is off returns ``None``.  With
-``params=False`` the per-layer ``dz.T @ h`` matmuls and bias sums are skipped
-(the generator step only needs D's input gradient); with ``inputs=False`` the
-layer-0 ``dz @ w`` is skipped (no trainer uses the gradient w.r.t. its data).
+``params`` and ``inputs`` (both on by default, and taken by
+:func:`make_buffers` too) select the parameter gradient and the input
+gradient; a slot whose flag is off returns ``None``.  With ``params=False``
+the per-layer ``dz.T @ h`` matmuls and bias sums are skipped (the generator
+step only needs D's input gradient); with ``inputs=False`` the layer-0
+``dz @ w`` is skipped (no trainer uses the gradient w.r.t. its data).
 
 :func:`forward` converts its input (:func:`input_batch`) only when it is not
-already a 2-D array of the net's dtype, and computes every activation in
-place in the layer's pre-activation buffer, so one array is allocated per layer;
-:func:`backward` likewise converts ``output_gradient`` only when needed.
-The sigmoid ignores the overflow of ``exp(-z)``, which float32 reaches at
-z < -88.7 (float64 at -709.8): the quotient is then the exact limit 0.
+already a 2-D array of the net's dtype; :func:`backward` converts
+``output_gradient`` only when needed, and copies it when the last layer, a
+sigmoid or softmax, makes dz partly in the gradient's buffer.  The sigmoid
+lets ``exp(-z)`` overflow, which float32 reaches at z < -88.7 (float64 at
+-709.8): the quotient is then the exact limit 0.  forward, predict and each
+trainer silence the overflow once per call, around all their layers and
+steps, with ``np.errstate(over="ignore")``, which costs microseconds; a
+direct caller of forward_into does the same.
 
-A :class:`ForwardCache` holds only the activations backward reads (Chen et
-al. 2016, arXiv:1604.06174), and one :func:`backward` spends it: backward
-pops each layer's activation as it goes, writes a tanh layer's dz into that
-activation's buffer and drops each incoming gradient once dz is made, so a
-second backward on the cache raises UsageError.  Inference that never
+Backward spends the forward pass it reads.  A :class:`ForwardCache` holds
+only the activations backward reads (Chen et al. 2016, arXiv:1604.06174);
+backward writes each layer's dz over its activation, so forward's output is
+overwritten when the last layer is tanh, and empties ``cache.post``, so a
+second backward on the cache raises UsageError.  Trainer buffers hold dz
+after backward_into until the next forward_into.  Inference that never
 backpropagates (generated rows, the enhancer's targets) calls
 :func:`predict`, which keeps no cache and runs the rows in fixed blocks of
 PREDICT_ROWS, so at most one block's activations are alive.
@@ -60,12 +73,18 @@ that same call through Python-level wrappers that cost microseconds per
 call, a large share of a reduction over a 64-row batch, and every training
 step makes several; the results are bit-identical.  Products likewise call
 ``np.dot``, which costs less per call than the ``@`` operator on these shapes.
+:func:`optimizer_step` runs Adam in place, in the textbook's order of
+operations, so its bytes equal the expression form's.  The training paths
+pass each ufunc's output positionally and its scalars as :func:`constant`
+arrays: numpy parses an ``out=`` keyword and converts a Python float on
+every call, and a 64-row step makes over a hundred calls.
 A pickled or deep-copied network rebuilds ``weights``/``biases`` as views of
 its own copy of ``params``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -158,16 +177,29 @@ def init_network(layer_sizes, activations, rng: np.random.Generator,
     return net
 
 
+@functools.cache
+def constant(value: float, dtype) -> np.ndarray:
+    """value as a read-only 0-d array of dtype, made once per (value, dtype).
+
+    NEP 50 rounds a Python float operand to the dtype of the array it meets,
+    so an operation gives the same bits with this array in its place, and
+    numpy need not convert it again on each call (about half a microsecond)."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    """Apply the activation in place in z and return z."""
+    """Apply the activation in place in z and return z.  The sigmoid's exp
+    may overflow: the caller holds np.errstate(over="ignore")."""
     if kind == "tanh":
-        return np.tanh(z, out=z)
-    if kind == "sigmoid":  # 1 / (1 + exp(-z))
-        np.negative(z, out=z)
-        with np.errstate(over="ignore"):  # exp -> inf gives 1 / inf = 0
-            np.exp(z, out=z)
-        z += 1.0
-        return np.divide(1.0, z, out=z)
+        return np.tanh(z, z)
+    if kind == "sigmoid":  # 1 / (1 + exp(-z)); exp -> inf gives 1 / inf = 0
+        one = constant(1.0, z.dtype)
+        np.negative(z, z)
+        np.exp(z, z)
+        np.add(z, one, z)
+        return np.divide(one, z, z)
     if kind == "softmax":
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
         np.exp(z, out=z)
@@ -192,42 +224,125 @@ def input_batch(net: MlpNetwork, inputs) -> np.ndarray:
     return x
 
 
-def _layer_outputs(net: MlpNetwork, x: np.ndarray) -> Iterator[np.ndarray]:
-    """Each layer's post-activation output for the 2-D batch x, first to last."""
+def layer_buffers(net: MlpNetwork, rows: int) -> list[np.ndarray]:
+    """One uninitialised (rows, fan_out) array per layer in net's dtype: the
+    outputs forward_into writes."""
+    return [np.empty((rows, n), dtype=net.params.dtype) for n in net.layer_sizes[1:]]
+
+
+@dataclass
+class Buffers:
+    """What one forward_into/backward_into pair of a net writes, at a fixed
+    row count; a trainer makes them once per training call."""
+
+    post: list[np.ndarray]  # each layer's output; backward_into writes dz over it
+    grad: np.ndarray | None  # flat parameter gradient; None skips it
+    input_grads: list[np.ndarray | None]  # d loss / d each layer's input; None: allocated
+    inputs: bool  # whether layer 0's input gradient is made
+
+
+def make_buffers(net: MlpNetwork, rows: int, *, params: bool = True,
+                 inputs: bool = True) -> Buffers:
+    """Buffers for rows-row batches; the flags are backward's."""
+    input_grads = [np.empty((rows, n), dtype=net.params.dtype) for n in net.layer_sizes[:-1]]
+    if not inputs:
+        input_grads[0] = None
+    return Buffers(layer_buffers(net, rows), np.empty_like(net.params) if params else None,
+                   input_grads, inputs)
+
+
+def forward_into(net: MlpNetwork, x: np.ndarray, post) -> np.ndarray:
+    """The layer loop: layer i's output into post[i], returns post[-1].
+
+    x is a 2-D batch in net's dtype (input_batch); post holds one C-contiguous
+    (rows, fan_out) array per layer in that dtype, and may be views into a
+    larger array.  The caller holds np.errstate(over="ignore") (see the
+    module docstring).
+    """
     h = x
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = np.dot(h, w.T)
-        z += b
+    for w, b, act, z in zip(net.weights, net.biases, net.activations, post):
+        np.dot(h, w.T, z)
+        np.add(z, b, z)
         h = _activate(act, z)
-        yield h
+    return h
 
 
 def forward(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Batch forward pass; returns outputs and the cache backward() needs."""
     x = input_batch(net, inputs)
-    post = list(_layer_outputs(net, x))
-    return post[-1], ForwardCache(inputs=x, post=post)
+    post = layer_buffers(net, x.shape[0])
+    with np.errstate(over="ignore"):
+        out = forward_into(net, x, post)
+    return out, ForwardCache(inputs=x, post=post)
 
 
 def predict(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
     """forward's outputs, without a cache: inference for the callers that
     never backpropagate.
 
-    Rows run in blocks of PREDICT_ROWS, so only one block's activations are
-    alive at a time.  The outputs equal forward's bit for bit at the row
-    counts the program uses (tests/test_nn.py checks them), but splitting a
-    batch is not bit-identical in general: BLAS picks its kernel by the row
-    count, and blocks under 48 rows, 1,071 rows run as 1,024 + 47, or D at
-    4,095 rows run as 2,047 + 2,048 all gave other bits.  Keep the block
-    size fixed.
+    Rows run in blocks of PREDICT_ROWS through hidden-layer arrays made once
+    per call; the last layer writes straight into the output.  The outputs
+    equal forward's bit for bit at the row counts the program uses
+    (tests/test_nn.py checks them), but splitting a batch is not
+    bit-identical in general: BLAS picks its kernel by the row count, and
+    blocks under 48 rows, 1,071 rows run as 1,024 + 47, or D at 4,095 rows
+    run as 2,047 + 2,048 all gave other bits.  Keep the block size fixed.
     """
     x = input_batch(net, inputs)
-    out = np.empty((x.shape[0], net.layer_sizes[-1]), dtype=net.params.dtype)
-    for start in range(0, x.shape[0], PREDICT_ROWS):
-        for h in _layer_outputs(net, x[start : start + PREDICT_ROWS]):
-            pass  # each layer's output is dropped once the next one is made
-        out[start : start + PREDICT_ROWS] = h
+    rows = x.shape[0]
+    out = np.empty((rows, net.layer_sizes[-1]), dtype=net.params.dtype)
+    hidden = layer_buffers(net, min(rows, PREDICT_ROWS))[:-1]
+    with np.errstate(over="ignore"):
+        for start in range(0, rows, PREDICT_ROWS):
+            stop = min(start + PREDICT_ROWS, rows)
+            post = [h[: stop - start] for h in hidden] + [out[start:stop]]
+            forward_into(net, x[start:stop], post)
     return out
+
+
+def backward_into(net: MlpNetwork, x: np.ndarray, bufs: Buffers, g: np.ndarray):
+    """The backward layer loop over forward_into's x and bufs.post.
+
+    g is d(loss)/d(output), the shape of bufs.post[-1], in net's dtype.  The
+    parameter gradient goes into bufs.grad, laid out like ``net.params``;
+    returns the gradient w.r.t. x (in bufs.input_grads[0]), or None without
+    bufs.inputs.  Spends bufs.post, which holds each layer's dz afterwards,
+    and, when the last layer is a sigmoid or softmax, g.
+    """
+    post, grad = bufs.post, bufs.grad
+    one = constant(1.0, net.params.dtype)
+    end = net.params.size  # layers run last to first, so their blocks do too
+    for i in range(net.n_layers - 1, -1, -1):
+        w = net.weights[i]
+        start = end - w.size - w.shape[0]
+        y = post[i]
+        act = net.activations[i]
+        if act == "tanh":  # g * (1 - y * y), in y's buffer
+            dz = np.multiply(y, y, y)
+            np.subtract(one, dz, dz)
+            np.multiply(dz, g, dz)
+        elif act == "sigmoid":  # (g * y) * (1 - y), in y's buffer
+            np.multiply(g, y, g)
+            np.subtract(one, y, y)
+            dz = np.multiply(g, y, y)
+        elif act == "softmax":  # y * (g - sum(g * y)), in y's buffer
+            np.subtract(g, np.add.reduce(g * y, axis=1, keepdims=True), g)
+            dz = np.multiply(y, g, y)
+        else:  # identity
+            dz = g
+        g = None  # used: dropped before the next layer's gradient is allocated
+        if grad is not None:
+            h_prev = post[i - 1] if i > 0 else x
+            block = grad[start : start + w.size].reshape(w.shape)
+            if dz.shape[0] > BLAS_GRADIENT_ROWS:
+                np.einsum("ij,ik->jk", dz, h_prev, out=block, optimize=False)
+            else:
+                np.dot(dz.T, h_prev, block)
+            np.add.reduce(dz, 0, None, grad[start + w.size : end])
+        if i > 0 or bufs.inputs:
+            g = np.dot(dz, w, bufs.input_grads[i])
+        end = start
+    return g
 
 
 def backward(
@@ -245,56 +360,32 @@ def backward(
     discriminator into the generator).  ``params=False`` or ``inputs=False``
     skips that gradient's work and returns ``None`` in its slot.
 
-    Spends the cache: each layer's activation leaves ``cache.post`` as it is
-    used, and a tanh layer's dz is written over its activation, so forward's
-    output is overwritten when the last layer is tanh (and output_gradient
-    must not be that output).  A second backward on the same cache raises
-    UsageError.
+    Spends the cache: a tanh layer's dz is written over its activation, so
+    forward's output is overwritten when the last layer is tanh (and
+    output_gradient must not be that output), and ``cache.post`` is emptied.
+    A second backward on the same cache raises UsageError.
     """
     post = cache.post
     if not post:
         raise UsageError("cache already spent by an earlier backward")
     if len(post) != net.n_layers:
         raise UsageError("cache does not match this network")
-    g = output_gradient
     dtype = net.params.dtype
-    if not (type(g) is np.ndarray and g.dtype == dtype and g.ndim == 2):
+    g = output_gradient
+    if net.activations[-1] in ("sigmoid", "softmax"):  # backward_into writes over it
+        g = np.array(output_gradient, dtype=dtype, ndmin=2)
+    elif not (type(g) is np.ndarray and g.dtype == dtype and g.ndim == 2):
         g = np.atleast_2d(np.asarray(output_gradient, dtype=dtype))
     if g.shape != post[-1].shape:
         raise UsageError(
             f"output_gradient shape {g.shape} does not match forward output "
             f"{post[-1].shape}"
         )
-    grad = np.empty_like(net.params) if params else None
-    end = net.params.size  # layers run last to first, so their blocks do too
-    for i in range(net.n_layers - 1, -1, -1):
-        w = net.weights[i]
-        start = end - w.size - w.shape[0]
-        y = post.pop()
-        act = net.activations[i]
-        if act == "tanh":  # g * (1 - y * y), in y's buffer
-            dz = np.multiply(y, y, out=y)
-            np.subtract(1.0, dz, out=dz)
-            dz *= g
-        elif act == "sigmoid":
-            dz = g * y * (1.0 - y)
-        elif act == "softmax":
-            dz = y * (g - np.add.reduce(g * y, axis=1, keepdims=True))
-        else:  # identity
-            dz = g
-        g = None  # used: dropped before the next layer's gradient is allocated
-        if params:
-            h_prev = post[-1] if i > 0 else cache.inputs
-            block = grad[start : start + w.size].reshape(w.shape)
-            if dz.shape[0] > BLAS_GRADIENT_ROWS:
-                np.einsum("ij,ik->jk", dz, h_prev, out=block, optimize=False)
-            else:
-                np.dot(dz.T, h_prev, out=block)
-            np.add.reduce(dz, axis=0, out=grad[start + w.size : end])
-        if i > 0 or inputs:
-            g = np.dot(dz, w)
-        end = start
-    return grad, g
+    cache.post = []
+    # input gradients allocated as they are made, so two are never alive at once
+    bufs = Buffers(post, np.empty_like(net.params) if params else None,
+                   [None] * net.n_layers, inputs)
+    return bufs.grad, backward_into(net, cache.inputs, bufs, g)
 
 
 @dataclass
@@ -316,7 +407,11 @@ def make_optimizer(net: MlpNetwork, learning_rate: float) -> OptimizerState:
 
 
 def optimizer_step(net: MlpNetwork, grad: np.ndarray, state: OptimizerState) -> None:
-    """One in-place Adam update of the whole parameter vector."""
+    """One in-place Adam update of the whole parameter vector.
+
+    m, v and the parameters change in place; the step and its denominator
+    share one scratch allocation, and each operation is the textbook
+    expression's, in its order."""
     if np.shape(grad) != net.params.shape:
         raise ShapeError(
             f"gradient has shape {np.shape(grad)}, network has {net.params.shape}"
@@ -324,12 +419,29 @@ def optimizer_step(net: MlpNetwork, grad: np.ndarray, state: OptimizerState) -> 
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
-    net.params -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v, params = state.m, state.v, net.params
+    beta1, rest1, beta2, rest2, eps, lr = _adam_constants(
+        state.beta1, state.beta2, state.eps, state.learning_rate, params.dtype)
+    step, denom = np.empty((2, params.size), dtype=params.dtype)
+    np.multiply(m, beta1, m)
+    np.add(m, np.multiply(grad, rest1, step), m)  # beta1 m + (1 - beta1) grad
+    np.multiply(v, beta2, v)
+    np.multiply(grad, grad, step)
+    np.add(v, np.multiply(step, rest2, step), v)  # beta2 v + (1 - beta2) grad**2
+    np.divide(v, bc2, denom)
+    np.sqrt(denom, denom)
+    np.add(denom, eps, denom)
+    np.divide(m, bc1, step)
+    np.multiply(step, lr, step)
+    np.divide(step, denom, step)  # lr (m / bc1) / (sqrt(v / bc2) + eps)
+    np.subtract(params, step, params)
+
+
+@functools.cache
+def _adam_constants(beta1, beta2, eps, learning_rate, dtype) -> tuple[np.ndarray, ...]:
+    """optimizer_step's fixed scalars as constant() arrays, looked up once per step."""
+    return tuple(constant(c, dtype) for c in
+                 (beta1, 1.0 - beta1, beta2, 1.0 - beta2, eps, learning_rate))
 
 
 def minibatches(
@@ -345,9 +457,10 @@ def minibatches(
             yield data[order[start : start + batch_size]]
 
 
-def clamp_probabilities(p: np.ndarray) -> np.ndarray:
+def clamp_probabilities(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # same values as np.clip for non-NaN input, without its dispatch overhead
-    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
+    return np.minimum(np.maximum(p, constant(PROB_EPS, p.dtype), out=out),
+                      constant(1.0 - PROB_EPS, p.dtype), out=out)
 
 
 def save_network(net: MlpNetwork, path) -> None:

@@ -7,6 +7,7 @@ from egan import enhancer, experience, gan, harness, nn
 from egan.errors import ShapeError, UsageError
 
 from test_experience import traced_peak_mb
+from test_gan import float64_opt
 from test_nn import float64_copy, max_rel_err
 
 
@@ -210,6 +211,61 @@ class TestTrainEnhancer:
         diff = pred - x2
         analytic = nn.backward(model.net, cache, 2.0 * diff / diff.size)[0]
         assert max_rel_err(analytic, numeric) < 1e-4
+
+
+def per_step_train_enhancer(model, encoded, n_steps, rng, batch_size):
+    """train_enhancer as it was before its steps reused their arrays: the
+    allocating nn.forward/nn.backward/nn.optimizer_step composition."""
+    data = np.atleast_2d(np.asarray(encoded, dtype=model.net.params.dtype))
+    batches = nn.minibatches(data, batch_size, rng)
+    k = model.net.layer_sizes[0]
+    losses = []
+    for _ in range(n_steps):
+        batch = next(batches)
+        x1, x2 = batch[:, :k], batch[:, k:]
+        pred, cache = nn.forward(model.net, x1)
+        diff = pred - x2
+        loss = float((diff**2).sum() / diff.size)
+        grads, _ = nn.backward(model.net, cache, 2.0 * diff / diff.size, inputs=False)
+        nn.optimizer_step(model.net, grads, model.opt)
+        losses.append(loss)
+    return losses
+
+
+def float64_model(model):
+    return enhancer.EnhancerModel(float64_copy(model.net), float64_opt(model.opt))
+
+
+# (model factory, real rows): the default net at two seeds, a buffer under 48
+# rows, the net widened to float64, and one hidden layer
+TRAIN_ENHANCER_CASES = {
+    "default-0": (lambda: enhancer.make_enhancer(np.random.default_rng(0)), None),
+    "default-1": (lambda: enhancer.make_enhancer(np.random.default_rng(1)), None),
+    "39-rows": (lambda: enhancer.make_enhancer(np.random.default_rng(2)), 39),
+    "float64": (lambda: float64_model(enhancer.make_enhancer(np.random.default_rng(3))), None),
+    "one-hidden": (lambda: enhancer.make_enhancer(np.random.default_rng(4), hidden=(7,)), None),
+}
+
+
+class TestTrainEnhancerMatchesPerStepReference:
+    """train_enhancer, each step in arrays made once per call, gives the bytes
+    of the allocating per-step composition: the same losses, net, Adam
+    moments and rng state after 200 steps."""
+
+    @pytest.mark.parametrize("case", sorted(TRAIN_ENHANCER_CASES))
+    def test_200_steps_bit_identical(self, case, small_encoded):
+        make, rows = TRAIN_ENHANCER_CASES[case]
+        got, want = make(), make()
+        data = small_encoded[:rows]
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        losses = enhancer.train_enhancer(got, data, 200, rng, 64)
+        assert losses == per_step_train_enhancer(want, data, 200, ref_rng, 64)
+        assert got.net.params.dtype == want.net.params.dtype
+        assert got.net.params.tobytes() == want.net.params.tobytes()
+        assert got.opt.t == want.opt.t == 200
+        assert got.opt.m.tobytes() == want.opt.m.tobytes()
+        assert got.opt.v.tobytes() == want.opt.v.tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 class TestRefine:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -312,6 +313,182 @@ class TestTrainGan:
         real_freq = small_buffer.actions.mean()
         fake_freq = fake.actions.mean()
         assert abs(real_freq - fake_freq) <= 0.10
+
+
+def per_step_discriminator_step(pair, real_batch, rng):
+    """The D step as it was before train_gan reused its arrays: the
+    allocating nn.forward/nn.backward/nn.optimizer_step composition."""
+    real = np.atleast_2d(np.asarray(real_batch, dtype=pair.d.params.dtype))
+    n = real.shape[0]
+    if n < 2:
+        raise UsageError(f"discriminator batch must have >= 2 rows, got {n}")
+    z = gan.sample_noise(rng, n, pair.noise_dim)
+    fake, _ = nn.forward(pair.g, z)
+    d_out, cache = nn.forward(pair.d, np.concatenate([real, fake]))
+    p = nn.clamp_probabilities(d_out)
+    p_real, p_fake = p[:n], p[n:]
+    loss = -float(np.log(p_real).sum() / n + np.log(1.0 - p_fake).sum() / n)
+    grad = np.empty_like(p)
+    grad[:n] = -1.0 / (n * p_real)
+    grad[n:] = 1.0 / (n * (1.0 - p_fake))
+    grads, _ = nn.backward(pair.d, cache, grad, inputs=False)
+    nn.optimizer_step(pair.d, grads, pair.d_opt)
+    return loss
+
+
+def per_step_generator_step(pair, rng):
+    """The G step as it was before train_gan reused its arrays."""
+    n = pair.batch_size
+    z = gan.sample_noise(rng, n, pair.noise_dim)
+    g_out, cache_g = nn.forward(pair.g, z)
+    d_out, cache_d = nn.forward(pair.d, g_out)
+    p = nn.clamp_probabilities(d_out)
+    loss = -float(np.log(p).sum() / n)
+    _, grad_g_out = nn.backward(pair.d, cache_d, -1.0 / (n * p), params=False)
+    grads_g, _ = nn.backward(pair.g, cache_g, grad_g_out, inputs=False)
+    nn.optimizer_step(pair.g, grads_g, pair.g_opt)
+    return loss
+
+
+def per_step_train_gan(pair, encoded_real, n_steps, rng):
+    data = np.atleast_2d(np.asarray(encoded_real, dtype=pair.d.params.dtype))
+    batches = nn.minibatches(data, pair.batch_size, rng)
+    return [(per_step_discriminator_step(pair, next(batches), rng),
+             per_step_generator_step(pair, rng)) for _ in range(n_steps)]
+
+
+def assert_same_pair(got, want):
+    for a, b in ((got.g, want.g), (got.d, want.d)):
+        assert a.params.dtype == b.params.dtype
+        assert a.params.tobytes() == b.params.tobytes()
+    for a, b in ((got.g_opt, want.g_opt), (got.d_opt, want.d_opt)):
+        assert a.t == b.t
+        assert a.m.tobytes() == b.m.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
+def real_rows(width, rows, seed):
+    return np.tanh(np.random.default_rng(seed).normal(size=(rows, width)))
+
+
+# (pair factory, real rows): the default nets at three seeds, a buffer under
+# 48 rows (OpenBLAS's small-matrix path; D then runs 78 rows, G 64), the
+# pair widened to float64, and tiny_gan's one-hidden-layer nets at a batch
+# that is not a power of two, where scaling by 1 / n is not exact
+TRAIN_GAN_CASES = {
+    "default-0": (lambda: gan.make_gan(np.random.default_rng(0)), None),
+    "default-1": (lambda: gan.make_gan(np.random.default_rng(1)), None),
+    "default-2": (lambda: gan.make_gan(np.random.default_rng(2)), None),
+    "39-rows": (lambda: gan.make_gan(np.random.default_rng(3)), 39),
+    "float64": (lambda: float64_pair(gan.make_gan(np.random.default_rng(4),
+                                                  learning_rate=1e-3)), None),
+    "tiny": (lambda: tiny_gan(seed=5, batch_size=12), None),
+}
+
+
+class TestTrainGanMatchesPerStepReference:
+    """train_gan, each round in arrays made once per call, gives the bytes of
+    the allocating per-step composition: the same losses, the same G, D and
+    Adam moments, and the same rng state after 200 rounds."""
+
+    @pytest.mark.parametrize("case", sorted(TRAIN_GAN_CASES))
+    def test_200_rounds_bit_identical(self, case, small_encoded):
+        make, rows = TRAIN_GAN_CASES[case]
+        got, want = make(), make()
+        width = got.d.layer_sizes[0]
+        data = (small_encoded[:rows] if width == small_encoded.shape[1]
+                else real_rows(width, 300, 6))
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        losses = gan.train_gan(got, data, 200, rng)
+        assert losses == per_step_train_gan(want, data, 200, ref_rng)
+        assert_same_pair(got, want)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("case", sorted(TRAIN_GAN_CASES))
+    def test_public_steps_bit_identical(self, case, small_encoded):
+        # discriminator_step and generator_step run the same code on arrays
+        # made for one call
+        make, _ = TRAIN_GAN_CASES[case]
+        got, want = make(), make()
+        data = real_rows(got.d.layer_sizes[0], 64, 8)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for real in (data, data[:39]):
+            assert (gan.discriminator_step(got, real, rng)
+                    == per_step_discriminator_step(want, real, ref_rng))
+            assert gan.generator_step(got, rng) == per_step_generator_step(want, ref_rng)
+        assert_same_pair(got, want)
+        assert rng.random() == ref_rng.random()
+
+    def test_one_row_buffer_raises_before_any_parameter_moves(self, small_encoded):
+        pair, untouched = gan.make_gan(np.random.default_rng(10)), gan.make_gan(
+            np.random.default_rng(10))
+        with pytest.raises(UsageError):
+            gan.train_gan(pair, small_encoded[:1], 5, np.random.default_rng(11))
+        assert_same_pair(pair, untouched)
+
+
+class FailingRng:
+    """A generator whose noise draws raise after `draws` of them: a failure
+    inside train_gan's round loop."""
+
+    def __init__(self, seed, draws):
+        self.rng, self.draws = np.random.default_rng(seed), draws
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def uniform(self, *args, **kwargs):
+        if self.draws == 0:
+            raise RuntimeError("noise draw failed")
+        self.draws -= 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def saturated_pair():
+    """tiny_gan with a D so large that exp(-z) of its sigmoid overflows."""
+    pair = tiny_gan(seed=12)
+    for w in pair.d.weights:
+        w *= 1e4
+    return pair
+
+
+class TestErrstate:
+    """train_gan silences the sigmoid's overflow once, around its round loop,
+    and leaves the caller's error state as it found it."""
+
+    @pytest.fixture
+    def data(self):
+        return real_rows(4, 40, 13)
+
+    def test_restored_after_return(self, data):
+        with np.errstate(over="raise", under="warn"):
+            before = np.geterr()
+            gan.train_gan(tiny_gan(), data, 5, np.random.default_rng(14))
+            assert np.geterr() == before
+
+    def test_restored_after_raise(self, data):
+        with np.errstate(over="raise", under="warn"):
+            before = np.geterr()
+            with pytest.raises(RuntimeError, match="noise draw failed"):
+                gan.train_gan(tiny_gan(), data, 5, FailingRng(15, draws=3))
+            assert np.geterr() == before
+
+    def test_saturated_discriminator_overflows(self, data):
+        # the case below does reach the overflow the errstate silences
+        pair = saturated_pair()
+        post = nn.layer_buffers(pair.d, data.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                nn.forward_into(pair.d, nn.input_batch(pair.d, data), post)
+
+    def test_saturated_discriminator_warns_nothing(self, data):
+        pair = saturated_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gan.train_gan(pair, data, 5, np.random.default_rng(16))
+            gan.discriminator_step(pair, data[:8], np.random.default_rng(17))
+            gan.generator_step(pair, np.random.default_rng(18))
+        assert np.all(np.isfinite(pair.d.params)) and np.all(np.isfinite(pair.g.params))
 
 
 class TestGenerate:

@@ -291,6 +291,24 @@ def test_pretrain_rng_consumption_pinned(mode, seed):
     assert hashlib.sha256(state).hexdigest() == PRETRAIN_RNG_DIGESTS[seed]
 
 
+def test_blockwise_encoding_equals_whole_buffer_cast(monkeypatch):
+    """fit_models encodes its buffer ENCODE_BLOCK_ROWS rows at a time into
+    one gan.DTYPE array: the bytes of encoding it whole and casting."""
+    seen = []
+
+    def capture(pair, encoded, n_steps, rng):
+        seen.append(encoded.copy())
+        return []
+
+    monkeypatch.setattr(gan, "train_gan", capture)
+    cfg = ExperimentConfig(mode="gan", seed=3, pretrain_episodes=120)
+    pre = harness.fit_models(cfg, np.random.default_rng(4))
+    assert len(pre.buffer) > 2 * harness.ENCODE_BLOCK_ROWS  # a ragged last block
+    assert len(pre.buffer) % harness.ENCODE_BLOCK_ROWS
+    want = experience.encode_batch(pre.buffer, pre.stats).astype(gan.DTYPE)
+    assert seen[0].dtype == gan.DTYPE and seen[0].tobytes() == want.tobytes()
+
+
 def _written_run(out_dir, mode, seed=2):
     """The files write_run writes for a TINY run, by name without the
     _<mode>_<seed> tag; meta_*, which names the mode, is left out."""

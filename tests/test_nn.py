@@ -302,6 +302,27 @@ class TestOptimizers:
             nn.optimizer_step(net, np.array([g, 0.0]), opt)
         assert net.weights[0][0, 0] == pytest.approx(p, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lr", [5e-6, 1e-3])
+    def test_in_place_adam_matches_textbook_formula(self, dtype, lr):
+        # the expression form of Adam, evaluated in the net's dtype in the
+        # textbook's order: the in-place update gives its bytes, step by step
+        net = nn.init_network([6, 5, 3], ["tanh", "sigmoid"], np.random.default_rng(3), dtype)
+        opt = nn.make_optimizer(net, lr)
+        p, m, v = net.params.copy(), np.zeros_like(net.params), np.zeros_like(net.params)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        rng = np.random.default_rng(4)
+        for t in range(1, 51):
+            g = rng.normal(scale=rng.uniform(0.01, 3.0), size=p.size).astype(dtype)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g**2
+            p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            nn.optimizer_step(net, g, opt)
+            assert net.params.dtype == opt.m.dtype == opt.v.dtype == dtype
+            assert same_bytes(net.params, p)
+            assert same_bytes(opt.m, m) and same_bytes(opt.v, v)
+        assert opt.t == 50
+
     def test_bad_optimizer_config(self):
         net = nn.init_network([2, 2], ["identity"], np.random.default_rng(0))
         for lr in (0.0, -1e-3):
@@ -794,14 +815,38 @@ class TestFloat32Networks:
             assert np.abs(a - b).max() <= F32_TOL * np.abs(b).max()
 
 
+class TestConstant:
+    """nn.constant gives the value a Python float operand takes in an
+    operation on an array of its dtype, once per (value, dtype), read-only."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_a_python_float_operand(self, dtype):
+        x = np.random.default_rng(94).normal(size=(64, 40)).astype(dtype)
+        for value in (1.0, -1.0, 1e-7, 1.0 - 1e-7, 0.999, 5e-6, 64):
+            c = nn.constant(value, dtype)
+            assert c.shape == () and c.dtype == dtype
+            for op in (np.add, np.subtract, np.multiply, np.divide):
+                assert same_bytes(op(x, c), op(x, value))
+                assert same_bytes(op(c, x), op(value, x))
+
+    def test_cached_and_read_only(self):
+        c = nn.constant(0.5, np.float32)
+        assert nn.constant(0.5, np.float32) is c
+        with pytest.raises(ValueError):
+            c[...] = 2.0
+
+
 class TestSigmoidRange:
     """exp(-z) overflows below z = -88.7 in float32 and -709.8 in float64;
-    the sigmoid still returns its limit there, and warns of nothing."""
+    the sigmoid still returns its limit there, and warns of nothing.  The
+    activation itself leaves the overflow to its caller's
+    np.errstate(over="ignore"), which every caller of the layer loop holds
+    once per call (forward, predict and the trainers)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_saturates_at_large_pre_activations(self, dtype):
         z = np.array([[-1e4], [-1e3], [-100.0], [0.0], [100.0], [1e3], [1e4]], dtype=dtype)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             out = nn._activate("sigmoid", z.copy())
         assert out.dtype == dtype
