@@ -3,10 +3,10 @@
 Pure state-in/state-out functions: the only stochasticity is the reset draw
 and whatever policy drives the episode.  The physics are CartPole-v0's
 constants below; no function takes an environment argument, and the episode
-cap is the caller's int (egan.experience).  step and step_batch share one
-formula, _successor, of IEEE multiplies, adds and divides, so step_batch
-steps (n, 4) rows as columns bit for bit as step; terminal is the
-vectorised limit test.
+cap is the caller's int (egan.experience).  successor is the one formula,
+of IEEE multiplies, adds and divides: step checks its input, the online
+rollout calls it unchecked, and step_batch steps (n, 4) rows as columns
+bit for bit as step; terminal is the vectorised limit test.
 """
 
 from __future__ import annotations
@@ -56,12 +56,14 @@ def terminal(states: np.ndarray) -> np.ndarray:
     return (np.abs(states[:, 0]) > X_LIMIT) | (np.abs(states[:, 2]) > THETA_LIMIT)
 
 
-def _successor(x, x_dot, theta, theta_dot, force, cos_t, sin_t):
+def successor(x, x_dot, theta, theta_dot, force, cos_t, sin_t):
     """The four successor components, semi-explicit Euler with the old
     derivatives: positions advance on the current velocities, velocities on
     the accelerations.  Only IEEE multiplies, adds and divides, in the
     operand order of Gym's attribute-access form, with each square written
-    as v * v, so Python floats and float64 columns give the same bits."""
+    as v * v, so Python floats and float64 columns give the same bits.
+    Unchecked: the caller guarantees a live state and a force of
+    +-FORCE_MAG."""
     temp = (force + POLEMASS_LENGTH * (theta_dot * theta_dot) * sin_t) / TOTAL_MASS
     theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
         POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * (cos_t * cos_t) / TOTAL_MASS)
@@ -75,10 +77,8 @@ def step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
     """One transition -> (next state, done); CartPole pays 1.0 on every step,
     the last included, so no reward is returned.
 
-    _successor on math.cos and math.sin.  This is the rollout's inner loop,
-    so the body unpacks the state once, builds the successor with
-    tuple.__new__ (no NamedTuple keyword handling) and tests both limits
-    inline, as terminal does.
+    successor on math.cos and math.sin, behind checks of the action and of
+    the state's limits, which run_episodes meets by construction.
     """
     if action not in (0, 1):
         raise UsageError(f"action must be 0 or 1, got {action!r}")
@@ -86,7 +86,7 @@ def step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
     if abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT:
         raise UsageError("cannot step a terminated episode")
     force = FORCE_MAG if action == 1 else -FORCE_MAG
-    nxt = tuple.__new__(CartPoleState, _successor(
+    nxt = CartPoleState(*successor(
         x, x_dot, theta, theta_dot, force, math.cos(theta), math.sin(theta)))
     return nxt, abs(nxt[0]) > X_LIMIT or abs(nxt[2]) > THETA_LIMIT
 
@@ -95,12 +95,12 @@ def step_batch(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.
     """step on every row: (n, 4) float64 states and n actions (bool or 0/1,
     true pushes right) -> ((n, 4) next states, (n,) dones).
 
-    _successor on columns, so bit-identical to step while np.cos and
+    successor on columns, so bit-identical to step while np.cos and
     np.sin agree with math's.  A row that starts terminal is stepped too,
     with no UsageError; a caller that must skip it masks by terminal.
     """
     x, x_dot, theta, theta_dot = states.T
     force = np.where(actions, FORCE_MAG, -FORCE_MAG)
-    nxt = np.column_stack(_successor(x, x_dot, theta, theta_dot, force,
-                                     np.cos(theta), np.sin(theta)))
+    nxt = np.column_stack(successor(x, x_dot, theta, theta_dot, force,
+                                    np.cos(theta), np.sin(theta)))
     return nxt, terminal(nxt)

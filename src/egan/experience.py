@@ -21,6 +21,7 @@ lengths, acting in log-odds space by the rule it gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -73,39 +74,43 @@ def run_episodes(logit_fn, rngs, max_steps: int):
     reset.  In exact arithmetic that is the rule u_t >= sigmoid(-g), so no
     step needs a sigmoid; u == 0 gives c = +inf (action 0 for every finite
     g) and a NaN logit takes action 0.  An episode does not depend on its
-    group.  The dynamics stay scalar: at the few live episodes of the online
-    phase, k scalar steps beat one cartpole.step_batch.
+    group.
 
-    Each live episode is one record (path, thresholds, actions), and the
-    states are stacked once by _stack, a flat np.fromiter over the state
-    tuples: the same float64 values np.array gives, without its per-row
-    sequence probing, so every column is bit-identical to np.array stacking.
-    cartpole.step is looked up once per call, not once per step, so a wrapper
-    installed on the module attribute before the call still sees every step.
+    Each step is cartpole.successor and step's limit test, so step's bits
+    without its checks, which hold here: the force is +-FORCE_MAG, and a
+    state enters the live list (beside its episode's index) only while it
+    is live.  At the few live episodes of the online phase, k scalar steps
+    beat one cartpole.step_batch.  States are stacked by _stack, a flat
+    np.fromiter: np.array's float64 values without its per-row sequence
+    probing.  cartpole.successor is looked up once per call, so a wrapper
+    installed on the module attribute before the call sees every step.
     """
-    step = cartpole.step
+    successor, cos, sin = cartpole.successor, math.cos, math.sin
+    right, left = (1, cartpole.FORCE_MAG), (0, -cartpole.FORCE_MAG)
+    x_limit, theta_limit = cartpole.X_LIMIT, cartpole.THETA_LIMIT
     paths = [[cartpole.reset(rng)] for rng in rngs]
     draws = [rng.random(max_steps) for rng in rngs]
     thresholds = logistic_thresholds(np.array(draws)).tolist()
-    episodes = [(path, c, []) for path, c in zip(paths, thresholds)]
-    live = episodes
+    actions = [[] for _ in paths]
+    live, last = list(range(len(paths))), [path[0] for path in paths]
     for t in range(max_steps):
         if not live:
             break
-        logits = logit_fn(_stack([episode[0][-1] for episode in live])).tolist()
-        still = []
-        for episode, g in zip(live, logits):
-            path, c, actions = episode
-            action = 1 if g >= c[t] else 0
-            state, done = step(path[-1], action)
-            path.append(state)
-            actions.append(action)
-            if not done:
-                still.append(episode)
-        live = still
+        logits = logit_fn(_stack(last)).tolist()
+        still, still_last = [], []
+        for i, state, g in zip(live, last, logits):
+            action, force = right if g >= thresholds[i][t] else left
+            x, x_dot, theta, theta_dot = state
+            nxt = successor(x, x_dot, theta, theta_dot, force, cos(theta), sin(theta))
+            paths[i].append(nxt)
+            actions[i].append(action)
+            if not (abs(nxt[0]) > x_limit or abs(nxt[2]) > theta_limit):
+                still.append(i)
+                still_last.append(nxt)
+        live, last = still, still_last
     states = _stack([s for path in paths for s in path[:-1]])
-    actions = np.fromiter(chain.from_iterable(e[2] for e in episodes), np.intp, len(states))
-    return states, actions, [len(e[2]) for e in episodes]
+    pooled = np.fromiter(chain.from_iterable(actions), np.intp, len(states))
+    return states, pooled, [len(a) for a in actions]
 
 
 def logistic_thresholds(u) -> np.ndarray:
@@ -120,7 +125,7 @@ def logistic_thresholds(u) -> np.ndarray:
 
 
 def _stack(states) -> np.ndarray:
-    """k CartPoleStates -> (k, 4) float64, as np.array(states) but flat."""
+    """k 4-tuples -> (k, 4) float64, as np.array(states) but flat."""
     k = len(states)
     return np.fromiter(chain.from_iterable(states), np.float64, 4 * k).reshape(k, 4)
 

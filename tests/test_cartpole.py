@@ -248,6 +248,19 @@ def scalar_steps(states, actions):
     return np.array([nxt for nxt, _ in steps]), np.array([done for _, done in steps])
 
 
+@given(states_within_limits(), st.sampled_from([0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_step_is_the_successor_behind_its_checks(state, action):
+    """On a live state, step returns successor's tuple and the inline limit
+    test that run_episodes applies, bit for bit."""
+    force = cartpole.FORCE_MAG if action == 1 else -cartpole.FORCE_MAG
+    want = cartpole.successor(*state, force, math.cos(state.theta), math.sin(state.theta))
+    nxt, done = cartpole.step(state, action)
+    # tobytes, not ==: -0.0 against 0.0 must count as a difference
+    assert np.array(nxt).tobytes() == np.array(want).tobytes()
+    assert done is (abs(want[0]) > cartpole.X_LIMIT or abs(want[2]) > cartpole.THETA_LIMIT)
+
+
 class TestStepBatch:
     def test_bit_identical_to_step_on_a_collected_buffer(self, small_buffer):
         want_next, want_done = scalar_steps(small_buffer.states, small_buffer.actions)

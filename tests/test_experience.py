@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -419,14 +420,19 @@ class TestRunEpisodesMatchesReference:
                                 [len(e) for e in want]))
 
     def test_one_step_call_per_transition(self, monkeypatch):
+        # run_episodes steps through the unchecked successor; the guards
+        # cartpole.step would apply must hold on every transition it makes
         calls = []
-        step = cartpole.step
+        successor = cartpole.successor
 
-        def counted(*args):
+        def counted(x, x_dot, theta, theta_dot, force, cos_t, sin_t):
+            assert not (abs(x) > cartpole.X_LIMIT or abs(theta) > cartpole.THETA_LIMIT)
+            assert force in (cartpole.FORCE_MAG, -cartpole.FORCE_MAG)
+            assert (cos_t, sin_t) == (math.cos(theta), math.sin(theta))
             calls.append(1)
-            return step(*args)
+            return successor(x, x_dot, theta, theta_dot, force, cos_t, sin_t)
 
-        monkeypatch.setattr(cartpole, "step", counted)
+        monkeypatch.setattr(cartpole, "successor", counted)
         _, _, lengths = experience.run_episodes(uniform, rngs_from(13, 7), CAP)
         assert len(calls) == sum(lengths) > 7
 
